@@ -2,7 +2,7 @@
 // budget M grows. Expected shape (paper): costs fall as M rises, with a
 // sharp drop at the final point where c·|V| <= M lets Semi-SCC run
 // directly on the input (paper: the 1G point; here: the point above
-// 16 B x |V|).
+// StateBytes(|V|)).
 #include <string>
 #include <vector>
 

@@ -471,7 +471,7 @@ BENCHMARK(BM_BrtInsertExtract)->Arg(1'000)->Arg(4'000);
 
 void BM_SemiExternalScc(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  auto ctx = MakeCtx(scc::SemiExternalScc::kBytesPerNode * nodes * 2);
+  auto ctx = MakeCtx(2 * scc::SemiExternalScc::StateBytes(nodes));
   const auto g = graph::MakeDiskGraph(
       ctx.get(), gen::RandomDigraphEdges(nodes, nodes * 4, 3));
   for (auto _ : state) {
@@ -516,7 +516,7 @@ BENCHMARK(BM_VertexCover)->Arg(10'000)->Arg(50'000);
 void BM_ExtSccEndToEnd(benchmark::State& state) {
   const bool op = state.range(0) != 0;
   // 20K nodes, budget for 5K: a few contraction levels.
-  auto ctx = MakeCtx(scc::SemiExternalScc::kBytesPerNode * 5'000);
+  auto ctx = MakeCtx(scc::SemiExternalScc::StateBytes(5'000));
   gen::SyntheticParams params;
   params.num_nodes = 20'000;
   params.avg_degree = 3.0;
@@ -542,7 +542,8 @@ BENCHMARK(BM_ExtSccEndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_SemiSccBackend(benchmark::State& state) {
   const auto backend = state.range(0) == 0 ? scc::SemiSccBackend::kColoring
                                            : scc::SemiSccBackend::kBrTree;
-  auto ctx = MakeCtx(scc::SemiExternalScc::kBytesPerNode * 50'000);
+  // Room for 50K nodes on either backend (BR-tree holds the more).
+  auto ctx = MakeCtx(scc::BrTreeScc::StateBytes(50'000));
   const auto g = graph::MakeDiskGraph(
       ctx.get(), gen::RandomDigraphEdges(20'000, 80'000, 3));
   for (auto _ : state) {

@@ -10,8 +10,9 @@
 //              the total postorder pins all nodes until the end
 //
 // and then re-runs the full external Ext-SCC-Op pipeline with each
-// pluggable base case to show the backend does not change the
-// contraction structure (levels) and only shifts base-case scans.
+// pluggable base case: each backend's own footprint (StateBytes) sets
+// where contraction stops, so the levels differ along with the
+// base-case scans.
 #include <algorithm>
 #include <cstdio>
 #include <string>

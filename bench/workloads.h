@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "scc/semi_external_scc.h"
+
 namespace extscc::bench {
 
 inline double BenchScale() {
@@ -41,7 +43,7 @@ inline double BenchScale() {
 inline constexpr double kSeqBytesPerSecond = 100.0 * 1024 * 1024;
 inline constexpr double kSeekSeconds = 0.008;
 
-inline std::uint64_t Scaled(std::uint64_t base) {
+inline std::uint64_t Scaled(double base) {
   const auto v = static_cast<std::uint64_t>(base * BenchScale());
   return v < 64 ? 64 : v;
 }
@@ -57,13 +59,13 @@ inline std::size_t BlockSize() {
                                std::max<std::size_t>(2 * 1024, scaled));
 }
 
-// The paper charges c = 8 bytes/node for 1PB-SCC's stop condition; our
-// Semi-SCC backends charge kBytesPerNode = 16. Memory sizes for the
-// synthetic sweeps are therefore calibrated by 16/8 = 2 so each sweep
-// point lands on the paper's M / (c*|V|) operating point — the quantity
-// that decides the number of contraction iterations. (The web-graph
-// sweep in WebMemorySweep() is already expressed in 16 B/node units.)
-inline constexpr std::uint64_t kMemoryCalibration = 2;
+// The paper charges c = 8 bytes/node for 1PB-SCC's stop condition; the
+// default (colouring) Semi-SCC backend holds StateBytes(n) ~ 8.5 B/node.
+// Memory sizes are given in paper units and calibrated by that ratio so
+// each sweep point lands on the paper's M / (c*|V|) operating point —
+// the quantity that decides the number of contraction iterations.
+inline constexpr double kMemoryCalibration =
+    scc::SemiExternalScc::StateBytes(1 << 20) / (8.0 * (1 << 20));
 
 // Paper default M = 400 "M-units" -> 400 KB, calibrated.
 inline std::uint64_t DefaultMemory() {
@@ -114,11 +116,15 @@ inline std::uint64_t WebGraphNodes() { return Scaled(100'000); }
 inline constexpr double kWebGraphOutDegree = 8.0;
 inline constexpr std::uint64_t kWebGraphSeed = 20070501;  // UK2007 crawl date
 
-// Fig. 7 memory sweep for the web graph (paper: 400M..1G, with the knee
-// where Semi-SCC fits the whole node set: 16 B/node * 100K = 1.6 MB).
+// Fig. 7 memory sweep for the web graph (paper: 400M..1G), calibrated:
+// a quarter, three eighths and half of the node set's footprint
+// (8 B/node * 100K = 800 KB in paper units), then the knee's far side
+// where Semi-SCC fits the whole node set.
 inline std::vector<std::uint64_t> WebMemorySweep() {
-  return {Scaled(400 * 1024), Scaled(600 * 1024), Scaled(800 * 1024),
-          Scaled(1700 * 1024)};
+  return {Scaled(kMemoryCalibration * 200 * 1024),
+          Scaled(kMemoryCalibration * 300 * 1024),
+          Scaled(kMemoryCalibration * 400 * 1024),
+          Scaled(kMemoryCalibration * 850 * 1024)};
 }
 
 // DFS-SCC censoring: the paper allows 24 h per run (its Ext-SCC runs

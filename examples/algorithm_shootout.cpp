@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   machine.block_size = 4096;
   machine.memory_bytes = std::max<std::uint64_t>(
       2 * machine.block_size,
-      scc::SemiExternalScc::kBytesPerNode * (num_nodes / 8));
+      scc::SemiExternalScc::StateBytes(num_nodes / 8));
 
   std::printf("R-MAT graph: |V|=%llu |E|=%llu seed=%llu\n",
               static_cast<unsigned long long>(num_nodes),
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(machine.memory_bytes / 1024),
               machine.block_size / 1024,
               static_cast<unsigned long long>(
-                  num_nodes * scc::SemiExternalScc::kBytesPerNode / 1024));
+                  scc::SemiExternalScc::StateBytes(num_nodes) / 1024));
 
   std::vector<Row> rows;
   std::optional<scc::SccResult> reference;

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   machine.block_size = 16 * 1024;
   machine.memory_bytes = std::max<std::uint64_t>(
       2 * machine.block_size,
-      scc::SemiExternalScc::kBytesPerNode * (num_nodes / 4));
+      scc::SemiExternalScc::StateBytes(num_nodes / 4));
   io::IoContext context(machine);
 
   gen::WebGraphParams params;

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // never below the model's M >= 2B floor.
   machine.memory_bytes = std::max<std::uint64_t>(
       2 * machine.block_size,
-      scc::SemiExternalScc::kBytesPerNode * (num_nodes / 4));
+      scc::SemiExternalScc::StateBytes(num_nodes / 4));
   io::IoContext context(machine);
 
   gen::WebGraphParams params;

@@ -223,6 +223,10 @@ util::Result<ExtSccStats> RunExtScc(io::IoContext* context,
     stats.contraction_seconds += phase_timer.ElapsedSeconds();
 
     // ---- Semi-external base case (Alg. 2 line 5) ----------------------
+    // With no contraction level run, nothing has polled the latch yet: an
+    // input built through a failing device must not reach the base case,
+    // whose endpoint translation trusts the node file.
+    RETURN_IF_ERROR(BudgetCheck(context, "graph contraction"));
     phase_timer.Restart();
     next_scc_id = 0;
     scc_path = ckpt.enabled() ? ckpt.SemiSccPath()

@@ -35,11 +35,12 @@ struct ExtSccOptions {
   // Self-loop elimination is unconditional (both modes): a self-loop node
   // could never leave the cover, breaking Lemma 5.2's strict shrinkage.
 
-  // Semi-external base case (Alg. 2 line 5). Both backends honour the
-  // identical memory contract (16 bytes/node), so the contraction stop
-  // condition — and hence the iteration structure — is backend-agnostic.
-  // kBrTree is the spanning-tree family the paper plugs in (1PB-SCC
-  // [26]); kColoring is this library's forward-backward default.
+  // Semi-external base case (Alg. 2 line 5). The contraction stop
+  // condition is the selected backend's own c·|V| <= M
+  // (scc::SemiSccStateBytes), so the iteration structure depends on the
+  // backend: kColoring, this library's forward-backward default at
+  // ~8.5 B/node, never needs more levels than kBrTree, the spanning-tree
+  // family the paper plugs in (1PB-SCC [26]) at 16 B/node.
   scc::SemiSccBackend semi_backend = scc::SemiSccBackend::kColoring;
 
   // Safety valve only — Lemma 5.2 guarantees strict progress, so the

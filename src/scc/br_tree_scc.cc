@@ -41,6 +41,10 @@ class DirectedUnionFind {
     parent_[Find(from)] = into_rep;
   }
 
+  std::uint64_t HeapBytes() const {
+    return parent_.capacity() * sizeof(std::uint32_t);
+  }
+
  private:
   std::vector<std::uint32_t> parent_;
 };
@@ -48,7 +52,7 @@ class DirectedUnionFind {
 }  // namespace
 
 bool BrTreeScc::Fits(std::uint64_t num_nodes, const io::MemoryBudget& memory) {
-  return num_nodes * kBytesPerNode <= memory.total_bytes();
+  return StateBytes(num_nodes) <= memory.total_bytes();
 }
 
 BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
@@ -58,16 +62,14 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
       << "BR-tree Semi-SCC invoked on " << g.num_nodes
       << " nodes with M=" << context->memory().total_bytes()
       << " — the contraction phase must shrink the node set first";
+  io::ScopedReservation reservation(&context->memory(),
+                                    StateBytes(g.num_nodes));
 
   BrTreeStats stats;
   const std::vector<NodeId> ids =
       io::ReadAllRecords<NodeId>(context, g.node_path);
   const std::size_t n = ids.size();
   CHECK_EQ(n, g.num_nodes);
-  io::ScopedReservation reservation(
-      &context->memory(),
-      std::min<std::uint64_t>(n * kBytesPerNode,
-                              context->memory().available_bytes()));
 
   if (n == 0) {
     io::RecordWriter<graph::SccEntry> writer(context, scc_output);
@@ -102,20 +104,27 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
   // paths and contraction sound.
   std::vector<std::uint32_t> parent(n, kRoot);
   std::vector<std::uint32_t> depth(n, 1);
+  CHECK_LE((ids.capacity() + parent.capacity() + depth.capacity()) *
+                   sizeof(std::uint32_t) +
+               uf.HeapBytes(),
+           reservation.bytes())
+      << "BR-tree Semi-SCC holds more heap than it reserved";
+
+  // Rep-normalized parent link of representative `x`.
+  auto up = [&](std::uint32_t x) {
+    const std::uint32_t p = parent[x];
+    return p == kRoot ? kRoot : uf.Find(p);
+  };
 
   // True ancestor test: walk rep-normalized parent links from `u` toward
   // the root, looking for `v`. Exactness matters — re-hanging v under a
   // strict descendant of v would close a parent-pointer cycle.
-  auto is_ancestor = [&](std::uint32_t v_rep, std::uint32_t u_rep,
-                         std::vector<std::uint32_t>* path) {
-    path->clear();
+  auto is_ancestor = [&](std::uint32_t v_rep, std::uint32_t u_rep) {
     std::uint32_t x = u_rep;
     std::uint64_t hops = 0;
     while (x != kRoot) {
       if (x == v_rep) return true;
-      path->push_back(x);
-      const std::uint32_t p = parent[x];
-      x = p == kRoot ? kRoot : uf.Find(p);
+      x = up(x);
       CHECK_LE(++hops, static_cast<std::uint64_t>(n) + 1)
           << "parent-pointer cycle — BR-tree invariant broken";
     }
@@ -127,7 +136,6 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
   // graphs converge in a handful of passes (asserted in tests).
   const std::uint64_t max_passes = 4 * static_cast<std::uint64_t>(n) + 16;
 
-  std::vector<std::uint32_t> path;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -144,10 +152,15 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
       // re-hung subtrees are stale within a pass; that only delays work
       // to a later pass, never unsoundly mutates the tree.)
       if (depth[v] > depth[u]) continue;
-      if (is_ancestor(v, u, &path)) {
-        // path = u .. child-of-v along parent links; with edge (u, v)
-        // this closes a real directed cycle. Contract into v.
-        for (const std::uint32_t x : path) uf.MergeInto(x, v);
+      if (is_ancestor(v, u)) {
+        // The tree path u .. child-of-v plus edge (u, v) closes a real
+        // directed cycle. Contract it into v, walking the path a second
+        // time rather than buffering it (nothing moved since the test).
+        for (std::uint32_t x = u; x != v;) {
+          const std::uint32_t next = up(x);
+          uf.MergeInto(x, v);
+          x = next;
+        }
         ++stats.contractions;
         changed = true;
       } else {
@@ -161,8 +174,10 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
 
   // Each surviving representative group is one SCC. Label densely in
   // representative order, then emit per original node (ids are sorted,
-  // so the output is node-sorted as required).
-  std::vector<SccId> label(n, graph::kInvalidScc);
+  // so the output is node-sorted as required). Depths are dead past the
+  // fixpoint, so their array holds the labels.
+  std::vector<SccId>& label = depth;
+  std::fill(label.begin(), label.end(), graph::kInvalidScc);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t rep = uf.Find(static_cast<std::uint32_t>(i));
     if (label[rep] == graph::kInvalidScc) {
@@ -194,15 +209,21 @@ const char* SemiSccBackendName(SemiSccBackend backend) {
   return "unknown";
 }
 
-bool SemiSccFits(SemiSccBackend backend, std::uint64_t num_nodes,
-                 const io::MemoryBudget& memory) {
+std::uint64_t SemiSccStateBytes(SemiSccBackend backend,
+                                std::uint64_t num_nodes) {
   switch (backend) {
     case SemiSccBackend::kColoring:
-      return SemiExternalScc::Fits(num_nodes, memory);
+      return SemiExternalScc::StateBytes(num_nodes);
     case SemiSccBackend::kBrTree:
-      return BrTreeScc::Fits(num_nodes, memory);
+      return BrTreeScc::StateBytes(num_nodes);
   }
-  return false;
+  LOG_FATAL << "unknown SemiSccBackend";
+  return 0;
+}
+
+bool SemiSccFits(SemiSccBackend backend, std::uint64_t num_nodes,
+                 const io::MemoryBudget& memory) {
+  return SemiSccStateBytes(backend, num_nodes) <= memory.total_bytes();
 }
 
 SemiSccStats RunSemiScc(SemiSccBackend backend, io::IoContext* context,

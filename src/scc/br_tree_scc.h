@@ -23,7 +23,8 @@
 // Like SemiExternalScc (the colouring backend) this honours the Semi-SCC
 // contract Ext-SCC relies on — c·|V| bytes of memory plus O(1) blocks,
 // edge access by sequential scans only — so the two backends are
-// interchangeable under ExtSccOptions::semi_backend.
+// interchangeable under ExtSccOptions::semi_backend. Each charges its own
+// c (StateBytes), so the contraction depth depends on the backend.
 #ifndef EXTSCC_SCC_BR_TREE_SCC_H_
 #define EXTSCC_SCC_BR_TREE_SCC_H_
 
@@ -46,12 +47,15 @@ struct BrTreeStats {
 
 class BrTreeScc {
  public:
-  // Per-node in-memory state: union-find cell + tree parent + depth +
-  // label. Matches SemiExternalScc::kBytesPerNode so the Ext-SCC stop
-  // condition (and hence every bench's iteration structure) is identical
-  // whichever backend is selected.
-  static constexpr std::uint64_t kBytesPerNode = 16;
+  // Exact heap of the per-node state Run holds for `num_nodes` nodes: a
+  // 4-byte id, union-find cell, tree parent and depth (the depth array
+  // holds the SCC labels once the fixpoint is reached). Run reserves
+  // exactly this much.
+  static constexpr std::uint64_t StateBytes(std::uint64_t num_nodes) {
+    return 16 * num_nodes;
+  }
 
+  // True iff StateBytes(num_nodes) <= M.
   static bool Fits(std::uint64_t num_nodes, const io::MemoryBudget& memory);
 
   // Computes all SCCs of `g`, allocating labels from *next_scc_id, and
@@ -72,8 +76,13 @@ enum class SemiSccBackend {
 
 const char* SemiSccBackendName(SemiSccBackend backend);
 
-// Stop-condition probe for the selected backend (both charge the same
-// bytes/node by construction; asserted in tests).
+// The selected backend's StateBytes(num_nodes): the colouring backend
+// holds ~8.5 B/node, BR-tree 16 B/node.
+std::uint64_t SemiSccStateBytes(SemiSccBackend backend,
+                                std::uint64_t num_nodes);
+
+// Stop-condition probe for the selected backend:
+// SemiSccStateBytes(backend, num_nodes) <= M.
 bool SemiSccFits(SemiSccBackend backend, std::uint64_t num_nodes,
                  const io::MemoryBudget& memory);
 

@@ -1,7 +1,6 @@
 #include "scc/semi_external_scc.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "io/record_stream.h"
@@ -15,28 +14,11 @@ using graph::Edge;
 using graph::NodeId;
 using graph::SccId;
 
-constexpr std::uint32_t kNone = 0xffffffffu;
-
-// Dense per-node state; index into the sorted node-id array.
-struct NodeState {
-  std::vector<NodeId> ids;          // sorted
-  std::vector<std::uint32_t> color;
-  std::vector<SccId> label;
-  std::vector<bool> alive;
-  std::vector<bool> marked;
-
-  std::size_t IndexOf(NodeId id) const {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-    DCHECK(it != ids.end() && *it == id);
-    return static_cast<std::size_t>(it - ids.begin());
-  }
-};
-
 }  // namespace
 
 bool SemiExternalScc::Fits(std::uint64_t num_nodes,
                            const io::MemoryBudget& memory) {
-  return num_nodes * kBytesPerNode <= memory.total_bytes();
+  return StateBytes(num_nodes) <= memory.total_bytes();
 }
 
 SemiSccStats SemiExternalScc::Run(io::IoContext* context,
@@ -47,21 +29,24 @@ SemiSccStats SemiExternalScc::Run(io::IoContext* context,
       << "Semi-SCC invoked on " << g.num_nodes
       << " nodes with M=" << context->memory().total_bytes()
       << " — the contraction phase must shrink the node set first";
+  io::ScopedReservation reservation(&context->memory(),
+                                    StateBytes(g.num_nodes));
+
+  // Dense per-node state, indexed by position in the sorted id array.
+  // word[v] is v's colour while alive[v], and its SCC label once retired.
+  const std::vector<NodeId> ids =
+      io::ReadAllRecords<NodeId>(context, g.node_path);
+  const std::size_t n = ids.size();
+  CHECK_EQ(n, g.num_nodes);
+  std::vector<std::uint32_t> word(n);
+  std::vector<bool> alive(n, true), marked(n), has_in(n), has_out(n);
+  CHECK_LE((ids.capacity() + word.capacity()) * sizeof(std::uint32_t) +
+               (alive.capacity() + marked.capacity() + has_in.capacity() +
+                has_out.capacity()) / 8,
+           reservation.bytes())
+      << "Semi-SCC holds more heap than it reserved";
 
   SemiSccStats stats;
-  NodeState state;
-  state.ids = io::ReadAllRecords<NodeId>(context, g.node_path);
-  const std::size_t n = state.ids.size();
-  CHECK_EQ(n, g.num_nodes);
-  state.color.assign(n, kNone);
-  state.label.assign(n, graph::kInvalidScc);
-  state.alive.assign(n, true);
-  state.marked.assign(n, false);
-  io::ScopedReservation reservation(
-      &context->memory(), std::min<std::uint64_t>(
-                              n * kBytesPerNode,
-                              context->memory().available_bytes()));
-
   std::uint64_t live = n;
 
   // One-time endpoint translation to dense indices so the fixpoint scans
@@ -69,12 +54,16 @@ SemiSccStats SemiExternalScc::Run(io::IoContext* context,
   // map is the node array we already hold (within the O(|V|) contract).
   const std::string translated = context->NewTempPath("semi_edges_idx");
   {
+    auto index_of = [&](NodeId id) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      DCHECK(it != ids.end() && *it == id);
+      return static_cast<NodeId>(it - ids.begin());
+    };
     io::RecordReader<Edge> reader(context, g.edge_path);
     io::RecordWriter<Edge> writer(context, translated);
     Edge e;
     while (reader.Next(&e)) {
-      writer.Append(Edge{static_cast<NodeId>(state.IndexOf(e.src)),
-                         static_cast<NodeId>(state.IndexOf(e.dst))});
+      writer.Append(Edge{index_of(e.src), index_of(e.dst)});
     }
     writer.Finish();
   }
@@ -87,22 +76,23 @@ SemiSccStats SemiExternalScc::Run(io::IoContext* context,
   };
 
   // ---- 1. Trim ------------------------------------------------------
+  // A node dies when it lacks a live in-edge or a live out-edge, so two
+  // bitsets replace the degree counts.
   auto trim = [&]() {
     while (live > 0) {
-      std::vector<std::uint32_t> in_deg(n, 0), out_deg(n, 0);
+      std::fill(has_in.begin(), has_in.end(), false);
+      std::fill(has_out.begin(), has_out.end(), false);
       scan_edges([&](const Edge& e) {
-        const std::size_t s = e.src;  // already dense indices
-        const std::size_t d = e.dst;
-        if (state.alive[s] && state.alive[d]) {
-          out_deg[s] += 1;
-          in_deg[d] += 1;
+        if (alive[e.src] && alive[e.dst]) {  // already dense indices
+          has_out[e.src] = true;
+          has_in[e.dst] = true;
         }
       });
       std::uint64_t killed = 0;
       for (std::size_t v = 0; v < n; ++v) {
-        if (state.alive[v] && (in_deg[v] == 0 || out_deg[v] == 0)) {
-          state.label[v] = (*next_scc_id)++;
-          state.alive[v] = false;
+        if (alive[v] && !(has_in[v] && has_out[v])) {
+          word[v] = (*next_scc_id)++;
+          alive[v] = false;
           ++killed;
         }
       }
@@ -120,58 +110,62 @@ SemiSccStats SemiExternalScc::Run(io::IoContext* context,
     ++stats.rounds;
     // Colour propagation: colour(v) = max over ancestors (Gauss-Seidel
     // within a pass, so chains aligned with edge order converge fast).
+    // Retired nodes keep their labels; no scan reads a dead node's word.
     for (std::size_t v = 0; v < n; ++v) {
-      state.color[v] = state.alive[v] ? static_cast<std::uint32_t>(v) : kNone;
+      if (alive[v]) word[v] = static_cast<std::uint32_t>(v);
     }
     bool changed = true;
     while (changed) {
       changed = false;
       scan_edges([&](const Edge& e) {
-        const std::size_t s = e.src;  // already dense indices
-        const std::size_t d = e.dst;
-        if (!state.alive[s] || !state.alive[d]) return;
-        if (state.color[s] > state.color[d]) {
-          state.color[d] = state.color[s];
+        if (!alive[e.src] || !alive[e.dst]) return;
+        if (word[e.src] > word[e.dst]) {
+          word[e.dst] = word[e.src];
           changed = true;
         }
       });
     }
 
     // Backward mark within colour classes, seeded at the roots.
-    std::fill(state.marked.begin(), state.marked.end(), false);
+    std::fill(marked.begin(), marked.end(), false);
     for (std::size_t v = 0; v < n; ++v) {
-      if (state.alive[v] && state.color[v] == static_cast<std::uint32_t>(v)) {
-        state.marked[v] = true;
+      if (alive[v] && word[v] == static_cast<std::uint32_t>(v)) {
+        marked[v] = true;
       }
     }
     changed = true;
     while (changed) {
       changed = false;
       scan_edges([&](const Edge& e) {
-        const std::size_t s = e.src;  // already dense indices
-        const std::size_t d = e.dst;
-        if (!state.alive[s] || !state.alive[d]) return;
-        if (state.color[s] == state.color[d] && state.marked[d] &&
-            !state.marked[s]) {
-          state.marked[s] = true;
+        if (!alive[e.src] || !alive[e.dst]) return;
+        if (word[e.src] == word[e.dst] && marked[e.dst] && !marked[e.src]) {
+          marked[e.src] = true;
           changed = true;
         }
       });
     }
 
-    // Retire the SCC of every root.
-    std::unordered_map<std::uint32_t, SccId> root_label;
+    // Retire the SCC of every root, numbering classes in the order their
+    // smallest member appears. A member's colour is its class root r,
+    // and r >= the member (r is its largest ancestor), so the first
+    // member met in ascending order parks the new label in r's word and
+    // retires r early; later members find r dead and copy the label.
     std::uint64_t killed = 0;
     for (std::size_t v = 0; v < n; ++v) {
-      if (!state.alive[v] || !state.marked[v]) continue;
-      const auto [it, inserted] =
-          root_label.emplace(state.color[v], SccId{0});
-      if (inserted) {
-        it->second = (*next_scc_id)++;
+      if (!alive[v] || !marked[v]) continue;
+      const std::uint32_t root = word[v];
+      if (root != v && !alive[root]) {
+        word[v] = word[root];
+      } else {
+        word[v] = (*next_scc_id)++;
         ++stats.num_sccs;
+        if (root != v) {
+          word[root] = word[v];
+          alive[root] = false;
+          ++killed;
+        }
       }
-      state.label[v] = it->second;
-      state.alive[v] = false;
+      alive[v] = false;
       ++killed;
     }
     CHECK_GT(killed, 0u) << "colouring round retired no node — bug";
@@ -185,8 +179,8 @@ SemiSccStats SemiExternalScc::Run(io::IoContext* context,
   // ---- Output: ids are sorted, so the label file is node-sorted. -----
   io::RecordWriter<graph::SccEntry> writer(context, scc_output);
   for (std::size_t v = 0; v < n; ++v) {
-    DCHECK(state.label[v] != graph::kInvalidScc);
-    writer.Append(graph::SccEntry{state.ids[v], state.label[v]});
+    DCHECK(!alive[v]);
+    writer.Append(graph::SccEntry{ids[v], word[v]});
   }
   writer.Finish();
   return stats;

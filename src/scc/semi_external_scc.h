@@ -4,12 +4,12 @@
 // The paper plugs in 1PB-SCC [26] (SIGMOD'13) here. This library
 // substitutes a forward-backward colouring algorithm (Orzan-style) with
 // iterative trimming, which honours the identical contract Ext-SCC relies
-// on: memory c·|V| (c = kBytesPerNode) plus O(1) blocks, and edge-file
-// access exclusively via sequential scans. See DESIGN.md §5 for why the
-// substitution preserves the paper's measured behaviour.
+// on: memory c·|V| (StateBytes below, ~8.5 B/node against the paper's
+// c = 8) plus O(1) stream blocks, and edge-file access exclusively via
+// sequential scans.
 //
 // Algorithm sketch (each step is a fixpoint of sequential edge scans):
-//   1. Trim: repeatedly give nodes with zero live in- or out-degree their
+//   1. Trim: repeatedly give nodes with no live in- or out-edge their
 //      own singleton SCC (they cannot lie on any cycle).
 //   2. Colour: propagate colour(v) = max id over v's live ancestors
 //      (including v). Fixpoint roots r (colour(r) = r) have no larger
@@ -38,13 +38,17 @@ struct SemiSccStats {
 
 class SemiExternalScc {
  public:
-  // Charged per node for the stop condition c·|V| <= M: colour + label +
-  // id + flags. (The paper charges 8 bytes/node for 1PB-SCC; our constant
-  // only shifts the contraction stop threshold, not the algorithm.)
-  static constexpr std::uint64_t kBytesPerNode = 16;
+  // Exact heap of the per-node state Run holds for `num_nodes` nodes: a
+  // 4-byte id, one 4-byte word (the colour while the node is alive, its
+  // SCC label once retired), and four bitsets (alive, marked, has a live
+  // in-edge, has a live out-edge). Run reserves exactly this much.
+  static constexpr std::uint64_t StateBytes(std::uint64_t num_nodes) {
+    return 8 * num_nodes + 4 * 8 * ((num_nodes + 63) / 64);
+  }
 
-  // True iff a graph with `num_nodes` nodes may be solved semi-externally
-  // under `memory` — the Ext-SCC driver's stop condition (Alg. 2 line 2).
+  // True iff StateBytes(num_nodes) <= M: the graph may be solved
+  // semi-externally — the Ext-SCC driver's stop condition c·|V| <= M
+  // (Alg. 2 line 2).
   static bool Fits(std::uint64_t num_nodes, const io::MemoryBudget& memory);
 
   // Computes all SCCs of `g`, appending labels from *next_scc_id, and

@@ -119,17 +119,26 @@ TEST(BrTreeSccTest, OutputSortedByNode) {
   }
 }
 
-TEST(BrTreeSccTest, MemoryContractMatchesColoringBackend) {
-  // The Ext-SCC stop condition must be backend-agnostic (DESIGN.md):
-  // both backends charge the same bytes per node.
-  EXPECT_EQ(BrTreeScc::kBytesPerNode, scc::SemiExternalScc::kBytesPerNode);
-  io::MemoryBudget small(BrTreeScc::kBytesPerNode * 10);
-  EXPECT_TRUE(BrTreeScc::Fits(10, small));
-  EXPECT_FALSE(BrTreeScc::Fits(11, small));
+TEST(BrTreeSccTest, FitsReflectsItsOwnStateBytes) {
+  // BR-tree charges what it holds — id, union-find cell, tree parent and
+  // depth, 16 B/node — not the colouring backend's ~8.5 B/node.
+  EXPECT_EQ(BrTreeScc::StateBytes(10), 160u);
+  EXPECT_GT(BrTreeScc::StateBytes(1000),
+            scc::SemiExternalScc::StateBytes(1000));
+  for (const std::uint64_t n : {1u, 10u, 1000u}) {
+    const std::uint64_t bytes = BrTreeScc::StateBytes(n);
+    EXPECT_TRUE(BrTreeScc::Fits(n, io::MemoryBudget(bytes))) << n;
+    EXPECT_FALSE(BrTreeScc::Fits(n, io::MemoryBudget(bytes - 1))) << n;
+    EXPECT_EQ(scc::SemiSccStateBytes(SemiSccBackend::kBrTree, n), bytes);
+    EXPECT_EQ(scc::SemiSccStateBytes(SemiSccBackend::kColoring, n),
+              scc::SemiExternalScc::StateBytes(n));
+  }
 }
 
 TEST(BrTreeSccDeathTest, RefusesOverBudgetNodeSets) {
-  auto ctx = MakeTestContext(/*memory_bytes=*/16 * 1024, /*block_size=*/4096);
+  // One byte short of the state 2000 nodes need.
+  auto ctx = MakeTestContext(
+      /*memory_bytes=*/BrTreeScc::StateBytes(2000) - 1, /*block_size=*/4096);
   const auto g = graph::MakeDiskGraph(ctx.get(), gen::CycleEdges(2000));
   const std::string out = ctx->NewTempPath("scc");
   graph::SccId next = 0;
@@ -154,6 +163,39 @@ TEST(SemiSccBackendTest, DispatchRunsSelectedBackend) {
     EXPECT_EQ(stats.num_sccs, 5u) << scc::SemiSccBackendName(backend);
     testing::ExpectSccFileMatchesOracle(ctx.get(), g, out,
                                         scc::SemiSccBackendName(backend));
+  }
+}
+
+TEST(SemiSccBackendTest, ReservationCoversHeapAtTightestBudget) {
+  // M = StateBytes(n) is the tightest budget that fits. Run reserves
+  // exactly that with a CHECK-failing Reserve and CHECKs that its
+  // vectors' capacities stay within the reservation, so finishing here
+  // with oracle-correct labels shows the reservation covers the heap.
+  for (const auto backend :
+       {SemiSccBackend::kColoring, SemiSccBackend::kBrTree}) {
+    for (const auto& [nodes, edges, seed] :
+         {std::tuple{64u, 200u, 1u}, std::tuple{150u, 450u, 2u},
+          std::tuple{400u, 1600u, 3u}}) {
+      const char* name = scc::SemiSccBackendName(backend);
+      const std::uint64_t memory = scc::SemiSccStateBytes(backend, nodes);
+      EXPECT_TRUE(scc::SemiSccFits(backend, nodes, io::MemoryBudget(memory)))
+          << name;
+      EXPECT_FALSE(
+          scc::SemiSccFits(backend, nodes, io::MemoryBudget(memory - 1)))
+          << name;
+      auto ctx = MakeTestContext(memory, /*block_size=*/256);
+      // Every id listed as a node, so |V| is exactly `nodes`.
+      std::vector<graph::NodeId> all(nodes);
+      for (std::uint32_t i = 0; i < nodes; ++i) all[i] = i;
+      const auto g = graph::MakeDiskGraph(
+          ctx.get(), gen::RandomDigraphEdges(nodes, edges, seed), all);
+      ASSERT_EQ(g.num_nodes, nodes);
+      const std::string out = ctx->NewTempPath("scc");
+      graph::SccId next = 0;
+      scc::RunSemiScc(backend, ctx.get(), g, out, &next);
+      EXPECT_EQ(ctx->memory().used_bytes(), 0u) << name;
+      testing::ExpectSccFileMatchesOracle(ctx.get(), g, out, name);
+    }
   }
 }
 

@@ -61,13 +61,21 @@ class CrashHarness : public ::testing::Test {
     dir_ = new fs::path(fs::path(::testing::TempDir()) / "extscc_crash");
     fs::remove_all(*dir_);
     fs::create_directories(*dir_);
-    // 12K nodes vs a 128 KiB budget (16 bytes/node semi contract):
-    // the solve MUST contract at least one level, so the checkpoint
-    // sweep covers level saves, the semi save, and expansion saves.
-    ASSERT_EQ(Tool("generate web 12000 " + Path("g.txt") + " 3"), 0);
-    ASSERT_EQ(Tool("solve " + Path("g.txt") + " " + Path("ref_labels.txt") +
-                   " " + std::to_string(kMemory)),
+    // 30K nodes vs a 128 KiB budget: the solve MUST contract at least
+    // two levels, so the checkpoint sweep covers level saves, the semi
+    // save, and a non-final expansion save.
+    ASSERT_EQ(Tool("generate web " + std::to_string(kNodes) + " " +
+                   Path("g.txt") + " 3"),
               0);
+    const std::string ref_out = Path("ref_solve.txt");
+    ASSERT_EQ(ToolCapture("solve " + Path("g.txt") + " " +
+                              Path("ref_labels.txt") + " " +
+                              std::to_string(kMemory),
+                          ref_out),
+              0);
+    ASSERT_GE(SolveLevels(ref_out), 2)
+        << "the harness graph no longer contracts; grow it (see "
+        << ref_out << ")";
 
     // A probe batch the artifact tests replay; answers go to stdout
     // (stats go to stderr), so clean runs are byte-comparable.
@@ -83,7 +91,7 @@ class CrashHarness : public ::testing::Test {
     // An update batch over existing node ids (text edge list).
     std::ofstream upd(Path("upd.txt"));
     for (int i = 0; i < 500; ++i) {
-      upd << (i * 37) % 12000 << " " << (i * 53 + 11) % 12000 << "\n";
+      upd << (i * 37) % kNodes << " " << (i * 53 + 11) % kNodes << "\n";
     }
     upd.close();
   }
@@ -124,6 +132,16 @@ class CrashHarness : public ::testing::Test {
                        std::istreambuf_iterator<char>());
   }
 
+  // Contraction levels from a captured solve summary line
+  // ("<edges>: N SCCs, L contraction levels, ..."), or -1 without one.
+  static int SolveLevels(const std::string& stdout_path) {
+    const std::string text = Slurp(stdout_path);
+    const std::size_t at = text.find(" contraction levels");
+    if (at == std::string::npos) return -1;
+    const std::size_t begin = text.rfind(' ', at - 1) + 1;
+    return std::atoi(text.substr(begin, at - begin).c_str());
+  }
+
   static void ExpectSameBytes(const std::string& got,
                               const std::string& want, const char* what) {
     const std::string a = Slurp(got);
@@ -133,9 +151,10 @@ class CrashHarness : public ::testing::Test {
                     << " (see " << Path("harness.log") << ")";
   }
 
-  // Two 64 KiB blocks — the tool's floor — and small enough that 12K
+  // Two 64 KiB blocks — the tool's floor — and small enough that kNodes
   // nodes exceed the semi contract, forcing contraction levels.
   static constexpr std::uint64_t kMemory = 131072;
+  static constexpr int kNodes = 30000;
   static fs::path* dir_;
 };
 

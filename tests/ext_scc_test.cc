@@ -19,12 +19,13 @@ using graph::Edge;
 using graph::NodeId;
 using testing::MakeTestContext;
 
-// Budget small enough that only `max_semi_nodes` nodes can be solved
-// semi-externally — forces contraction iterations for anything larger.
-// Block size shrinks with the budget to respect the model's M >= 2B.
+// Budget small enough that only `max_semi_nodes` nodes can be solved by
+// the (default) colouring base case — forces contraction iterations for
+// anything larger. Block size shrinks with the budget to respect the
+// model's M >= 2B.
 std::unique_ptr<io::IoContext> TightContext(std::uint64_t max_semi_nodes) {
   const std::uint64_t memory =
-      scc::SemiExternalScc::kBytesPerNode * max_semi_nodes;
+      scc::SemiExternalScc::StateBytes(max_semi_nodes);
   const auto block = static_cast<std::size_t>(
       std::max<std::uint64_t>(32, std::min<std::uint64_t>(1024, memory / 2)));
   return MakeTestContext(memory, block);
@@ -68,8 +69,8 @@ TEST(ExtSccTest, Fig1ForcedContraction) {
 
 TEST(ExtSccTest, BrTreeBackendForcedContraction) {
   // Same forced-contraction setup, with the paper's spanning-tree base
-  // case selected. The partition and the iteration structure must match
-  // the colouring backend exactly (both charge 16 B/node).
+  // case selected: the partition must match the oracle whichever
+  // backend ends the contraction.
   for (const bool optimized : {false, true}) {
     auto ctx = TightContext(4);
     const auto g = graph::MakeDiskGraph(ctx.get(), gen::Fig1Edges());
@@ -82,8 +83,13 @@ TEST(ExtSccTest, BrTreeBackendForcedContraction) {
   }
 }
 
-TEST(ExtSccTest, BackendsProduceIdenticalLevelStructure) {
+TEST(ExtSccTest, EachBackendStopsAtItsOwnContract) {
+  // The stop rule is the selected backend's own StateBytes(|V|) <= M:
+  // every contracted level's node set exceeded it, and the base case ran
+  // within it. The leaner colouring backend therefore never needs more
+  // levels than BR-tree.
   auto run_levels = [](scc::SemiSccBackend backend) {
+    const char* name = scc::SemiSccBackendName(backend);
     auto ctx = TightContext(30);
     const auto g = graph::MakeDiskGraph(
         ctx.get(), gen::RandomDigraphEdges(120, 360, 11));
@@ -91,10 +97,18 @@ TEST(ExtSccTest, BackendsProduceIdenticalLevelStructure) {
     ExtSccOptions options = ExtSccOptions::Basic();
     options.semi_backend = backend;
     auto result = RunExtScc(ctx.get(), g, out, options);
-    EXPECT_TRUE(result.ok());
-    return result.value().num_levels();
+    EXPECT_TRUE(result.ok()) << name;
+    const auto& stats = result.value();
+    for (const auto& iter : stats.iterations) {
+      EXPECT_FALSE(scc::SemiSccFits(backend, iter.nodes, ctx->memory()))
+          << name << " contracted level " << iter.level;
+    }
+    EXPECT_TRUE(scc::SemiSccFits(backend, stats.semi_nodes, ctx->memory()))
+        << name;
+    testing::ExpectSccFileMatchesOracle(ctx.get(), g, out, name);
+    return stats.num_levels();
   };
-  EXPECT_EQ(run_levels(scc::SemiSccBackend::kColoring),
+  EXPECT_LE(run_levels(scc::SemiSccBackend::kColoring),
             run_levels(scc::SemiSccBackend::kBrTree));
 }
 
@@ -155,9 +169,8 @@ TEST(ExtSccTest, StatsAreCoherent) {
                 stats.iterations[i - 1].cover_nodes);
     }
   }
-  EXPECT_LE(stats.semi_nodes,
-            ctx->memory().total_bytes() /
-                scc::SemiExternalScc::kBytesPerNode)
+  EXPECT_LE(scc::SemiExternalScc::StateBytes(stats.semi_nodes),
+            ctx->memory().total_bytes())
       << "Semi-SCC ran within the stop condition";
   EXPECT_GT(stats.total_ios, 0u);
   EXPECT_GT(stats.total_seconds, 0.0);

@@ -39,8 +39,8 @@ std::unique_ptr<io::IoContext> MakeFaultyContext(
     bool checksums = false,
     io::PlacementPolicy placement = io::PlacementPolicy::kRoundRobin) {
   io::IoContextOptions options;
-  options.block_size = 256;
-  options.memory_bytes = scc::SemiExternalScc::kBytesPerNode * 32;
+  options.block_size = 128;
+  options.memory_bytes = scc::SemiExternalScc::StateBytes(32);
   options.scratch_dirs.assign(num_devices, "unused-for-mem-backing");
   options.device_model.model = io::DeviceModel::kFaulty;
   options.device_model.fault = fault;
@@ -56,8 +56,8 @@ std::unique_ptr<io::IoContext> MakeFaultyContext(
 // run the faulty solves must be byte-identical to.
 std::unique_ptr<io::IoContext> MakeCleanMemContext(std::size_t num_devices) {
   io::IoContextOptions options;
-  options.block_size = 256;
-  options.memory_bytes = scc::SemiExternalScc::kBytesPerNode * 32;
+  options.block_size = 128;
+  options.memory_bytes = scc::SemiExternalScc::StateBytes(32);
   options.scratch_dirs.assign(num_devices, "unused-for-mem-backing");
   options.device_model.model = io::DeviceModel::kMem;
   return std::make_unique<io::IoContext>(options);
@@ -285,6 +285,26 @@ TEST(FaultInjectionTest, IoErrorLatchIsFirstWinsAndAbsorbable) {
   EXPECT_FALSE(ctx->has_io_error());
 }
 
+TEST(FaultInjectionTest, LatchedInputErrorStopsBeforeBaseCase) {
+  // An input built through a failing device can come out with a node
+  // file that misses its edges' endpoints. When it is small enough that
+  // no contraction level polls the latch, the solve must still return
+  // the latched error instead of running the base case on it.
+  auto ctx = MakeCleanMemContext(1);
+  graph::DiskGraph g;
+  g.node_path = ctx->NewTempPath("nodes");
+  g.edge_path = ctx->NewTempPath("edges");
+  io::WriteAllRecords<graph::NodeId>(ctx.get(), g.node_path, {1, 2});
+  io::WriteAllRecords<Edge>(ctx.get(), g.edge_path, {{1, 2}, {2, 7}});
+  g.num_nodes = 2;
+  g.num_edges = 2;
+  ctx->RecordIoError(util::Status::Corruption("truncated node file"));
+  auto result = core::RunExtScc(ctx.get(), g, ctx->NewTempPath("out"),
+                                ExtSccOptions::Optimized());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
+}
+
 TEST(FaultInjectionTest, RetryableErrnoClassification) {
   using util::Status;
   EXPECT_TRUE(io::IsRetryableIoError(Status::IoError("eio", EIO)));
@@ -314,8 +334,8 @@ TEST(FailureInjectionTest, TruncatedRecordFileAborts) {
 
 TEST(FailureInjectionTest, MaxIterationsSafetyValve) {
   auto ctx = MakeTestContext(/*memory_bytes=*/
-                             scc::SemiExternalScc::kBytesPerNode * 16,
-                             /*block_size=*/128);
+                             scc::SemiExternalScc::StateBytes(16),
+                             /*block_size=*/64);
   // A 200-cycle under a 16-node budget needs many levels; capping the
   // iteration count must produce FailedPrecondition, not a wrong result.
   const auto g = graph::MakeDiskGraph(ctx.get(), gen::CycleEdges(200));
@@ -336,8 +356,8 @@ TEST(FailureInjectionTest, IoBudgetDuringEachPhase) {
   for (const std::uint64_t budget :
        {200ull, 2'000ull, 20'000ull, 0ull /* unlimited */}) {
     auto ctx = MakeTestContext(/*memory_bytes=*/
-                               scc::SemiExternalScc::kBytesPerNode * 32,
-                               /*block_size=*/256);
+                               scc::SemiExternalScc::StateBytes(32),
+                               /*block_size=*/128);
     const auto g = graph::MakeDiskGraph(ctx.get(), edges);
     if (budget > 0) ctx->set_io_budget(budget);
     const std::string out = ctx->NewTempPath("out");
@@ -384,8 +404,8 @@ TEST(FailureInjectionTest, SolverOutputsAreReproducibleAfterFailure) {
   // A censored run must not poison a later successful run in the same
   // context (scratch files are independent; the budget flag is reset).
   auto ctx = MakeTestContext(/*memory_bytes=*/
-                             scc::SemiExternalScc::kBytesPerNode * 32,
-                             /*block_size=*/256);
+                             scc::SemiExternalScc::StateBytes(32),
+                             /*block_size=*/128);
   const auto g = graph::MakeDiskGraph(
       ctx.get(), gen::RandomDigraphEdges(100, 300, 63));
   ctx->set_io_budget(ctx->stats().total_ios() + 100);

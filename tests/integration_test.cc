@@ -61,7 +61,7 @@ TEST_P(MachineSweep, SyntheticWorkloadEndToEnd) {
 
 INSTANTIATE_TEST_SUITE_P(
     Machines, MachineSweep,
-    ::testing::Values(MachineConfig{4 << 10, 256},   // 256-node budget
+    ::testing::Values(MachineConfig{4 << 10, 256},   // ~480-node budget
                       MachineConfig{8 << 10, 512},
                       MachineConfig{16 << 10, 1024},
                       MachineConfig{1 << 20, 4096}));  // everything fits

@@ -176,8 +176,8 @@ TEST_P(ExtSccRandomSweep, MatchesOracle) {
       nodes, static_cast<std::uint64_t>(nodes * density), seed,
       /*allow_degenerate=*/true);
   auto ctx = MakeTestContext(/*memory_bytes=*/
-                             scc::SemiExternalScc::kBytesPerNode * 48,
-                             /*block_size=*/256);
+                             scc::SemiExternalScc::StateBytes(48),
+                             /*block_size=*/128);
   const auto g = graph::MakeDiskGraph(ctx.get(), edges);
   const auto oracle = scc::OraclePartition(ctx.get(), g);
   for (const bool op : {false, true}) {
@@ -204,7 +204,7 @@ INSTANTIATE_TEST_SUITE_P(
 // exactly by Ext-SCC under contraction pressure.
 TEST(PlantedSccTest, ExtSccRecoversPlantedStructure) {
   auto ctx = MakeTestContext(/*memory_bytes=*/
-                             scc::SemiExternalScc::kBytesPerNode * 64,
+                             scc::SemiExternalScc::StateBytes(64),
                              /*block_size=*/256);
   gen::SyntheticParams params;
   params.num_nodes = 600;
@@ -227,7 +227,7 @@ TEST(PlantedSccTest, ExtSccRecoversPlantedStructure) {
 // Webgraph under contraction pressure, both modes agree with the oracle.
 TEST(WebGraphPropertyTest, ExtSccCorrectOnWebGraph) {
   auto ctx = MakeTestContext(/*memory_bytes=*/
-                             scc::SemiExternalScc::kBytesPerNode * 384,
+                             scc::SemiExternalScc::StateBytes(384),
                              /*block_size=*/512);
   gen::WebGraphParams params;
   params.num_nodes = 1500;

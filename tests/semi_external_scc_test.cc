@@ -99,14 +99,23 @@ TEST(SemiExternalSccTest, OutputSortedByNode) {
 }
 
 TEST(SemiExternalSccTest, FitsReflectsBudget) {
-  io::MemoryBudget small(SemiExternalScc::kBytesPerNode * 10);
-  EXPECT_TRUE(SemiExternalScc::Fits(10, small));
-  EXPECT_FALSE(SemiExternalScc::Fits(11, small));
+  // 8 B/node (id + colour/label word) plus four bitsets of 64-bit words.
+  EXPECT_EQ(SemiExternalScc::StateBytes(0), 0u);
+  EXPECT_EQ(SemiExternalScc::StateBytes(1), 8u + 32u);
+  EXPECT_EQ(SemiExternalScc::StateBytes(64), 8u * 64 + 32u);
+  EXPECT_EQ(SemiExternalScc::StateBytes(65), 8u * 65 + 64u);
+  for (const std::uint64_t n : {1u, 10u, 64u, 65u, 1000u}) {
+    const std::uint64_t bytes = SemiExternalScc::StateBytes(n);
+    EXPECT_TRUE(SemiExternalScc::Fits(n, io::MemoryBudget(bytes))) << n;
+    EXPECT_FALSE(SemiExternalScc::Fits(n, io::MemoryBudget(bytes - 1))) << n;
+  }
 }
 
 TEST(SemiExternalSccDeathTest, RefusesOverBudgetNodeSets) {
-  auto ctx = MakeTestContext(/*memory_bytes=*/16 * 1024, /*block_size=*/4096);
-  // 16 KB budget / 16 B per node = 1024 nodes max; build 2000.
+  // One byte short of the state 2000 nodes need.
+  auto ctx = MakeTestContext(
+      /*memory_bytes=*/SemiExternalScc::StateBytes(2000) - 1,
+      /*block_size=*/4096);
   const auto g = graph::MakeDiskGraph(ctx.get(), gen::CycleEdges(2000));
   const std::string out = ctx->NewTempPath("scc");
   graph::SccId next = 0;
