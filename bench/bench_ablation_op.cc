@@ -1,7 +1,7 @@
-// Ablation of the §VII optimizations (not a paper figure; DESIGN.md
-// Ablation-1): starts from Ext-SCC-Basic and enables one optimization at
-// a time on the Large-SCC default workload, reporting time, I/Os, levels
-// and the final contracted-edge behaviour. Shows where the ~20% Fig. 8
+// Ablation of the §VII optimizations (not a paper figure): starts from
+// Ext-SCC-Basic and enables one optimization at a time on the Large-SCC
+// default workload, reporting time, I/Os, levels and the final
+// contracted-edge behaviour. Shows where the ~20% Fig. 8
 // gap comes from.
 #include <string>
 #include <vector>

@@ -1,4 +1,4 @@
-// Contraction anatomy (DESIGN.md Ablation-2): per-iteration |V_i|, |E_i|,
+// Contraction anatomy (not a paper figure): per-iteration |V_i|, |E_i|,
 // |V_{i+1}|, |E_add| for both Ext-SCC variants on the web graph — the
 // observable behind Theorems 5.3/5.4 (bounded new edges; in Op mode
 // |E_{i+1}| can even shrink below |E_i|, as §VII promises).

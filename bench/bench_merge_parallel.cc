@@ -1,14 +1,15 @@
 // Machine-readable baseline for the device-parallel merge engine:
 // merges k pre-sorted runs placed across D simulated devices — once per
-// placement policy (spread: whole runs on distinct devices; striped:
-// every run's BLOCKS round-robin across the devices) — with the serial
-// engine (io_threads=0) and once per requested io_threads setting, on
-// both mem-backed and throttled devices. A second phase scans ONE long
-// sequential file per configuration: the single-stream case only
-// striping can accelerate (spread placement pins a single file to a
-// single device). Emits an aligned table (wall + I/O columns per
-// setting) and writes BENCH_merge_parallel.json next to the binary, so
-// the perf trajectory has comparable points across PRs.
+// placement policy (rr: consecutive runs on alternating devices;
+// striped: every run's BLOCKS round-robin across the devices) — with
+// the serial engine (io_threads=0) and once per requested io_threads
+// setting, on both mem-backed and throttled devices. A second phase
+// scans ONE long sequential file per configuration: the single-stream
+// case only striping can accelerate (round-robin placement pins a
+// single file to a single device). Emits an aligned table (wall + I/O
+// columns per setting) and writes BENCH_merge_parallel.json into the
+// working directory, so the perf trajectory has comparable points
+// across PRs.
 //
 // The merged stream drains into a checksum sink — the shape of every
 // fused final merge pass (SortInto), where the paper's algorithms
@@ -56,7 +57,7 @@ struct Config {
 struct Point {
   std::string model;
   std::string phase;      // "merge" | "scan"
-  std::string placement;  // "spread" | "striped"
+  std::string placement;  // "rr" | "striped"
   std::size_t io_threads = 0;
   double wall_s = 0;
   std::uint64_t total_ios = 0;
@@ -66,11 +67,6 @@ struct Point {
 };
 
 constexpr std::size_t kBlockSize = 64 * 1024;
-
-io::PlacementPolicy PolicyFor(const std::string& placement) {
-  return placement == "striped" ? io::PlacementPolicy::kStriped
-                                : io::PlacementPolicy::kSpreadGroup;
-}
 
 // Scratch parents for the file-backed model, created fresh per process.
 std::vector<std::string> MakeScratchParents(std::size_t devices) {
@@ -94,7 +90,9 @@ std::unique_ptr<io::IoContext> MakeMachine(
   options.block_size = kBlockSize;
   options.memory_bytes = 8ull << 20;
   options.scratch_dirs = parents;
-  options.scratch_placement = PolicyFor(placement);
+  options.scratch_placement = placement == "striped"
+                                  ? io::PlacementPolicy::kStriped
+                                  : io::PlacementPolicy::kRoundRobin;
   options.io_threads = io_threads;
   if (model == "mem") {
     options.device_model.model = io::DeviceModel::kMem;
@@ -129,8 +127,7 @@ Point RunMergePoint(const Config& config, const std::string& model,
   // checksums cross-validate.
   const std::uint64_t run_len =
       config.run_blocks * kBlockSize / sizeof(graph::Edge);
-  const auto runs =
-      bench::MakeSpreadMergeRuns(ctx.get(), config.runs, run_len, 11);
+  const auto runs = bench::MakeMergeRuns(ctx.get(), config.runs, run_len, 11);
 
   const io::IoStats before = ctx->stats();
   const auto dev_before = ctx->DeviceStats();
@@ -151,8 +148,8 @@ Point RunMergePoint(const Config& config, const std::string& model,
 }
 
 // The single-stream case: one sequential file as long as all the merge
-// runs together, drained record by record. Spread placement pins it to
-// one device; striped placement is what lets D devices serve it.
+// runs together, drained record by record. Round-robin placement pins
+// it to one device; striped placement is what lets D devices serve it.
 Point RunScanPoint(const Config& config, const std::string& model,
                    const std::string& placement, std::size_t io_threads,
                    const std::vector<std::string>& parents) {
@@ -263,7 +260,7 @@ int main(int argc, char** argv) {
   const auto parents = MakeScratchParents(config.devices);
   std::vector<Point> points;
   for (const std::string model : {"mem", "throttled"}) {
-    for (const std::string placement : {"spread", "striped"}) {
+    for (const std::string placement : {"rr", "striped"}) {
       points.push_back(
           RunMergePoint(config, model, placement, 0, parents));
       for (const std::size_t threads : config.io_threads) {

@@ -66,7 +66,7 @@ BENCHMARK(BM_ExternalSortEdges)->Arg(10'000)->Arg(100'000)->Arg(500'000);
 
 // ---- sort/scan engine microbenches ---------------------------------------
 // These quantify the PR-1 overhaul: tournament loser tree vs the linear
-// O(k) scan it replaced, batched vs per-record streaming, and prefetch.
+// O(k) scan it replaced, batched vs per-record streaming, and read-ahead.
 
 // Faithful replica of the seed's merge stack, kept here as the measured
 // baseline: a one-record lookahead reader (the pre-batching
@@ -287,7 +287,7 @@ BENCHMARK(BM_MergeKWay)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// Device-parallel merge: k spread-placed runs on 2 scratch devices
+// Device-parallel merge: k round-robin-placed runs on 2 scratch devices
 // drain through the loser tree into a checksum sink — the fused
 // final-pass shape (workload shared with bench_merge_parallel via
 // bench/merge_lab.h). arg0: io_threads; arg1: 0 = MemDevice scratch,
@@ -312,10 +312,9 @@ void BM_MergeParallel(benchmark::State& state) {
     options.device_model.model = io::DeviceModel::kMem;
     options.scratch_dirs = {"d0", "d1"};  // under kMem: device count only
   }
-  options.scratch_placement = io::PlacementPolicy::kSpreadGroup;
   options.io_threads = io_threads;
   auto ctx = std::make_unique<io::IoContext>(options);
-  const auto runs = bench::MakeSpreadMergeRuns(ctx.get(), kFanIn, kRunLen, 13);
+  const auto runs = bench::MakeMergeRuns(ctx.get(), kFanIn, kRunLen, 13);
   std::uint64_t merged = 0;
   const auto before = ctx->stats();
   for (auto _ : state) {
@@ -415,13 +414,13 @@ BENCHMARK(BM_SortConsume)
     ->Unit(benchmark::kMillisecond);
 
 // Sequential scan throughput: per-record Next vs batched NextBatch vs
-// batched with background prefetch (arg: 0/1/2).
+// batched with scheduler read-ahead at io_threads=1 (arg: 0/1/2).
 void BM_ScanThroughput(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   io::IoContextOptions options;
   options.block_size = 64 * 1024;
   options.memory_bytes = 4 << 20;
-  options.prefetch = mode == 2;
+  options.io_threads = mode == 2 ? 1 : 0;
   auto ctx = std::make_unique<io::IoContext>(options);
   constexpr std::uint64_t kCount = 8 * 1024 * 1024;  // 64 MB of u64
   const std::string path = ctx->NewTempPath("scan");

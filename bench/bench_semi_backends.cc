@@ -1,6 +1,6 @@
-// Semi-external algorithm comparison (Section III / DESIGN.md
-// Ablation-3, not a paper figure): with the node set in memory, compares
-// the three semi-external SCC algorithms this library implements —
+// Semi-external algorithm comparison (Section III, not a paper figure):
+// with the node set in memory, compares the three semi-external SCC
+// algorithms this library implements —
 //
 //   coloring   forward-backward colouring (our Semi-SCC default)
 //   br-tree    spanning-tree contraction, the 1PB-SCC [26] family the

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -87,168 +86,41 @@ struct PointResult {
 };
 
 // ---- bench flags -----------------------------------------------------
-// Opt-in overlap/striping knobs for every machine the benches build.
-// All default off so the Aggarwal-Vitter accounting stays the paper's:
-//
-//  - `--prefetch` (EXTSCC_BENCH_PREFETCH=1): background read-ahead per
-//    sequential stream. I/O *counts* are identical either way (the
-//    prefetcher only overlaps wall time), so turning it on is only
-//    interesting on cold storage where the figure benches' wall column
-//    then reflects the read-ahead.
-//  - `--sort-threads=N` (EXTSCC_BENCH_SORT_THREADS=N): overlapped run
-//    formation — a worker sorts and spills run buffers while the
-//    producer fills the next (the write-side twin of --prefetch).
-//    Sorted outputs are byte-identical, but unlike --prefetch the I/O
-//    *counts* can shift: file sorts halve their run buffers to
-//    double-buffer, forming ~2x the runs (SortingWriter stages keep
-//    identical geometry). The figure tables stay the paper's only at
-//    the default 0.
-//  - `--io-threads=N` (EXTSCC_BENCH_IO_THREADS=N): device-parallel I/O
-//    — up to N I/O worker threads, one per storage device, keep every
-//    sequential stream's read-ahead ring full and double-buffer the
-//    merge output. Sorted outputs are byte-identical; like
-//    --sort-threads the I/O *counts* can shift slightly (ring
-//    reservations change run geometry), so the figure tables stay the
-//    paper's only at the default 0.
-//  - `--scratch-dirs=a,b,...` (EXTSCC_BENCH_SCRATCH_DIRS=a,b): stripe
-//    scratch files round-robin across the listed directories (one per
-//    spindle/NVMe namespace).
-//  - `--device-model=posix|mem|throttled[:lat_us[:mb_per_s]]|`
-//    `faulty[:seed=S,rate=R,...]` (EXTSCC_BENCH_DEVICE_MODEL): what
-//    backs the scratch devices — real files, RAM (page-cache-free
-//    microbenches), throttled files (simulated spindles so multi-device
-//    speedup shows without real hardware), or seeded fault injection
-//    (see io/storage.h FaultSpec for the key list — benchmarking the
-//    retry/failover machinery under deterministic faults). Block
-//    accounting is identical across models; injected retries are
-//    counted separately (IoStats read_retries/write_retries), never as
-//    model I/Os.
-//  - `--placement=rr|spread|striped` (EXTSCC_BENCH_PLACEMENT): scratch
-//    device assignment — round-robin (default, byte-identical tables),
-//    spread-group (a merge group's runs on distinct devices by
-//    construction), or striped (every scratch file's BLOCKS round-robin
-//    across the devices, so one sequential stream runs at D× a single
-//    device's bandwidth).
-inline bool& PrefetchFlag() {
-  static bool enabled = false;
-  return enabled;
+// Every machine the benches build takes the shared machine options
+// (io/io_context.h: --sort-threads, --io-threads, --scratch-dirs,
+// --device-model, --placement), as flags or as
+// EXTSCC_BENCH_<SUFFIX> variables, which win over flags. The defaults
+// are the serial single-disk engine, so the tables are the paper's
+// Aggarwal-Vitter accounting. Block accounting is identical across
+// device models and placements; --sort-threads and --io-threads keep
+// outputs byte-identical but can shift I/O counts slightly (halved run
+// buffers, read-ahead ring reservations), so the figure tables are the
+// paper's only at their default 0.
+inline io::IoContextOptions& MachineFlags() {
+  static io::IoContextOptions options;
+  return options;
 }
 
-inline std::size_t& SortThreadsFlag() {
-  static std::size_t threads = 0;
-  return threads;
-}
-
-inline std::size_t& IoThreadsFlag() {
-  static std::size_t threads = 0;
-  return threads;
-}
-
-inline std::vector<std::string>& ScratchDirsFlag() {
-  static std::vector<std::string> dirs;
-  return dirs;
-}
-
-inline io::DeviceModelSpec& DeviceModelFlag() {
-  static io::DeviceModelSpec spec;
-  return spec;
-}
-
-inline io::PlacementPolicy& PlacementFlag() {
-  static io::PlacementPolicy policy = io::PlacementPolicy::kRoundRobin;
-  return policy;
-}
-
-inline void ParsePlacementOrDie(const char* text) {
-  const std::string error = io::ParsePlacementSpec(text, &PlacementFlag());
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    std::exit(2);
-  }
-}
-
-inline void ParseDeviceModelOrDie(const char* text) {
-  const std::string error =
-      io::ParseDeviceModelSpec(text, &DeviceModelFlag());
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    std::exit(2);
-  }
-}
-
+// Parses argv and the environment into MachineFlags(); a bad or unknown
+// flag exits 2 with the parser's message.
 inline void ParseBenchFlags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--prefetch") == 0) {
-      PrefetchFlag() = true;
-    } else if (std::strncmp(argv[i], "--sort-threads=", 15) == 0) {
-      SortThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 15, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
-      IoThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 13, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--scratch-dirs=", 15) == 0) {
-      ScratchDirsFlag() = util::SplitCommaList(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--device-model=", 15) == 0) {
-      ParseDeviceModelOrDie(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--placement=", 12) == 0) {
-      ParsePlacementOrDie(argv[i] + 12);
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s (supported: --prefetch, "
-                   "--sort-threads=N, --io-threads=N, "
-                   "--scratch-dirs=a,b,..., "
-                   "--device-model=posix|mem|throttled[:lat_us[:mb_per_s]]"
-                   "|faulty[:seed=S,rate=R,...], "
-                   "--placement=rr|spread|striped)\n",
-                   argv[i]);
-      std::exit(2);
-    }
+  io::IoContextOptions& options = MachineFlags();
+  std::string error;
+  for (int i = 1; i < argc && error.empty(); ++i) {
+    error = io::ParseMachineFlag(argv[i], &options);
   }
-  if (const char* env = std::getenv("EXTSCC_BENCH_PREFETCH")) {
-    if (env[0] != '\0' && env[0] != '0') PrefetchFlag() = true;
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_SORT_THREADS")) {
-    if (env[0] != '\0') {
-      SortThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    }
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_IO_THREADS")) {
-    if (env[0] != '\0') {
-      IoThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    }
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_SCRATCH_DIRS")) {
-    if (env[0] != '\0') ScratchDirsFlag() = util::SplitCommaList(env);
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_DEVICE_MODEL")) {
-    if (env[0] != '\0') ParseDeviceModelOrDie(env);
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_PLACEMENT")) {
-    if (env[0] != '\0') ParsePlacementOrDie(env);
-  }
-  // Reject a typo'd scratch list here, with the offending directory
-  // named, instead of CHECK-failing deep inside the TempFileManager's
-  // session-dir creation.
-  const std::string error =
-      io::ValidateScratchConfig(DeviceModelFlag(), ScratchDirsFlag());
+  if (error.empty()) error = io::ParseMachineEnv("EXTSCC_BENCH_", &options);
+  if (error.empty()) error = io::ValidateMachineOptions(options);
   if (!error.empty()) {
-    std::fprintf(stderr, "--scratch-dirs: %s\n", error.c_str());
+    std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(2);
   }
 }
 
 inline std::unique_ptr<io::IoContext> MakeMachine(std::uint64_t memory) {
-  io::IoContextOptions options;
+  io::IoContextOptions options = MachineFlags();
   options.block_size = BlockSize();
   options.memory_bytes = memory;
-  options.prefetch = PrefetchFlag();
-  options.sort_threads = SortThreadsFlag();
-  options.io_threads = IoThreadsFlag();
-  options.scratch_dirs = ScratchDirsFlag();
-  options.device_model = DeviceModelFlag();
-  options.scratch_placement = PlacementFlag();
   return std::make_unique<io::IoContext>(options);
 }
 

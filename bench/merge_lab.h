@@ -1,5 +1,5 @@
-// Shared merge-parallel lab: the spread-placed sorted-run layout and
-// the loser-tree drain used by both BM_MergeParallel (bench_micro) and
+// Shared merge-parallel lab: the sorted-run layout and the loser-tree
+// drain used by both BM_MergeParallel (bench_micro) and
 // bench_merge_parallel. One definition means the two benches measure
 // the same workload and their checksums cross-validate.
 #ifndef EXTSCC_BENCH_MERGE_LAB_H_
@@ -20,13 +20,13 @@
 namespace extscc::bench {
 
 // Writes `runs` sorted Edge runs of `run_len` records each as ONE
-// spread-placed merge group — exactly the layout a kSpreadGroup run
-// formation leaves for its merge pass.
-inline std::vector<std::string> MakeSpreadMergeRuns(io::IoContext* ctx,
-                                                    std::size_t runs,
-                                                    std::uint64_t run_len,
-                                                    std::uint64_t seed) {
-  const std::uint64_t group = ctx->temp_files().NextGroupId();
+// merge group, placed by the context's policy — the layout run
+// formation leaves for its merge pass: under round-robin consecutive
+// runs alternate devices, under striping every run spans them all.
+inline std::vector<std::string> MakeMergeRuns(io::IoContext* ctx,
+                                              std::size_t runs,
+                                              std::uint64_t run_len,
+                                              std::uint64_t seed) {
   std::vector<std::string> paths;
   util::Rng rng(seed);
   for (std::size_t r = 0; r < runs; ++r) {
@@ -36,10 +36,8 @@ inline std::vector<std::string> MakeSpreadMergeRuns(io::IoContext* ctx,
       e.dst = static_cast<graph::NodeId>(rng.Uniform(1u << 20));
     }
     std::stable_sort(values.begin(), values.end(), graph::EdgeBySrc());
-    const io::ScratchFile run =
-        ctx->temp_files().NewFile("run", io::Placement::InGroup(group, r));
-    io::WriteAllRecords(ctx, run.path, values);
-    paths.push_back(run.path);
+    paths.push_back(ctx->NewTempPath("run"));
+    io::WriteAllRecords(ctx, paths.back(), values);
   }
   return paths;
 }

@@ -1,5 +1,5 @@
 // Scaled Table I / §VIII workload definitions shared by every figure
-// bench. Scaling rule (DESIGN.md §3): node counts and memory sizes are
+// bench. Scaling rule: node counts and memory sizes are
 // the paper's divided by 1000 (1 paper-"M" unit -> 1 KB here); SCC
 // *counts*, average degrees, and all ratios are kept identical, so the
 // quantity that drives algorithm behaviour — M / (c·|V|) — matches the

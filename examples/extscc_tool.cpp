@@ -3,7 +3,7 @@
 //   extscc_tool [--sort-threads=N] [--io-threads=N]
 //               [--scratch-dirs=a,b,...]
 //               [--device-model=posix|mem|throttled[:...]|faulty[:...]]
-//               [--placement=rr|spread|striped] [--checksum-blocks] <command> ...
+//               [--placement=rr|striped] [--checksum-blocks] <command> ...
 //
 //   extscc_tool generate <kind> <num_nodes> <out.txt> [seed]
 //       kind: web | massive | large | small | rmat | cycle | dag
@@ -33,22 +33,24 @@
 // boundary.
 //
 // Global flags (before the command) apply to every machine the tool
-// builds: --sort-threads enables overlapped run formation (labels are
-// byte-identical; I/O counts can shift because file sorts halve their
-// run buffers to double-buffer), --io-threads enables device-parallel
-// I/O (up to N worker threads, one per storage device, keep every
+// builds. All but --checksum-blocks and --crash-at are the shared
+// machine options (io::ParseMachineFlag): --sort-threads enables
+// overlapped run formation (labels are byte-identical; I/O counts can
+// shift because file sorts halve their run buffers to double-buffer),
+// --io-threads enables device-parallel I/O (up to N worker threads,
+// one per storage device, keep every
 // sequential stream's read-ahead full and double-buffer merge output —
 // labels byte-identical, counts can shift like --sort-threads),
-// --scratch-dirs builds one scratch
-// device per listed directory, --device-model selects what backs them
-// (real files, RAM, or latency/bandwidth-throttled files), and
-// --placement selects how scratch files are assigned to devices
-// (round-robin, spread-group placing a merge group's runs on distinct
-// devices, or striped round-robining every scratch file's BLOCKS
-// across the devices so one sequential stream runs at D× a single
-// device's bandwidth). With several devices, `solve` prints the
-// per-device I/O breakdown and the critical-path (busiest-device)
-// count; under striped placement it also prints the stripe width.
+// --scratch-dirs builds one scratch device per listed directory,
+// --device-model selects what backs them (real files, RAM, or
+// latency/bandwidth-throttled files), --placement selects how scratch
+// files are assigned to devices (round-robin by file, or striped
+// round-robining every scratch file's BLOCKS across the devices so one
+// sequential stream runs at D× a single device's bandwidth), and
+// --checksum-blocks adds a CRC32 trailer to every scratch block. With
+// several devices, `solve` prints the per-device I/O breakdown and the
+// critical-path (busiest-device) count; under striped placement it
+// also prints the stripe width.
 //
 // Crash-safety knobs: `solve --checkpoint-dir=D` durably checkpoints
 // every completed phase into D so a killed solve restarts from the last
@@ -99,7 +101,6 @@
 #include "serve/index_builder.h"
 #include "serve/query_engine.h"
 #include "serve/service.h"
-#include "util/csv.h"
 #include "util/status.h"
 
 namespace {
@@ -111,7 +112,7 @@ int Usage() {
       stderr,
       "usage: extscc_tool [--sort-threads=N] [--io-threads=N] "
       "[--scratch-dirs=a,b,...] "
-      "[--device-model=MODEL] [--placement=rr|spread|striped] "
+      "[--device-model=MODEL] [--placement=rr|striped] "
       "[--checksum-blocks] [--crash-at=[tag:]N] <command> ...\n"
       "  extscc_tool generate <web|massive|large|small|rmat|cycle|dag> "
       "<num_nodes> <out.txt> [seed]\n"
@@ -179,25 +180,14 @@ int StatusExit(const util::Status& status) {
   return 1;
 }
 
-// Global flags, parsed (and stripped) ahead of the command word.
-std::size_t g_sort_threads = 0;
-std::size_t g_io_threads = 0;
-std::vector<std::string> g_scratch_dirs;
-io::DeviceModelSpec g_device_model;
-io::PlacementPolicy g_placement = io::PlacementPolicy::kRoundRobin;
-bool g_checksum_blocks = false;
+// Global machine flags, parsed (and stripped) ahead of the command word.
+io::IoContextOptions g_machine;
 
 io::IoContext MakeContext(std::uint64_t memory_bytes) {
-  io::IoContextOptions options;
+  io::IoContextOptions options = g_machine;
   options.block_size = 64 * 1024;
   options.memory_bytes =
       std::max<std::uint64_t>(memory_bytes, 2 * options.block_size);
-  options.sort_threads = g_sort_threads;
-  options.io_threads = g_io_threads;
-  options.scratch_dirs = g_scratch_dirs;
-  options.device_model = g_device_model;
-  options.scratch_placement = g_placement;
-  options.checksum_blocks = g_checksum_blocks;
   return io::IoContext(options);
 }
 
@@ -209,8 +199,8 @@ io::IoContext MakeContext(std::uint64_t memory_bytes) {
 void PrintDeviceBreakdown(
     const std::vector<io::IoContext::DeviceStatsRow>& before,
     const std::vector<io::IoContext::DeviceStatsRow>& after) {
-  if (g_scratch_dirs.size() <= 1 &&
-      g_device_model.model == io::DeviceModel::kPosix) {
+  if (g_machine.scratch_dirs.size() <= 1 &&
+      g_machine.device_model.model == io::DeviceModel::kPosix) {
     return;
   }
   std::string breakdown;
@@ -235,7 +225,7 @@ void PrintDeviceBreakdown(
 // (whose stdout is human-readable) and stderr for the serving commands
 // (whose stdout carries the query protocol).
 void ReportStripePlacement(io::IoContext* context, std::FILE* out) {
-  if (g_placement != io::PlacementPolicy::kStriped) return;
+  if (g_machine.scratch_placement != io::PlacementPolicy::kStriped) return;
   const std::size_t width = context->temp_files().effective_stripe_width();
   if (width >= 2) {
     std::fprintf(out, "striped scratch placement: stripe width %llu devices\n",
@@ -1045,29 +1035,7 @@ int main(int argc, char** argv) {
   int first = 1;
   while (first < argc && std::strncmp(argv[first], "--", 2) == 0) {
     if (std::strcmp(argv[first], "--checksum-blocks") == 0) {
-      g_checksum_blocks = true;
-    } else if (std::strncmp(argv[first], "--sort-threads=", 15) == 0) {
-      g_sort_threads = static_cast<std::size_t>(
-          std::strtoull(argv[first] + 15, nullptr, 10));
-    } else if (std::strncmp(argv[first], "--io-threads=", 13) == 0) {
-      g_io_threads = static_cast<std::size_t>(
-          std::strtoull(argv[first] + 13, nullptr, 10));
-    } else if (std::strncmp(argv[first], "--scratch-dirs=", 15) == 0) {
-      g_scratch_dirs = util::SplitCommaList(argv[first] + 15);
-    } else if (std::strncmp(argv[first], "--device-model=", 15) == 0) {
-      const std::string error =
-          io::ParseDeviceModelSpec(argv[first] + 15, &g_device_model);
-      if (!error.empty()) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-      }
-    } else if (std::strncmp(argv[first], "--placement=", 12) == 0) {
-      const std::string error =
-          io::ParsePlacementSpec(argv[first] + 12, &g_placement);
-      if (!error.empty()) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-      }
+      g_machine.checksum_blocks = true;
     } else if (std::strncmp(argv[first], "--crash-at=", 11) == 0) {
       io::CrashSpec spec;
       const std::string error = io::ParseCrashSpec(argv[first] + 11, &spec);
@@ -1077,19 +1045,18 @@ int main(int argc, char** argv) {
       }
       io::ArmCrashPoint(spec);
     } else {
-      return Usage();
+      const std::string error = io::ParseMachineFlag(argv[first], &g_machine);
+      if (!error.empty()) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return Usage();
+      }
     }
     ++first;
   }
-  // Reject a typo'd scratch list up front, naming the bad directory,
-  // instead of CHECK-failing deep inside the TempFileManager.
-  {
-    const std::string error =
-        io::ValidateScratchConfig(g_device_model, g_scratch_dirs);
-    if (!error.empty()) {
-      std::fprintf(stderr, "--scratch-dirs: %s\n", error.c_str());
-      return 2;
-    }
+  const std::string error = io::ValidateMachineOptions(g_machine);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
   for (int i = first; i < argc; ++i) argv[i - first + 1] = argv[i];
   argc -= first - 1;

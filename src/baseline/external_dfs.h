@@ -5,11 +5,11 @@
 // (w, v) per in-neighbour w; the DFS extracts its current vertex's
 // messages when the vertex is entered and whenever it is resumed).
 //
-// Simulation note (see DESIGN.md): visited decisions consult an
-// in-memory oracle bitmap so that the traversal is exactly correct, but
-// every I/O the real algorithm performs — adjacency fetches, stack
-// traffic, BRT inserts/extracts — is physically performed and charged to
-// the IoContext. The measured I/O profile is the baseline's; only its
+// Simulation note: visited decisions consult an in-memory oracle bitmap
+// so that the traversal is exactly correct, but every I/O the real
+// algorithm performs — adjacency fetches, stack traffic, BRT
+// inserts/extracts — is physically performed and charged to the
+// IoContext. The measured I/O profile is the baseline's; only its
 // control flow is oracle-assisted.
 #ifndef EXTSCC_BASELINE_EXTERNAL_DFS_H_
 #define EXTSCC_BASELINE_EXTERNAL_DFS_H_

@@ -16,7 +16,7 @@
 //             augment; same computation).
 //   Tails/heads that are not in SCC_{i+1} were removed in the same
 //   iteration; such edges are incident to Type-1 singletons and cannot
-//   witness an SCC, so they are skipped (see DESIGN.md §7).
+//   witness an SCC, so they are skipped.
 //   Finally the two streams are intersected per removed node — driven by
 //   the removed-node file so nodes with no incident edges also get their
 //   singleton label — and merged with SCC_{i+1} (lines 4-6).

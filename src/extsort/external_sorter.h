@@ -265,9 +265,9 @@ RunFormation<T> FormRuns(io::IoContext* context,
                          SortRunInfo* info) {
   RunFormation<T> out;
   // Size the run buffer BEFORE the reader opens: the reader's optional
-  // read-ahead ring (prefetch / io_threads) reserves budget, and sizing
-  // after it would shrink every run — a geometry change that multiplies
-  // runs and merge passes at tight budgets. Sized here, run geometry is
+  // read-ahead ring (io_threads) reserves budget, and sizing after it
+  // would shrink every run — a geometry change that multiplies runs and
+  // merge passes at tight budgets. Sized here, run geometry is
   // identical to the serial engine's; the ring overdraft is absorbed by
   // the clamped reservations downstream.
   const std::uint64_t full_capacity =
@@ -358,8 +358,7 @@ template <typename T, typename Less>
 util::Status MergeGroupToFile(io::IoContext* context,
                               const std::vector<std::string>& runs,
                               std::size_t begin, std::size_t end, Less less,
-                              bool dedup, const io::Placement& placement,
-                              std::string* out_path) {
+                              bool dedup, std::string* out_path) {
   io::TempFileManager& temp = context->temp_files();
   const std::size_t max_attempts = temp.devices().size();
   util::Status first_failure;
@@ -376,10 +375,10 @@ util::Status MergeGroupToFile(io::IoContext* context,
       readers.push_back(inputs.back().get());
     }
     // One block per input run plus the output writer's block — reserved
-    // after the readers open so their optional prefetch rings claim
+    // after the readers open so their optional read-ahead rings claim
     // budget first (the clamp absorbs the difference).
     const auto blocks = ReserveMergeBlocks(context, end - begin + 1);
-    const io::ScratchFile out = temp.NewFile("mergerun", placement);
+    const io::ScratchFile out = temp.NewFile("mergerun");
     LoserTree<T, Less> tree(std::move(inputs), less);
     // Overlapped output: with io_threads the device write of block N
     // runs on the output device's worker while the tree selects the
@@ -438,25 +437,14 @@ util::Status MergeRunsInto(io::IoContext* context,
   if (runs.empty()) return util::Status::Ok();
   const std::size_t fan_in = static_cast<std::size_t>(
       context->memory().MergeFanIn(context->block_size()));
-  // Spread placement promises distinct devices per merge group only
-  // when the device count covers the fan-in; say so (once per context)
-  // instead of silently degrading to shared devices.
-  io::MaybeWarnSpreadBelowFanIn(context->temp_files(),
-                                std::min(fan_in, runs.size()));
   while (runs.size() > fan_in) {
     ++info->merge_passes;
     std::vector<std::string> next_runs;
-    // This pass's outputs form the next pass's merge groups: output j
-    // carries Placement::InGroup(pass group, j), so the kSpreadGroup
-    // policy keeps any fan-in-sized window of them on distinct devices
-    // — the same invariant run formation establishes for pass one.
-    const std::uint64_t pass_group = context->temp_files().NextGroupId();
     for (std::size_t group = 0; group < runs.size(); group += fan_in) {
       const std::size_t end = std::min(runs.size(), group + fan_in);
       std::string out_path;
-      RETURN_IF_ERROR(MergeGroupToFile<T>(
-          context, runs, group, end, less, dedup,
-          io::Placement::InGroup(pass_group, next_runs.size()), &out_path));
+      RETURN_IF_ERROR(MergeGroupToFile<T>(context, runs, group, end, less,
+                                          dedup, &out_path));
       next_runs.push_back(std::move(out_path));
       // Released only after the group's output is safely on a healthy
       // device — until then these are the failover's replay source.

@@ -3,11 +3,11 @@
 //
 // Serial run formation alternates fill → sort → spill on one thread, so
 // the CPU sits idle during spill writes and the disk sits idle during
-// the sort — the write-side twin of the problem the read prefetcher
-// solves. RunSpillPipeline overlaps them: with
-// IoContextOptions::sort_threads > 0 a single background worker sorts
-// and spills buffer N while the producer fills buffer N+1 of a
-// double-buffered pair. Runs come back in submission order, each run's
+// the sort — the write-side twin of the problem read-ahead solves.
+// RunSpillPipeline overlaps them: with IoContextOptions::sort_threads >
+// 0 a single background worker sorts and spills buffer N while the
+// producer fills buffer N+1 of a double-buffered pair. Runs come back
+// in submission order, each run's
 // bytes are identical to the serial path's (the buffer sort is stable
 // either way), and every spilled block is still counted in IoStats
 // (under IoContext::stats_mutex()), so threaded execution changes
@@ -90,10 +90,7 @@ std::size_t SortDedupPrefix(std::vector<T>& buffer, std::size_t n, Less less,
 }
 
 // Writes records[0, n) (already sorted/deduped) as a run file, placed
-// per `placement` — run N of a sort carries Placement::InGroup(sort
-// group, N), so the kSpreadGroup policy can put a merge group's runs on
-// distinct devices (round-robin striping ignores the placement and is
-// byte-identical to the ungrouped engine).
+// by the context's scratch placement policy.
 //
 // Scratch failover: a persistent write failure (transient faults were
 // already retried inside BlockFile) quarantines the failing device,
@@ -105,13 +102,12 @@ std::size_t SortDedupPrefix(std::vector<T>& buffer, std::size_t n, Less less,
 // is left alone. Returns the first failure when every device refuses.
 template <typename T>
 util::Status SpillRun(io::IoContext* context, const T* records,
-                      std::size_t n, const io::Placement& placement,
-                      std::string* out_path) {
+                      std::size_t n, std::string* out_path) {
   io::TempFileManager& temp = context->temp_files();
   const std::size_t max_attempts = temp.devices().size();
   util::Status first_failure;
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    const io::ScratchFile run = temp.NewFile("sortrun", placement);
+    const io::ScratchFile run = temp.NewFile("sortrun");
     io::RecordWriter<T> writer(context, run.path);
     writer.AppendBatch(records, n);
     writer.Finish();
@@ -146,10 +142,7 @@ class RunSpillPipeline {
   // pipeline's lifetime). Degrades to inline sort+spill otherwise.
   RunSpillPipeline(io::IoContext* context, Less less, bool dedup,
                    std::size_t capacity)
-      : context_(context),
-        less_(less),
-        dedup_(dedup),
-        group_(context->temp_files().NextGroupId()) {
+      : context_(context), less_(less), dedup_(dedup) {
     if (context_->sort_threads() == 0 || capacity == 0) return;
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(capacity) * sizeof(T);
@@ -202,8 +195,7 @@ class RunSpillPipeline {
           SortDedupPrefix(buffer, n, less_, dedup_, serial_scratch_);
       std::string path;
       const util::Status spilled =
-          SpillRun(context_, buffer.data(), kept,
-                   io::Placement::InGroup(group_, next_member_++), &path);
+          SpillRun(context_, buffer.data(), kept, &path);
       if (spilled.ok()) {
         runs_.push_back(std::move(path));
       } else {
@@ -265,9 +257,7 @@ class RunSpillPipeline {
         // not deadlock on a dead worker) but spills nothing further.
         const std::size_t kept =
             SortDedupPrefix(buffer, n, less_, dedup_, scratch);
-        spilled = SpillRun(context_, buffer.data(), kept,
-                           io::Placement::InGroup(group_, next_member_++),
-                           &path);
+        spilled = SpillRun(context_, buffer.data(), kept, &path);
       }
       lock.lock();
       if (!dead) {
@@ -288,12 +278,6 @@ class RunSpillPipeline {
   io::IoContext* context_;
   Less less_;
   bool dedup_;
-  // Merge-group identity of this sort's runs: group id from the
-  // TempFileManager, member = spill ordinal. Only the spilling thread
-  // touches next_member_ (the producer when serial, the worker when
-  // threaded — never both).
-  const std::uint64_t group_;
-  std::uint64_t next_member_ = 0;
   bool threaded_ = false;
   std::uint64_t reserved_bytes_ = 0;
 

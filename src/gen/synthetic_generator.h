@@ -37,7 +37,8 @@ struct SyntheticParams {
   bool extra_random_edges = true;
 };
 
-// Table I presets, scaled 1/1000 in node counts (DESIGN.md §3).
+// Table I presets, scaled 1/1000 in node counts like the benches'
+// memory sizes, so the paper's M / (c·|V|) operating points carry over.
 // Defaults: |V|=100K, D=4.
 SyntheticParams MassiveSccParams(std::uint64_t num_nodes = 100'000,
                                  double avg_degree = 4.0,

@@ -1,7 +1,7 @@
-// Web-graph stand-in for WEBSPAM-UK2007 (see DESIGN.md §5): a copying
-// model (Kumar et al.) that yields heavy-tailed in-degrees, plus
-// probabilistic reciprocal links that grow the bow-tie's giant SCC —
-// the two structural features Figs. 6-7 exercise.
+// Web-graph stand-in for WEBSPAM-UK2007: a copying model (Kumar et al.)
+// that yields heavy-tailed in-degrees, plus probabilistic reciprocal
+// links that grow the bow-tie's giant SCC — the two structural features
+// Figs. 6-7 exercise.
 #ifndef EXTSCC_GEN_WEBGRAPH_GENERATOR_H_
 #define EXTSCC_GEN_WEBGRAPH_GENERATOR_H_
 

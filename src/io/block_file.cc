@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -68,8 +67,8 @@ std::uint64_t LogicalSizeFromPhysical(std::uint64_t physical,
 }
 
 // Per-thread staging buffer for checksummed transfers: PreadBlock runs
-// concurrently on the consumer, the prefetch thread and the scheduler's
-// device workers, so the staging area cannot be per-file state.
+// concurrently on the consumer and the scheduler's device workers, so
+// the staging area cannot be per-file state.
 std::vector<char>& ChecksumStaging(std::size_t block_size) {
   static thread_local std::vector<char> staging;
   if (staging.size() < block_size + kChecksumTrailerBytes) {
@@ -79,125 +78,6 @@ std::vector<char>& ChecksumStaging(std::size_t block_size) {
 }
 
 }  // namespace
-
-// Background reader for sequential scans. One thread per prefetching
-// file keeps up to `depth` blocks decoded ahead of the consumer in a
-// ring of slots; the consumer takes the head slot in TakeBlock. Raw
-// preads happen on the prefetch thread, but no IoStats are touched here —
-// the consumer records the model I/O when it consumes the block, keeping
-// the Aggarwal-Vitter counters identical to the unprefetched execution.
-class BlockFile::Prefetcher {
- public:
-  // Takes ownership of a budget reservation of depth * block_size bytes
-  // already made by the caller (StartSequentialPrefetch reserves
-  // atomically so concurrent openers cannot jointly oversubscribe).
-  Prefetcher(BlockFile* file, std::uint64_t start_block, std::size_t depth)
-      : file_(file),
-        depth_(std::max<std::size_t>(1, depth)),
-        next_block_(start_block),
-        consume_block_(start_block) {
-    slots_.resize(depth_);
-    for (Slot& slot : slots_) slot.data.resize(file_->block_size_);
-    thread_ = std::thread([this] { Run(); });
-  }
-
-  ~Prefetcher() {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    file_->context_->memory().Release(depth_ * file_->block_size_);
-  }
-
-  // If `block_index` is the next block of the prefetched sequence, blocks
-  // until its slot is filled, copies it into `buf` and returns true with
-  // the payload size in *bytes. Returns false when the request is off the
-  // sequence (caller seeked) — the caller then preads directly.
-  bool TakeBlock(std::uint64_t block_index, void* buf, std::size_t* bytes) {
-    std::unique_lock<std::mutex> lock(mu_);
-    // The sequence the thread produces is fixed; anything not equal to
-    // the oldest unconsumed block is a seek.
-    if (block_index != consume_block_) return false;
-    cv_.wait(lock, [this] { return filled_ > 0 || done_; });
-    if (filled_ == 0) {
-      // Producer hit EOF — or a parked error (already on the file's
-      // sticky status) — before this block. Either way: no bytes.
-      *bytes = 0;
-      ++consume_block_;
-      return true;
-    }
-    Slot& slot = slots_[head_];
-    DCHECK_EQ(slot.block, block_index);
-    std::memcpy(buf, slot.data.data(), slot.bytes);
-    *bytes = slot.bytes;
-    head_ = (head_ + 1) % depth_;
-    --filled_;
-    ++consume_block_;
-    lock.unlock();
-    cv_.notify_all();
-    return true;
-  }
-
- private:
-  struct Slot {
-    std::uint64_t block = 0;
-    std::size_t bytes = 0;
-    std::vector<char> data;
-  };
-
-  void Run() {
-    const std::uint64_t end_block = file_->num_blocks();
-    while (true) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || filled_ < depth_; });
-      if (stop_) return;
-      if (next_block_ >= end_block) {
-        done_ = true;
-        lock.unlock();
-        cv_.notify_all();
-        return;
-      }
-      const std::uint64_t block = next_block_++;
-      Slot& slot = slots_[(head_ + filled_) % depth_];
-      lock.unlock();
-      // Read outside the lock: this is the latency being hidden.
-      slot.block = block;
-      const util::Status status =
-          file_->PreadBlock(block, slot.data.data(), &slot.bytes);
-      if (!status.ok()) {
-        // Never abort the worker: park the error on the file (which
-        // latches the context) and end the stream. The consumer's next
-        // ReadBlock sees EOF-shaped 0 bytes and checks status().
-        file_->MarkError(status);
-        lock.lock();
-        done_ = true;
-        lock.unlock();
-        cv_.notify_all();
-        return;
-      }
-      lock.lock();
-      ++filled_;
-      lock.unlock();
-      cv_.notify_all();
-    }
-  }
-
-  BlockFile* file_;
-  const std::size_t depth_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  std::vector<Slot> slots_;
-  std::size_t head_ = 0;        // oldest filled slot
-  std::size_t filled_ = 0;      // filled slot count
-  std::uint64_t next_block_ = 0;     // next block the producer reads
-  std::uint64_t consume_block_ = 0;  // next block the consumer may take
-  bool stop_ = false;
-  bool done_ = false;  // producer reached EOF
-};
 
 BlockFile::BlockFile(IoContext* context, const std::string& path,
                      OpenMode mode)
@@ -235,7 +115,6 @@ BlockFile::~BlockFile() {
 }
 
 util::Status BlockFile::Close() {
-  prefetcher_.reset();
   // Unregister drains a pending async write before the handle closes,
   // so a run file reopened for merging sees every submitted block.
   if (sched_reader_ != nullptr) {
@@ -295,32 +174,15 @@ std::uint64_t BlockFile::PhysicalOffset(std::uint64_t block_index) const {
 }
 
 void BlockFile::StartSequentialPrefetch(std::uint64_t start_block) {
-  if (prefetcher_ != nullptr || sched_reader_ != nullptr) return;
+  // Read-ahead runs on the context's shared ReadScheduler; the serial
+  // engine (io_threads == 0) reads directly. Register degrades to
+  // nullptr (direct reads) when the budget cannot cover even one ring
+  // slot.
+  ReadScheduler* scheduler = context_->read_scheduler();
+  if (scheduler == nullptr || sched_reader_ != nullptr) return;
   if (file_ == nullptr) return;  // dead open: nothing to read ahead
-  // The shared scheduler takes precedence over the per-file prefetcher
-  // when both engines are enabled: one worker per device replaces one
-  // thread per file. Register degrades to nullptr (direct reads) when
-  // the budget cannot cover even one ring slot.
-  if (ReadScheduler* scheduler = context_->read_scheduler()) {
-    if (start_block >= num_blocks()) return;  // nothing to read ahead
-    sched_reader_ = scheduler->RegisterReader(this, start_block);
-    return;
-  }
-  if (!context_->prefetch_enabled()) return;
-  const std::size_t depth =
-      std::max<std::size_t>(1, context_->prefetch_depth());
-  // Degrade gracefully to the unprefetched path when the budget cannot
-  // cover the ring. Reserved atomically here (not inside Prefetcher) so
-  // two files opened from different threads cannot both pass a
-  // check-then-reserve gap; the Prefetcher's destructor releases it.
-  const std::uint64_t ring_bytes =
-      static_cast<std::uint64_t>(depth) * block_size_;
-  const std::uint64_t granted = context_->memory().ReserveUpTo(ring_bytes);
-  if (granted < ring_bytes || start_block >= num_blocks()) {
-    context_->memory().Release(granted);
-    return;
-  }
-  prefetcher_ = std::make_unique<Prefetcher>(this, start_block, depth);
+  if (start_block >= num_blocks()) return;  // nothing to read ahead
+  sched_reader_ = scheduler->RegisterReader(this, start_block);
 }
 
 util::Status BlockFile::PreadBlock(std::uint64_t block_index, void* buf,
@@ -411,17 +273,6 @@ std::size_t BlockFile::ReadBlock(std::uint64_t block_index, void* buf) {
     // read-ahead is useless — drop it and serve directly from here on.
     context_->read_scheduler()->Unregister(sched_reader_);
     sched_reader_ = nullptr;
-  }
-  if (prefetcher_ != nullptr) {
-    std::size_t bytes = 0;
-    if (prefetcher_->TakeBlock(block_index, buf, &bytes)) {
-      if (bytes == 0) return 0;  // past EOF or parked error: uncounted
-      CountRead(block_index, bytes);
-      return bytes;
-    }
-    // Off-sequence request: the stream is no longer sequential, so the
-    // read-ahead is useless — drop it and serve directly from here on.
-    prefetcher_.reset();
   }
   std::size_t bytes = 0;
   const util::Status status = PreadBlock(block_index, buf, &bytes);

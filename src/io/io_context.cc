@@ -1,8 +1,12 @@
 #include "io/io_context.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cstdlib>
 
 #include "io/fault_injection.h"
+#include "util/csv.h"
 #include "util/logging.h"
 
 namespace extscc::io {
@@ -67,14 +71,118 @@ std::vector<std::unique_ptr<StorageDevice>> BuildScratchDevices(
   return devices;
 }
 
-}  // namespace
-
-IoContext::IoContext(const IoContextOptions& options)
-    : options_(options),
-      memory_(options.memory_bytes),
-      temp_files_(BuildScratchDevices(options), options.scratch_placement) {
+// The model's one hard constraint, checked before any member is built:
+// the TempFileManager creates session roots (and their .pid markers) in
+// its constructor, which a rejected configuration must not leave behind.
+const IoContextOptions& CheckedOptions(const IoContextOptions& options) {
   CHECK_GE(options.memory_bytes, 2 * options.block_size)
       << "external-memory model requires M >= 2B";
+  return options;
+}
+
+// Strict decimal thread count: strtoull would read "two" as 0 and "-1"
+// as 2^64-1.
+std::string ParseThreadCount(const char* flag, const std::string& value,
+                             std::size_t* out) {
+  constexpr std::size_t kMaxThreads = 1024;
+  std::size_t threads = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, threads);
+  if (value.empty() || ec != std::errc() || ptr != end ||
+      threads > kMaxThreads) {
+    return std::string("bad ") + flag + " \"" + value +
+           "\" (want a count 0.." + std::to_string(kMaxThreads) + ")";
+  }
+  *out = threads;
+  return {};
+}
+
+// The machine-option table: each option's flag name (without "--") and
+// its parser. The variable suffix is the name upper-cased with
+// '-' -> '_'; ParseMachineEnv applies variables in table order.
+struct MachineOption {
+  const char* name;
+  std::string (*parse)(const std::string& value, IoContextOptions* options);
+};
+
+constexpr MachineOption kMachineOptions[] = {
+    {"sort-threads",
+     [](const std::string& value, IoContextOptions* options) {
+       return ParseThreadCount("--sort-threads", value,
+                               &options->sort_threads);
+     }},
+    {"io-threads",
+     [](const std::string& value, IoContextOptions* options) {
+       return ParseThreadCount("--io-threads", value, &options->io_threads);
+     }},
+    {"scratch-dirs",
+     [](const std::string& value, IoContextOptions* options) {
+       options->scratch_dirs = util::SplitCommaList(value);
+       return std::string();
+     }},
+    {"device-model",
+     [](const std::string& value, IoContextOptions* options) {
+       return ParseDeviceModelSpec(value, &options->device_model);
+     }},
+    {"placement",
+     [](const std::string& value, IoContextOptions* options) {
+       return ParsePlacementSpec(value, &options->scratch_placement);
+     }},
+};
+
+}  // namespace
+
+std::string ParseMachineFlag(const std::string& flag,
+                             IoContextOptions* options) {
+  if (flag.compare(0, 2, "--") != 0) {
+    return "unexpected argument \"" + flag + "\"";
+  }
+  const std::size_t eq = flag.find('=');
+  const std::string name =
+      flag.substr(2, eq == std::string::npos ? eq : eq - 2);
+  std::string known;
+  for (const MachineOption& option : kMachineOptions) {
+    if (name != option.name) {
+      known += std::string(known.empty() ? "" : ", ") + "--" + option.name;
+    } else if (eq == std::string::npos) {
+      return "missing value for --" + name + " (want --" + name + "=VALUE)";
+    } else {
+      return option.parse(flag.substr(eq + 1), options);
+    }
+  }
+  return "unknown flag --" + name + " (machine options: " + known + ")";
+}
+
+std::string ParseMachineEnv(const std::string& prefix,
+                            IoContextOptions* options) {
+  for (const MachineOption& option : kMachineOptions) {
+    std::string variable = prefix;
+    for (const char* c = option.name; *c != '\0'; ++c) {
+      variable += *c == '-' ? '_' : static_cast<char>(std::toupper(*c));
+    }
+    const char* value = std::getenv(variable.c_str());
+    if (value == nullptr || value[0] == '\0') continue;
+    const std::string error = option.parse(value, options);
+    if (!error.empty()) return variable + ": " + error;
+  }
+  return {};
+}
+
+std::string ValidateMachineOptions(const IoContextOptions& options) {
+  const DeviceModelSpec& model = options.device_model;
+  if (model.model == DeviceModel::kMem ||
+      (model.model == DeviceModel::kFaulty &&
+       model.fault.inner == DeviceModel::kMem)) {
+    return {};
+  }
+  const std::string error = ValidateScratchParents(options.scratch_dirs);
+  return error.empty() ? error : "--scratch-dirs: " + error;
+}
+
+IoContext::IoContext(const IoContextOptions& options)
+    : options_(CheckedOptions(options)),
+      memory_(options.memory_bytes),
+      temp_files_(BuildScratchDevices(options), options.scratch_placement) {
   temp_files_.set_keep_files(options.keep_temp_files);
   // Striped placement needs the physical stride before the first open:
   // block_size, plus the CRC32 trailer when scratch blocks carry one.

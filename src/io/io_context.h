@@ -24,7 +24,7 @@ namespace extscc::io {
 struct IoContextOptions {
   // Disk block size B in bytes. The paper's testbed uses 256 KB; the
   // scaled default here is 64 KB so block counts stay meaningful on
-  // 10^5-10^6-node graphs (see DESIGN.md §3).
+  // 10^5-10^6-node graphs.
   std::size_t block_size = 64 * 1024;
 
   // Simulated memory size M in bytes. Must satisfy M >= 2 * block_size.
@@ -35,26 +35,19 @@ struct IoContextOptions {
   // ResourceExhausted, which benches print as the paper's INF.
   std::uint64_t io_budget = 0;
 
-  // Background prefetch for sequential streams. Off by default so the
-  // Aggarwal-Vitter accounting (io_model_test) is bit-identical; when on,
-  // every sequential RecordReader spawns one reader thread that stays up
-  // to `prefetch_depth` blocks ahead of the consumer. I/Os are still
-  // counted on the consumer thread as blocks are consumed, so the model
-  // numbers do not change — only the wall-clock overlap does.
-  bool prefetch = false;
-
-  // Blocks each prefetch thread may hold ahead of the consumer (>= 1;
-  // 2 = classic double buffering). Each open prefetching stream asks the
-  // MemoryBudget for prefetch_depth * block_size bytes and silently runs
-  // unprefetched when the budget cannot cover it.
+  // Read-ahead ring size: blocks each sequential reader may hold in
+  // flight on the ReadScheduler (io_threads > 0) ahead of the consumer
+  // (>= 1; 2 = classic double buffering). Each ring is reserved from
+  // the MemoryBudget, degrading to fewer slots, then to direct reads,
+  // when the budget cannot cover it.
   std::size_t prefetch_depth = 2;
 
   // Overlapped run formation: when > 0, every run-forming sort (FormRuns
   // behind SortFile/SortInto, SortingWriter) hands full buffers to one
   // background worker that sorts and spills them while the producer
   // fills the other buffer of a double-buffered pair — the write-side
-  // twin of the read prefetcher. 0 (the default) keeps run formation
-  // serial, so the Aggarwal-Vitter accounting and the run geometry are
+  // twin of read-ahead. 0 (the default) keeps run formation serial, so
+  // the Aggarwal-Vitter accounting and the run geometry are
   // bit-identical to the single-threaded engine. Values > 1 are
   // reserved and currently behave like 1 (a single worker). Stages
   // degrade to the serial path per sort whenever the MemoryBudget
@@ -65,13 +58,12 @@ struct IoContextOptions {
   // up to `io_threads` I/O worker threads — one per active storage
   // device until the cap, shared round-robin past it. Every sequential
   // reader then keeps up to `prefetch_depth` blocks in flight on its
-  // device's worker (replacing the per-file prefetch threads), and the
-  // sorter's merge output double-buffers one async write. 0 (the
-  // default) keeps the serial engine: byte-identical output and
-  // identical IoStats, the same discipline as sort_threads/prefetch.
+  // device's worker, and the sorter's merge output double-buffers one
+  // async write. 0 (the default) keeps the serial engine: byte-identical
+  // output and identical IoStats, the same discipline as sort_threads.
   // With io_threads > 0 the I/O *counts* can shift slightly (ring
-  // reservations change run geometry, like prefetch), but sorted
-  // outputs stay byte-identical. Streams degrade to direct reads /
+  // reservations change run geometry), but sorted outputs stay
+  // byte-identical. Streams degrade to direct reads /
   // synchronous writes whenever the MemoryBudget cannot cover their
   // buffers.
   std::size_t io_threads = 0;
@@ -96,11 +88,9 @@ struct IoContextOptions {
 
   // Device-assignment policy for scratch files. kRoundRobin (default)
   // stripes by global sequence number — byte-identical paths and device
-  // choice to the pre-device engine. kSpreadGroup places a merge
-  // group's runs on distinct devices by construction. kStriped
-  // round-robins every scratch file's BLOCKS across the devices, so a
-  // single sequential stream runs at D× one device's bandwidth (see
-  // storage.h).
+  // choice to the pre-device engine. kStriped round-robins every
+  // scratch file's BLOCKS across the devices, so a single sequential
+  // stream runs at D× one device's bandwidth (see storage.h).
   PlacementPolicy scratch_placement = PlacementPolicy::kRoundRobin;
 
   // Keep scratch files on destruction (debugging aid).
@@ -130,6 +120,39 @@ struct IoContextOptions {
   bool checksum_blocks = false;
 };
 
+// ---- machine options ---------------------------------------------------
+// The five options every front end offers for the machines it builds —
+// extscc_tool's global flags, the benches' flags and EXTSCC_BENCH_*
+// variables, the test suites' EXTSCC_TEST_* variables — parsed once,
+// here:
+//
+//   flag                     variable suffix   field
+//   --sort-threads=N         SORT_THREADS      sort_threads
+//   --io-threads=N           IO_THREADS        io_threads
+//   --scratch-dirs=a,b,...   SCRATCH_DIRS      scratch_dirs
+//   --device-model=MODEL     DEVICE_MODEL      device_model
+//   --placement=rr|striped   PLACEMENT         scratch_placement
+//
+// MODEL is ParseDeviceModelSpec's syntax (storage.h). Each parser
+// returns "" on success, else an error naming the offending option.
+
+// Command-line form: applies `flag` (--NAME=VALUE) to *options. A flag
+// without a value, or one that names no machine option, is an error
+// too, so callers with flags of their own test those first.
+std::string ParseMachineFlag(const std::string& flag,
+                             IoContextOptions* options);
+
+// Environment form: applies every `<prefix><SUFFIX>` variable that is
+// set and non-empty, in table order; the error names the variable.
+std::string ParseMachineEnv(const std::string& prefix,
+                            IoContextOptions* options);
+
+// Rejects a --scratch-dirs entry that is not a writable directory under
+// a file-backed device model, naming it — so the tools fail up front
+// instead of CHECK-failing deep inside TempFileManager. Under kMem (and
+// faulty over mem) the entries only set the device count.
+std::string ValidateMachineOptions(const IoContextOptions& options);
+
 class IoContext {
  public:
   explicit IoContext(const IoContextOptions& options);
@@ -139,10 +162,7 @@ class IoContext {
 
   std::size_t block_size() const { return options_.block_size; }
 
-  bool prefetch_enabled() const { return options_.prefetch; }
-  std::size_t prefetch_depth() const { return options_.prefetch_depth; }
   std::size_t sort_threads() const { return options_.sort_threads; }
-  std::size_t io_threads() const { return options_.io_threads; }
   std::size_t io_retry_attempts() const { return options_.io_retry_attempts; }
   std::uint64_t io_retry_backoff_initial_us() const {
     return options_.io_retry_backoff_initial_us;
@@ -211,7 +231,7 @@ class IoContext {
 
   // ---- I/O error latch ------------------------------------------------
   // First-wins record of an unrecovered I/O error anywhere in the
-  // context (a failed spill worker, a dead prefetch slot, a direct
+  // context (a failed spill worker, a dead read-ahead slot, a direct
   // read). The long-running algorithms poll has_io_error() at phase
   // boundaries — the same discipline as io_budget_exceeded() — so an
   // error parked by a background thread surfaces as a typed Status on

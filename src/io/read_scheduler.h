@@ -1,19 +1,18 @@
-// Shared device-parallel I/O engine behind IoContextOptions::io_threads.
+// Shared device-parallel I/O engine behind IoContextOptions::io_threads,
+// and the library's one read-ahead engine.
 //
-// The per-file background prefetcher (block_file.cc) hides device
-// latency for ONE stream, but a k-way merge opens k streams — k threads,
-// and no notion of which streams share a spindle: two runs on one
-// device fight each other while a second device sits idle. The
-// ReadScheduler inverts the ownership: I/O worker threads belong to
-// *devices*, not files. Every sequential reader registers a stream with
-// a small ring of block slots (up to IoContextOptions::prefetch_depth,
+// A k-way merge opens k streams, and some of them share a spindle. I/O
+// worker threads therefore belong to *devices*, not files (a thread per
+// file would leave two runs on one device fighting each other while a
+// second device sits idle). Every sequential reader registers a stream
+// with a small ring of block slots (up to the prefetch_depth option,
 // budgeted from the MemoryBudget with graceful degrade), and the worker
 // that owns the stream's device keeps the rings of all its streams
-// topped up, round-robin. A merge group spread across D devices then
-// has D workers reading ahead concurrently — the loser tree drains the
+// topped up, round-robin. A merge group whose runs sit on D devices
+// (round-robin placement alternates consecutive runs) then has D
+// workers reading ahead concurrently — the loser tree drains the
 // current block of a run on device A while the next block of a run on
-// device B is in flight — which is what converts kSpreadGroup placement
-// into wall-clock speedup (ROADMAP: "actually *parallel* merge reads").
+// device B is in flight.
 //
 // The same workers execute asynchronous writes: a writer stream owns a
 // single pending-write slot (classic double buffering), so the device
@@ -32,8 +31,8 @@
 // of its slot was consumed) keeps slot reuse single-owner even though
 // members fill out of order.
 //
-// Accounting discipline (identical to the prefetcher): workers move raw
-// bytes but never touch IoStats. Reads are counted by the consumer as it
+// Accounting discipline: workers move raw bytes but never touch
+// IoStats. Reads are counted by the consumer as it
 // takes each block, writes by the submitter as it hands a block over, so
 // the Aggarwal-Vitter counters — aggregate and per-device — are the same
 // as the serial engine's, in the same per-file order.

@@ -141,8 +141,8 @@ class RecordReader {
           path + " is not a whole number of records");
       return;
     }
-    // Sequential scans are exactly what the read-ahead thread hides
-    // latency for; a no-op unless the IoContext enables prefetch.
+    // Sequential scans are exactly what read-ahead hides latency for;
+    // a no-op unless the IoContext runs a ReadScheduler (io_threads).
     file_->StartSequentialPrefetch();
   }
 
@@ -225,8 +225,8 @@ class PeekableReader {
           path + " is not a whole number of records");
       return;
     }
-    // Sequential scans are exactly what the read-ahead thread hides
-    // latency for; a no-op unless the IoContext enables prefetch.
+    // Sequential scans are exactly what read-ahead hides latency for;
+    // a no-op unless the IoContext runs a ReadScheduler (io_threads).
     file_->StartSequentialPrefetch();
     has_value_ = DecodeSlow();
   }

@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "io/checksum.h"
-#include "io/temp_file_manager.h"
 #include "util/logging.h"
 
 namespace extscc::io {
@@ -1023,16 +1022,11 @@ std::string ParsePlacementSpec(const std::string& text,
     *out = PlacementPolicy::kRoundRobin;
     return {};
   }
-  if (text == "spread") {
-    *out = PlacementPolicy::kSpreadGroup;
-    return {};
-  }
   if (text == "striped") {
     *out = PlacementPolicy::kStriped;
     return {};
   }
-  return "bad --placement \"" + text +
-         "\" (supported: rr, spread, striped)";
+  return "bad --placement \"" + text + "\" (supported: rr, striped)";
 }
 
 std::string ValidateScratchParents(const std::vector<std::string>& parents) {
@@ -1049,37 +1043,6 @@ std::string ValidateScratchParents(const std::vector<std::string>& parents) {
     }
   }
   return {};
-}
-
-std::string ValidateScratchConfig(const DeviceModelSpec& model,
-                                  const std::vector<std::string>& parents) {
-  if (model.model == DeviceModel::kMem) return {};
-  // Fault injection over RAM backing is likewise directory-free: the
-  // entries only set the device count.
-  if (model.model == DeviceModel::kFaulty &&
-      model.fault.inner == DeviceModel::kMem) {
-    return {};
-  }
-  return ValidateScratchParents(parents);
-}
-
-void MaybeWarnSpreadBelowFanIn(TempFileManager& temp_files,
-                               std::size_t group_size) {
-  // Only kSpreadGroup can under-spread a merge group. kStriped covers
-  // any fan-in by construction (every stream spans all devices), and
-  // kRoundRobin never promised spreading.
-  if (temp_files.placement() != PlacementPolicy::kSpreadGroup) return;
-  // Quarantined devices no longer receive placements, so they cannot
-  // contribute to spreading a merge group.
-  const std::size_t num_devices = temp_files.num_available_devices();
-  if (group_size <= 1 || num_devices >= group_size) return;
-  if (!temp_files.ClaimSpreadWarning()) return;
-  std::fprintf(
-      stderr,
-      "extscc: --placement=spread requested, but %zu scratch device%s "
-      "cannot hold the %zu runs of one merge group on distinct devices "
-      "(need devices >= fan-in); runs will share devices\n",
-      num_devices, num_devices == 1 ? "" : "s", group_size);
 }
 
 }  // namespace extscc::io

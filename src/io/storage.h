@@ -45,7 +45,7 @@ class StorageDevice;
 // transfers exactly `bytes` bytes or returns a non-OK Status (a short
 // transfer is an errno-carrying IoError, never a crash — the retry and
 // failover machinery above decides what survives). Implementations must
-// be safe for concurrent ReadAt calls from the prefetch thread
+// be safe for concurrent ReadAt calls from a read-ahead worker
 // alongside the consumer.
 class StorageFile {
  public:
@@ -158,8 +158,8 @@ class PosixDevice : public StorageDevice {
 
 // RAM-backed device. Paths are opaque keys ("mem://<name>/s<k>/..." for
 // scratch); file contents live in a hash map guarded by a device mutex,
-// with per-file locks so a prefetch thread and a spill worker can touch
-// different files concurrently.
+// with per-file locks so a read-ahead worker and a spill worker can
+// touch different files concurrently.
 class MemDevice : public StorageDevice {
  public:
   explicit MemDevice(std::string name);
@@ -319,37 +319,14 @@ std::size_t ReapOrphanScratchRoots(const std::string& parent);
 
 // How the TempFileManager assigns scratch files to devices.
 //  - kRoundRobin: by global file sequence number (the PR 3 default,
-//    byte-identical paths and device choice).
-//  - kSpreadGroup: grouped files (sort runs, merge-pass outputs) land on
-//    device (group + member) % num_devices, so any window of up to
-//    num_devices consecutive members — in particular the fan-in runs of
-//    one merge group — occupies distinct devices by construction.
-//    Ungrouped files fall back to round-robin.
+//    byte-identical paths and device choice). Consecutive files — in
+//    particular consecutive sort runs — land on distinct devices.
 //  - kStriped: every scratch file's BLOCKS round-robin across the
 //    available devices (StripedDevice), so even a single sequential
 //    stream — a long scan, the final merge's output — runs at D× one
 //    device's bandwidth. Falls back to round-robin (with a once-per-
 //    manager stderr note) when fewer than two devices are available.
-enum class PlacementPolicy { kRoundRobin, kSpreadGroup, kStriped };
-
-// Placement request for one scratch file. `group` is a merge-group id
-// (one per run-forming sort or merge pass, from
-// TempFileManager::NextGroupId()); `member` is the file's ordinal within
-// that group.
-struct Placement {
-  bool grouped = false;
-  std::uint64_t group = 0;
-  std::uint64_t member = 0;
-
-  static Placement Ungrouped() { return {}; }
-  static Placement InGroup(std::uint64_t group, std::uint64_t member) {
-    Placement p;
-    p.grouped = true;
-    p.group = group;
-    p.member = member;
-    return p;
-  }
-};
+enum class PlacementPolicy { kRoundRobin, kStriped };
 
 // ---- device-model configuration -------------------------------------
 
@@ -407,39 +384,15 @@ std::string ParseDeviceModelSpec(const std::string& text,
 // propagate (and may quarantine the device) instead of burning retries.
 bool IsRetryableIoError(const util::Status& status);
 
-// Parses "rr" | "spread" | "striped" into *out. Returns "" on success,
-// else an error message. Shared by the --placement flags of the benches
-// and extscc_tool.
+// Parses "rr" | "striped" into *out. Returns "" on success, else an
+// error message naming the supported policies (ParseMachineFlag's
+// --placement).
 std::string ParsePlacementSpec(const std::string& text,
                                PlacementPolicy* out);
 
 // Returns "" when every entry is an existing writable directory, else a
-// message naming the first bad entry — so the tools can reject a typo'd
-// --scratch-dirs up front instead of CHECK-failing deep inside
-// TempFileManager::CreateSessionDir.
+// message naming the first bad entry (ValidateMachineOptions' check).
 std::string ValidateScratchParents(const std::vector<std::string>& parents);
-
-// Front-end policy: validates a --scratch-dirs list against the chosen
-// device model. Under kMem the entries only set the device count
-// (nothing on disk to validate); every file-backed model requires real
-// writable directories. Returns "" or the ValidateScratchParents error.
-std::string ValidateScratchConfig(const DeviceModelSpec& model,
-                                  const std::vector<std::string>& parents);
-
-class TempFileManager;
-
-// Warns (stderr) when `temp_files` uses kSpreadGroup placement but its
-// device count cannot keep a `group_size`-run merge group on distinct
-// devices, naming both numbers — once per manager
-// (TempFileManager::ClaimSpreadWarning). Called by the sorter's merge
-// path instead of degrading silently; a no-op under other placements —
-// in particular under kStriped, where every stream spans all devices by
-// construction and fan-in coverage is moot — for trivial groups, and
-// when the devices cover the fan-in. The whole
-// condition lives here so the once-per-context ticket is only consumed
-// when a message is actually printed.
-void MaybeWarnSpreadBelowFanIn(TempFileManager& temp_files,
-                               std::size_t group_size);
 
 }  // namespace extscc::io
 

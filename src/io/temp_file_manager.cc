@@ -124,7 +124,7 @@ TempFileManager::~TempFileManager() {
 }
 
 std::string TempFileManager::NewPath(const std::string& tag) {
-  return NewFile(tag, Placement::Ungrouped()).path;
+  return NewFile(tag).path;
 }
 
 void TempFileManager::ConfigureStriping(std::size_t block_size,
@@ -147,18 +147,15 @@ std::vector<std::size_t> TempFileManager::AvailableRootsLocked() const {
   return available;
 }
 
-ScratchFile TempFileManager::NewFile(const std::string& tag,
-                                     const Placement& placement) {
+ScratchFile TempFileManager::NewFile(const std::string& tag) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t id = next_id_++;
   // Round-robin by sequence number: consecutive scratch files (and in
-  // particular consecutive sort runs) land on distinct devices. The
-  // spread policy instead derives the device from the merge group, so a
-  // group's members are distinct mod the device count no matter what
-  // other scratch traffic interleaves with them. Both policies index
-  // into the *available* (non-quarantined) roots; with no quarantine
-  // that list is all roots in order, so placement — and every scratch
-  // path — is byte-identical to the fault-oblivious engine.
+  // particular consecutive sort runs) land on distinct devices. It
+  // indexes into the *available* (non-quarantined) roots; with no
+  // quarantine that list is all roots in order, so placement — and
+  // every scratch path — is byte-identical to the fault-oblivious
+  // engine.
   const std::vector<std::size_t> available = AvailableRootsLocked();
   if (placement_ == PlacementPolicy::kStriped) {
     if (striped_ != nullptr && available.size() >= 2) {
@@ -188,14 +185,7 @@ ScratchFile TempFileManager::NewFile(const std::string& tag,
                    available.size());
     }
   }
-  std::size_t pick;
-  if (placement_ == PlacementPolicy::kSpreadGroup && placement.grouped) {
-    pick = static_cast<std::size_t>(
-        (placement.group + placement.member) % available.size());
-  } else {
-    pick = static_cast<std::size_t>(id % available.size());
-  }
-  Root& root = roots_[available[pick]];
+  Root& root = roots_[available[id % available.size()]];
   return ScratchFile{root.root + "/" + std::to_string(id) + "_" + tag,
                      root.device.get()};
 }
@@ -248,11 +238,7 @@ bool TempFileManager::IsQuarantined(StorageDevice* device) const {
 
 std::size_t TempFileManager::num_available_devices() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t healthy = 0;
-  for (const auto& root : roots_) {
-    if (!root.quarantined) ++healthy;
-  }
-  return healthy > 0 ? healthy : roots_.size();
+  return AvailableRootsLocked().size();
 }
 
 std::size_t TempFileManager::effective_stripe_width() const {

@@ -5,11 +5,10 @@
 // manager is destroyed unless keep_files is set.
 //
 // Device assignment is the placement-aware half of the storage API:
-// NewPath stripes files round-robin by sequence number (byte-identical
-// to the pre-device engine), while NewFile(tag, Placement) lets the
-// sorter tag a file with its merge group so the kSpreadGroup policy can
-// place a group's runs on distinct devices by construction — a merge
-// pass then pulls its fan-in from independent spindles.
+// NewFile places each file per the manager's PlacementPolicy — whole
+// files round-robin by sequence number (byte-identical to the
+// pre-device engine), or every file's blocks striped across the
+// devices — and reports the device it chose.
 //
 // NewPath/NewFile/Remove are thread-safe: with
 // IoContextOptions::sort_threads the run-formation spill worker names
@@ -39,7 +38,7 @@ class TempFileManager {
  public:
   // Devices ctor: takes ownership of `devices` (at least one) and
   // creates one fresh session root on each. `placement` selects the
-  // device-assignment policy for NewFile.
+  // device-assignment policy for NewPath/NewFile.
   explicit TempFileManager(
       std::vector<std::unique_ptr<StorageDevice>> devices,
       PlacementPolicy placement = PlacementPolicy::kRoundRobin);
@@ -56,23 +55,19 @@ class TempFileManager {
   TempFileManager(const TempFileManager&) = delete;
   TempFileManager& operator=(const TempFileManager&) = delete;
 
-  // Returns a unique path "<root>/<seq>_<tag>", striping round-robin
-  // across the devices. The file is not created.
+  // NewFile's path alone. The file is not created.
   std::string NewPath(const std::string& tag);
 
-  // Placement-aware variant: returns the path plus the chosen device.
-  // Under kRoundRobin (the default policy) the device choice and the
-  // path are byte-identical to NewPath; under kSpreadGroup a grouped
-  // placement lands on device (group + member) % num_devices, so the
-  // members of one merge group occupy distinct devices whenever the
-  // device count covers the fan-in. Under kStriped the file is a
-  // virtual path on the manager's StripedDevice whose blocks
+  // Returns a unique scratch path plus the device it was placed on.
+  // Under kRoundRobin (the default policy) the path is
+  // "<root>/<seq>_<tag>" on device seq % num_devices. Under kStriped the
+  // file is a virtual path on the manager's StripedDevice whose blocks
   // round-robin across every available device (ConfigureStriping must
   // have run first); with fewer than two available devices the
   // placement falls back to round-robin on what is left, with a
   // once-per-manager stderr note — a 1-wide "stripe" is never built
   // silently.
-  ScratchFile NewFile(const std::string& tag, const Placement& placement);
+  ScratchFile NewFile(const std::string& tag);
 
   // Hands the StripedDevice its physical stride geometry (block size
   // plus whether scratch blocks carry CRC32 trailers). IoContext calls
@@ -80,20 +75,6 @@ class TempFileManager {
   // must call it before the first NewFile. A no-op under other
   // policies.
   void ConfigureStriping(std::size_t block_size, bool checksum_blocks);
-
-  // Fresh merge-group id for Placement::InGroup (one per run-forming
-  // sort or merge pass).
-  std::uint64_t NextGroupId() {
-    return next_group_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // True exactly once per manager: the merge path's ticket for the
-  // spread-below-fan-in warning (WarnSpreadBelowFanIn), so each
-  // machine configuration reports its own numbers without repeating
-  // the message for every merge group of a multi-level solve.
-  bool ClaimSpreadWarning() {
-    return !spread_warned_.exchange(true, std::memory_order_relaxed);
-  }
 
   // Deletes the file if it exists (ignores missing files), on whichever
   // device owns it. A device that fails to delete an existing file is
@@ -139,8 +120,6 @@ class TempFileManager {
   // The scratch devices, in configuration order.
   std::vector<StorageDevice*> devices() const;
 
-  PlacementPolicy placement() const { return placement_; }
-
   // First (primary) session root.
   const std::string& dir() const { return roots_.front().root; }
   // All session roots, one per device.
@@ -174,8 +153,6 @@ class TempFileManager {
   std::string striped_root_;
   mutable std::mutex mu_;
   std::uint64_t next_id_ = 0;
-  std::atomic<std::uint64_t> next_group_{0};
-  std::atomic<bool> spread_warned_{false};
   std::atomic<bool> striped_fallback_noted_{false};
   bool keep_files_ = false;
 };

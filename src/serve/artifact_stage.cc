@@ -22,9 +22,8 @@ util::Result<StagedArtifact> StageArtifactForServing(
         "artifact " + source + ": size " + std::to_string(in.size_bytes()) +
         " is not a whole number of blocks (truncated?)");
   }
-  const io::ScratchFile staged =
-      temp_files.NewFile("artifact_stage", io::Placement::Ungrouped());
-  io::BlockFile out(context, staged.path, io::OpenMode::kTruncateWrite);
+  const std::string staged = temp_files.NewPath("artifact_stage");
+  io::BlockFile out(context, staged, io::OpenMode::kTruncateWrite);
   RETURN_IF_ERROR(out.status());
 
   in.StartSequentialPrefetch();
@@ -40,7 +39,7 @@ util::Result<StagedArtifact> StageArtifactForServing(
   }
   RETURN_IF_ERROR(in.Close());
   RETURN_IF_ERROR(out.Close());
-  return StagedArtifact{staged.path, /*staged=*/true};
+  return StagedArtifact{staged, /*staged=*/true};
 }
 
 }  // namespace extscc::serve

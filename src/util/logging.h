@@ -1,9 +1,9 @@
 // Minimal logging and invariant-checking facility.
 //
-// The library does not use exceptions (see DESIGN.md §6). Internal
-// invariants and unrecoverable environment failures (e.g. scratch-file
-// write errors) abort through the CHECK family below; fallible public
-// operations return util::Status instead (see util/status.h).
+// The library does not use exceptions. Internal invariants and
+// unrecoverable environment failures (e.g. scratch-file write errors)
+// abort through the CHECK family below; fallible public operations
+// return util::Status instead (see util/status.h).
 #ifndef EXTSCC_UTIL_LOGGING_H_
 #define EXTSCC_UTIL_LOGGING_H_
 

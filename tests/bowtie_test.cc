@@ -108,7 +108,7 @@ TEST(BowtieTest, EmptyGraphRejected) {
 
 TEST(BowtieTest, WebGraphHasBowtieStructure) {
   // The UK2007 stand-in generator is built to produce a bow-tie: a giant
-  // core plus non-trivial periphery (DESIGN.md §5).
+  // core plus non-trivial periphery (see gen/webgraph_generator.h).
   auto ctx = MakeTestContext(/*memory_bytes=*/8 << 20);
   gen::WebGraphParams params;
   params.num_nodes = 4000;

@@ -256,7 +256,7 @@ TEST(FaultInjectionTest, QuarantinePlacementAvoidsDeadDevice) {
   EXPECT_TRUE(temp.IsQuarantined(devices[1]));
   EXPECT_EQ(temp.num_available_devices(), 2u);
   for (int i = 0; i < 12; ++i) {
-    const io::ScratchFile file = temp.NewFile("probe", io::Placement());
+    const io::ScratchFile file = temp.NewFile("probe");
     EXPECT_NE(file.device, devices[1])
         << "placement handed a file to the quarantined device";
   }
@@ -265,7 +265,7 @@ TEST(FaultInjectionTest, QuarantinePlacementAvoidsDeadDevice) {
   temp.Quarantine(devices[0]);
   temp.Quarantine(devices[2]);
   EXPECT_EQ(temp.num_available_devices(), 3u);
-  EXPECT_NE(temp.NewFile("probe", io::Placement()).device, nullptr);
+  EXPECT_NE(temp.NewFile("probe").device, nullptr);
 }
 
 TEST(FaultInjectionTest, IoErrorLatchIsFirstWinsAndAbsorbable) {

@@ -350,92 +350,5 @@ TEST(RecordStreamTest, CopyAllRecordsCopiesAndCounts) {
   EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), to), values);
 }
 
-// ---------------- Background prefetch -------------------------------------
-
-std::unique_ptr<io::IoContext> MakePrefetchContext(std::size_t depth) {
-  io::IoContextOptions options;
-  options.block_size = 4096;
-  options.memory_bytes = 1 << 20;
-  options.prefetch = true;
-  options.prefetch_depth = depth;
-  return std::make_unique<io::IoContext>(options);
-}
-
-TEST(PrefetchTest, SequentialScanSameDataAndSameAccounting) {
-  std::vector<std::uint64_t> values(50'000);
-  std::iota(values.begin(), values.end(), 0);
-
-  auto baseline = [&](io::IoContext* ctx) {
-    const std::string path = ctx->NewTempPath("pf");
-    io::WriteAllRecords(ctx, path, values);
-    const auto before = ctx->stats();
-    const auto got = io::ReadAllRecords<std::uint64_t>(ctx, path);
-    EXPECT_EQ(got, values);
-    return ctx->stats() - before;
-  };
-
-  auto plain_ctx = MakeTestContext(1 << 20, 4096);
-  const auto plain = baseline(plain_ctx.get());
-  for (const std::size_t depth : {1u, 2u, 8u}) {
-    auto ctx = MakePrefetchContext(depth);
-    const auto prefetched = baseline(ctx.get());
-    EXPECT_EQ(prefetched.total_reads(), plain.total_reads()) << depth;
-    EXPECT_EQ(prefetched.sequential_reads, plain.sequential_reads) << depth;
-    EXPECT_EQ(prefetched.random_reads, plain.random_reads) << depth;
-    EXPECT_EQ(prefetched.bytes_read, plain.bytes_read) << depth;
-  }
-}
-
-TEST(PrefetchTest, OffSequenceReadFallsBackToDirectPath) {
-  auto ctx = MakePrefetchContext(/*depth=*/2);
-  const std::string path = ctx->NewTempPath("pf");
-  std::vector<char> block(ctx->block_size());
-  {
-    io::BlockFile file(ctx.get(), path, io::OpenMode::kTruncateWrite);
-    for (int b = 0; b < 6; ++b) {
-      std::fill(block.begin(), block.end(), static_cast<char>('a' + b));
-      file.WriteBlock(b, block.data(), block.size());
-    }
-  }
-  io::BlockFile file(ctx.get(), path, io::OpenMode::kRead);
-  file.StartSequentialPrefetch();
-  EXPECT_EQ(file.ReadBlock(0, block.data()), ctx->block_size());
-  EXPECT_EQ(block[0], 'a');
-  // Seek: the prefetcher cannot serve this; the direct path must.
-  EXPECT_EQ(file.ReadBlock(5, block.data()), ctx->block_size());
-  EXPECT_EQ(block[0], 'f');
-  EXPECT_EQ(file.ReadBlock(3, block.data()), ctx->block_size());
-  EXPECT_EQ(block[0], 'd');
-}
-
-TEST(PrefetchTest, DegradesGracefullyWhenBudgetTooSmall) {
-  io::IoContextOptions options;
-  options.block_size = 4096;
-  options.memory_bytes = 2 * 4096;  // minimum legal M: no room for a ring
-  options.prefetch = true;
-  options.prefetch_depth = 4;
-  io::IoContext ctx(options);
-  // Consume the budget so the prefetch ring cannot be reserved.
-  io::ScopedReservation hog(&ctx.memory(), 2 * 4096 - 1024);
-  const std::string path = ctx.NewTempPath("pf");
-  std::vector<std::uint32_t> values(4'000);
-  std::iota(values.begin(), values.end(), 9);
-  io::WriteAllRecords(&ctx, path, values);
-  EXPECT_EQ(io::ReadAllRecords<std::uint32_t>(&ctx, path), values);
-}
-
-TEST(PrefetchTest, ReaderDestroyedBeforeEofJoinsCleanly) {
-  auto ctx = MakePrefetchContext(/*depth=*/8);
-  const std::string path = ctx->NewTempPath("pf");
-  std::vector<std::uint64_t> values(100'000);
-  std::iota(values.begin(), values.end(), 0);
-  io::WriteAllRecords(ctx.get(), path, values);
-  io::RecordReader<std::uint64_t> reader(ctx.get(), path);
-  std::uint64_t v;
-  ASSERT_TRUE(reader.Next(&v));
-  EXPECT_EQ(v, 0u);
-  // Destructor must stop and join the in-flight prefetch thread.
-}
-
 }  // namespace
 }  // namespace extscc

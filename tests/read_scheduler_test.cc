@@ -1,11 +1,13 @@
 // Equivalence and accounting tests for the device-parallel I/O engine
-// (read_scheduler.h, IoContextOptions::io_threads): every sorter entry
-// point must produce byte-identical output at io_threads in {1, 2, 4}
-// vs the serial engine, per-device IoStats must still sum exactly to
-// the aggregate while concurrent merge reads are issued from device
-// workers, off-sequence reads must fall back to direct service, and a
-// budget too tight for the read-ahead rings must degrade instead of
-// deadlock or abort.
+// (read_scheduler.h, IoContextOptions::io_threads), the library's one
+// read-ahead engine: a scan must count identically at every ring depth,
+// every sorter entry point must produce byte-identical output at
+// io_threads in {1, 2, 4} vs the serial engine, per-device IoStats must
+// still sum exactly to the aggregate while concurrent merge reads are
+// issued from device workers, off-sequence reads must fall back to
+// direct service, readers abandoned mid-stream must unregister cleanly,
+// and a budget too tight for the read-ahead rings must degrade instead
+// of deadlock or abort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,11 +39,12 @@ std::unique_ptr<io::IoContext> MakeContext(
     std::uint64_t memory, std::size_t block, std::size_t io_threads,
     std::size_t num_devices = 1,
     io::PlacementPolicy placement = io::PlacementPolicy::kRoundRobin,
-    io::DeviceModel model = io::DeviceModel::kMem) {
+    std::size_t prefetch_depth = 2) {
   io::IoContextOptions options;
   options.block_size = block;
   options.memory_bytes = memory;
-  options.device_model.model = model;
+  options.device_model.model = io::DeviceModel::kMem;
+  options.prefetch_depth = prefetch_depth;
   // Under kMem the scratch_dirs entries only set the device count.
   for (std::size_t i = 0; i < num_devices; ++i) {
     options.scratch_dirs.push_back("dev" + std::to_string(i));
@@ -66,25 +69,41 @@ std::vector<Edge> RandomEdges(std::size_t n, std::uint64_t seed,
 TEST(ReadSchedulerTest, SequentialReadMatchesDirectAndCountsIdentically) {
   // The scheduler path must return the same bytes AND the same counted
   // I/Os as the direct path for a plain sequential scan, including the
-  // partial final block.
+  // partial final block: with one worker at every ring depth (a single
+  // slot, double buffering, deep) and with two workers. A second reader
+  // abandoned after one record — its ring still holding blocks in
+  // flight — must unregister cleanly when destroyed.
   const auto edges = RandomEdges(5'000, 7, 1u << 20);  // 40000 B: 9.77 blocks
-  auto scan = [&](std::size_t io_threads) {
-    auto ctx = MakeContext(1 << 20, 4096, io_threads);
+  auto scan = [&](std::size_t io_threads, std::size_t depth) {
+    auto ctx = MakeContext(1 << 20, 4096, io_threads, 1,
+                           io::PlacementPolicy::kRoundRobin, depth);
     const std::string path = ctx->NewTempPath("scan");
     io::WriteAllRecords(ctx.get(), path, edges);
     const auto before = ctx->stats();
     const auto got = io::ReadAllRecords<Edge>(ctx.get(), path);
     const auto delta = ctx->stats() - before;
+    {
+      io::RecordReader<Edge> abandoned(ctx.get(), path);
+      Edge first;
+      EXPECT_TRUE(abandoned.Next(&first));
+      EXPECT_EQ(first, edges.front());
+    }
     return std::make_pair(got, delta);
   };
-  const auto [serial, serial_stats] = scan(0);
-  const auto [sched, sched_stats] = scan(2);
-  ASSERT_EQ(serial.size(), sched.size());
-  EXPECT_EQ(0, std::memcmp(serial.data(), sched.data(),
-                           serial.size() * sizeof(Edge)));
-  EXPECT_EQ(serial_stats.total_reads(), sched_stats.total_reads());
-  EXPECT_EQ(serial_stats.sequential_reads, sched_stats.sequential_reads);
-  EXPECT_EQ(serial_stats.bytes_read, sched_stats.bytes_read);
+  const auto [serial, serial_stats] = scan(0, 2);
+  const std::pair<std::size_t, std::size_t> settings[] = {
+      {1, 1}, {1, 2}, {1, 8}, {2, 2}};
+  for (const auto& [io_threads, depth] : settings) {
+    const auto [sched, sched_stats] = scan(io_threads, depth);
+    ASSERT_EQ(serial.size(), sched.size()) << io_threads << "/" << depth;
+    EXPECT_EQ(0, std::memcmp(serial.data(), sched.data(),
+                             serial.size() * sizeof(Edge)))
+        << "io_threads " << io_threads << " depth " << depth;
+    EXPECT_EQ(serial_stats.total_reads(), sched_stats.total_reads());
+    EXPECT_EQ(serial_stats.sequential_reads, sched_stats.sequential_reads);
+    EXPECT_EQ(serial_stats.random_reads, sched_stats.random_reads);
+    EXPECT_EQ(serial_stats.bytes_read, sched_stats.bytes_read);
+  }
 }
 
 TEST(ReadSchedulerTest, OffSequenceSeekFallsBackToDirectReads) {
@@ -117,7 +136,7 @@ TEST(ReadSchedulerTest, SortFileSerialVsIoThreadsByteIdentical) {
   // Randomized geometry sweep (mirroring run_pipeline_test's): every
   // draw forces multi-run spills, and each io_threads setting must
   // reproduce the serial engine's output file byte for byte — across
-  // device counts and both placement policies.
+  // device counts (striping has its own sweep below).
   util::Rng rng(506);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t block = 512u << rng.Uniform(3);
@@ -125,13 +144,10 @@ TEST(ReadSchedulerTest, SortFileSerialVsIoThreadsByteIdentical) {
     const std::size_t count = 2'000 + rng.Uniform(40'000);
     const bool dedup = rng.Uniform(2) == 1;
     const std::size_t devices = 1 + rng.Uniform(3);
-    const auto placement = rng.Uniform(2) == 1
-                               ? io::PlacementPolicy::kSpreadGroup
-                               : io::PlacementPolicy::kRoundRobin;
     const auto edges = RandomEdges(count, rng.Next(), 1u << 12);
 
     auto run = [&](std::size_t io_threads) {
-      auto ctx = MakeContext(memory, block, io_threads, devices, placement);
+      auto ctx = MakeContext(memory, block, io_threads, devices);
       const std::string in = ctx->NewTempPath("in");
       io::WriteAllRecords(ctx.get(), in, edges);
       const std::string out = ctx->NewTempPath("out");
@@ -154,8 +170,7 @@ TEST(ReadSchedulerTest, SortFileSerialVsIoThreadsByteIdentical) {
 TEST(ReadSchedulerTest, SortIntoSerialVsIoThreadsIdenticalSinkStream) {
   const auto edges = RandomEdges(30'000, 99, 1u << 16);
   auto collect = [&](std::size_t io_threads) {
-    auto ctx = MakeContext(24 << 10, 1024, io_threads, 2,
-                           io::PlacementPolicy::kSpreadGroup);
+    auto ctx = MakeContext(24 << 10, 1024, io_threads, 2);
     const std::string in = ctx->NewTempPath("in");
     io::WriteAllRecords(ctx.get(), in, edges);
     std::vector<Edge> got;
@@ -176,13 +191,12 @@ TEST(ReadSchedulerTest, SortIntoSerialVsIoThreadsIdenticalSinkStream) {
 }
 
 TEST(ReadSchedulerTest, PerDeviceStatsSumToAggregateUnderConcurrentReads) {
-  // Three devices, spread placement, a budget small enough for several
-  // runs and an intermediate merge pass: while device workers fill the
-  // rings and execute overlapped output writes, every counted I/O must
-  // land in exactly one device's row — the rows sum to the aggregate
-  // field by field.
-  auto ctx = MakeContext(16 << 10, 1024, 2, 3,
-                         io::PlacementPolicy::kSpreadGroup);
+  // Three devices, a budget small enough for several runs and an
+  // intermediate merge pass: while device workers fill the rings and
+  // execute overlapped output writes, every counted I/O must land in
+  // exactly one device's row — the rows sum to the aggregate field by
+  // field.
+  auto ctx = MakeContext(16 << 10, 1024, 2, 3);
   const auto edges = RandomEdges(40'000, 23, 1u << 14);
   const std::string in = ctx->NewTempPath("in");
   io::WriteAllRecords(ctx.get(), in, edges);
@@ -218,33 +232,6 @@ TEST(ReadSchedulerTest, TightBudgetDegradesWithoutDeadlockOrAbort) {
   ASSERT_EQ(result.size(), values.size());
   EXPECT_EQ(0, std::memcmp(result.data(), values.data(),
                            result.size() * sizeof(Edge)));
-}
-
-TEST(ReadSchedulerTest, PrefetchFlagAndIoThreadsCompose) {
-  // Both engines on: the scheduler takes precedence per stream; output
-  // must still match the serial engine.
-  const auto edges = RandomEdges(25'000, 41, 1u << 12);
-  auto run = [&](bool prefetch, std::size_t io_threads) {
-    io::IoContextOptions options;
-    options.block_size = 1024;
-    options.memory_bytes = 24 << 10;
-    options.device_model.model = io::DeviceModel::kMem;
-    options.prefetch = prefetch;
-    testing::ApplyTestEnvOptions(&options);
-    options.io_threads = io_threads;
-    auto ctx = std::make_unique<io::IoContext>(options);
-    const std::string in = ctx->NewTempPath("in");
-    io::WriteAllRecords(ctx.get(), in, edges);
-    const std::string out = ctx->NewTempPath("out");
-    extsort::SortFile<Edge, graph::EdgeByDst>(ctx.get(), in, out,
-                                              graph::EdgeByDst());
-    return io::ReadAllRecords<Edge>(ctx.get(), out);
-  };
-  const auto serial = run(false, 0);
-  const auto combined = run(true, 2);
-  ASSERT_EQ(serial.size(), combined.size());
-  EXPECT_EQ(0, std::memcmp(serial.data(), combined.data(),
-                           serial.size() * sizeof(Edge)));
 }
 
 // Striped oracle: every sorter entry point must reproduce the serial

@@ -1,18 +1,18 @@
 // Storage-device API tests: MemDevice/ThrottledDevice round trips and
-// accounting equivalence with PosixDevice, the kSpreadGroup placement
-// invariant (no two runs of one merge group share a device when the
-// device count covers the fan-in), per-device stats summing exactly to
-// the aggregate IoStats, and the round-robin default staying
-// byte-identical to the pre-device engine.
+// accounting equivalence with PosixDevice, per-device stats summing
+// exactly to the aggregate IoStats, the round-robin default staying
+// byte-identical to the pre-device engine, striped placement, and the
+// shared machine-option parser.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <memory>
-#include <set>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -160,74 +160,10 @@ TEST(StorageDeviceTest, MemAccountingIdenticalToPosix) {
 
 // ---- placement --------------------------------------------------------
 
-// Manager-level invariant: under kSpreadGroup, grouped files with
-// distinct members land on distinct devices whenever the group's span
-// fits the device count — regardless of interleaved ungrouped traffic
-// (which would skew a round-robin assignment arbitrarily).
-TEST(PlacementTest, SpreadGroupMembersOccupyDistinctDevices) {
-  std::vector<std::unique_ptr<io::StorageDevice>> devices;
-  for (int i = 0; i < 4; ++i) {
-    devices.push_back(
-        std::make_unique<io::MemDevice>("m" + std::to_string(i)));
-  }
-  io::TempFileManager manager(std::move(devices),
-                              io::PlacementPolicy::kSpreadGroup);
-  for (std::uint64_t group = 0; group < 6; ++group) {
-    const std::uint64_t gid = manager.NextGroupId();
-    std::set<const io::StorageDevice*> used;
-    for (std::uint64_t member = 0; member < 4; ++member) {
-      // Ungrouped noise between members must not cause collisions.
-      manager.NewPath("noise");
-      const io::ScratchFile file =
-          manager.NewFile("run", io::Placement::InGroup(gid, member));
-      EXPECT_EQ(manager.DeviceForPath(file.path), file.device);
-      EXPECT_TRUE(used.insert(file.device).second)
-          << "group " << gid << " member " << member
-          << " collided on device " << file.device->name();
-    }
-  }
-}
-
-// End-to-end construction: FormRuns tags each spilled run with its sort
-// group and ordinal, so under kSpreadGroup every fan-in-sized window of
-// consecutive runs — exactly the merge groups the planner forms — sits
-// on distinct devices when the device count covers the fan-in.
-TEST(PlacementTest, FormRunsSpreadsMergeGroupsAcrossDevices) {
-  const std::size_t kDevices = 8;
-  auto ctx = MakeContext(io::DeviceModel::kMem, kDevices,
-                         io::PlacementPolicy::kSpreadGroup,
-                         /*memory=*/8 << 10, /*block=*/1024);
-  const std::size_t fan_in = static_cast<std::size_t>(
-      ctx->memory().MergeFanIn(ctx->block_size()));
-  ASSERT_LE(fan_in, kDevices) << "geometry must satisfy devices >= fan-in";
-  auto values = RandomValues(30'000, 11);
-  const std::string in = ctx->NewTempPath("in");
-  io::WriteAllRecords(ctx.get(), in, values);
-  extsort::SortRunInfo info;
-  auto formed = extsort::internal::FormRuns<std::uint64_t>(
-      ctx.get(), in, U64Less(), /*dedup=*/false, &info);
-  ASSERT_FALSE(formed.in_memory);
-  ASSERT_GT(formed.runs.size(), fan_in) << "want a multi-group formation";
-  for (std::size_t group = 0; group < formed.runs.size(); group += fan_in) {
-    const std::size_t end = std::min(formed.runs.size(), group + fan_in);
-    std::set<const io::StorageDevice*> used;
-    for (std::size_t i = group; i < end; ++i) {
-      const io::StorageDevice* device =
-          ctx->temp_files().DeviceForPath(formed.runs[i]);
-      ASSERT_NE(device, nullptr) << formed.runs[i];
-      EXPECT_TRUE(used.insert(device).second)
-          << "merge group at run " << group << ": runs " << i
-          << " collided on " << device->name();
-    }
-  }
-  for (const auto& run : formed.runs) ctx->temp_files().Remove(run);
-}
-
-// A spread- or striped-placement solve must still match the oracle
-// partition, and its sorted labels must be byte-identical to the
-// round-robin default — placement moves files (or blocks) between
-// devices, never changes their bytes.
-TEST(PlacementTest, SpreadAndStripedSolvesMatchRoundRobinAndOracle) {
+// A striped-placement solve must still match the oracle partition, and
+// its sorted labels must be byte-identical to the round-robin default —
+// placement moves blocks between devices, never changes their bytes.
+TEST(PlacementTest, StripedSolveMatchesRoundRobinAndOracle) {
   const auto solve = [](io::PlacementPolicy placement) {
     auto ctx = MakeContext(io::DeviceModel::kMem, 3, placement,
                            /*memory=*/96 << 10, /*block=*/4096);
@@ -245,14 +181,11 @@ TEST(PlacementTest, SpreadAndStripedSolvesMatchRoundRobinAndOracle) {
     return io::ReadAllRecords<graph::SccEntry>(ctx.get(), scc_path);
   };
   const auto rr = solve(io::PlacementPolicy::kRoundRobin);
-  for (const auto placement : {io::PlacementPolicy::kSpreadGroup,
-                               io::PlacementPolicy::kStriped}) {
-    const auto other = solve(placement);
-    ASSERT_EQ(rr.size(), other.size());
-    for (std::size_t i = 0; i < rr.size(); ++i) {
-      ASSERT_EQ(rr[i].node, other[i].node) << "at " << i;
-      ASSERT_EQ(rr[i].scc, other[i].scc) << "at " << i;
-    }
+  const auto striped = solve(io::PlacementPolicy::kStriped);
+  ASSERT_EQ(rr.size(), striped.size());
+  for (std::size_t i = 0; i < rr.size(); ++i) {
+    ASSERT_EQ(rr[i].node, striped[i].node) << "at " << i;
+    ASSERT_EQ(rr[i].scc, striped[i].scc) << "at " << i;
   }
 }
 
@@ -273,7 +206,7 @@ void ExpectDeviceStatsSumToAggregate(const io::IoContext& ctx) {
 
 TEST(DeviceStatsTest, PerDeviceSumsExactlyToAggregate) {
   auto ctx = MakeContext(io::DeviceModel::kMem, 3,
-                         io::PlacementPolicy::kSpreadGroup,
+                         io::PlacementPolicy::kRoundRobin,
                          /*memory=*/64 << 10, /*block=*/2048);
   gen::SyntheticParams params;
   params.num_nodes = 3'000;
@@ -295,7 +228,7 @@ TEST(DeviceStatsTest, PerDeviceSumsExactlyToAggregate) {
     if (row.stats.total_ios() > 0) ++active;
   }
   EXPECT_EQ(ctx->max_per_device_ios(), max_row);
-  EXPECT_GE(active, 2u) << "striped solve should touch several devices";
+  EXPECT_GE(active, 2u) << "a 3-device solve should touch several devices";
   EXPECT_LT(ctx->max_per_device_ios(), ctx->stats().total_ios());
 }
 
@@ -320,19 +253,16 @@ TEST(DeviceStatsTest, NonScratchTrafficLandsOnBaseDevice) {
 
 // The round-robin default must be byte-identical to the pre-device
 // engine: same path names, same device choice by global sequence.
-TEST(PlacementTest, RoundRobinDefaultIgnoresGroups) {
+TEST(PlacementTest, RoundRobinDefaultAlternatesBySequence) {
   std::vector<std::unique_ptr<io::StorageDevice>> devices;
   devices.push_back(std::make_unique<io::MemDevice>("m0"));
   devices.push_back(std::make_unique<io::MemDevice>("m1"));
   io::TempFileManager manager(std::move(devices),
                               io::PlacementPolicy::kRoundRobin);
   const auto device_list = manager.devices();
-  // Grouped or not, round-robin strictly alternates by sequence number.
-  const io::ScratchFile a =
-      manager.NewFile("x", io::Placement::InGroup(manager.NextGroupId(), 0));
-  const io::ScratchFile b =
-      manager.NewFile("x", io::Placement::InGroup(manager.NextGroupId(), 0));
-  const io::ScratchFile c = manager.NewFile("x", io::Placement::Ungrouped());
+  const io::ScratchFile a = manager.NewFile("x");
+  const io::ScratchFile b = manager.NewFile("x");
+  const io::ScratchFile c = manager.NewFile("x");
   EXPECT_EQ(a.device, device_list[0]);
   EXPECT_EQ(b.device, device_list[1]);
   EXPECT_EQ(c.device, device_list[0]);
@@ -407,13 +337,77 @@ TEST(StorageConfigTest, ParseDeviceModelSpec) {
   EXPECT_NE(io::ParseDeviceModelSpec("faulty:", &spec), "");
 
   io::PlacementPolicy policy = io::PlacementPolicy::kRoundRobin;
-  EXPECT_EQ(io::ParsePlacementSpec("spread", &policy), "");
-  EXPECT_EQ(policy, io::PlacementPolicy::kSpreadGroup);
   EXPECT_EQ(io::ParsePlacementSpec("striped", &policy), "");
   EXPECT_EQ(policy, io::PlacementPolicy::kStriped);
   EXPECT_EQ(io::ParsePlacementSpec("rr", &policy), "");
   EXPECT_EQ(policy, io::PlacementPolicy::kRoundRobin);
   EXPECT_NE(io::ParsePlacementSpec("zigzag", &policy), "");
+  // An unknown policy is rejected with a message naming what is
+  // supported.
+  EXPECT_EQ(io::ParsePlacementSpec("spread", &policy),
+            "bad --placement \"spread\" (supported: rr, striped)");
+}
+
+// One parser serves every front end: the tool's and benches' flags, and
+// the EXTSCC_BENCH_/EXTSCC_TEST_ variables. A variable prefix of the
+// test's own keeps the CI matrix's EXTSCC_TEST_* settings untouched.
+TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
+  io::IoContextOptions options;
+  for (const char* flag :
+       {"--sort-threads=1", "--io-threads=2", "--scratch-dirs=a,,b",
+        "--device-model=throttled:5", "--placement=striped"}) {
+    EXPECT_EQ(io::ParseMachineFlag(flag, &options), "") << flag;
+  }
+  EXPECT_EQ(options.sort_threads, 1u);
+  EXPECT_EQ(options.io_threads, 2u);
+  EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(options.device_model.model, io::DeviceModel::kThrottled);
+  EXPECT_EQ(options.device_model.throttle_latency_us, 5u);
+  EXPECT_EQ(options.scratch_placement, io::PlacementPolicy::kStriped);
+  // Malformed values, options without a value and unknown options are
+  // errors, never silently ignored.
+  for (const char* flag :
+       {"--io-threads=two", "--io-threads=-1", "--sort-threads",
+        "--scratch-dirs", "--device-model", "--checksum-blocks",
+        "--frobnicate", "--frobnicate=1", "positional"}) {
+    EXPECT_NE(io::ParseMachineFlag(flag, &options), "") << flag;
+  }
+  EXPECT_EQ(io::ParseMachineFlag("--device-model", &options),
+            "missing value for --device-model (want --device-model=VALUE)");
+  // A rejected flag leaves the options as they were.
+  EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(options.device_model.model, io::DeviceModel::kThrottled);
+  EXPECT_EQ(io::ParseMachineFlag("--placement=spread", &options),
+            "bad --placement \"spread\" (supported: rr, striped)");
+
+  ::setenv("EXTSCC_PARSER_TEST_IO_THREADS", "3", 1);
+  ::setenv("EXTSCC_PARSER_TEST_PLACEMENT", "rr", 1);
+  EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options), "");
+  EXPECT_EQ(options.io_threads, 3u);
+  EXPECT_EQ(options.scratch_placement, io::PlacementPolicy::kRoundRobin);
+  ::setenv("EXTSCC_PARSER_TEST_PLACEMENT", "spread", 1);
+  EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options),
+            "EXTSCC_PARSER_TEST_PLACEMENT: bad --placement \"spread\" "
+            "(supported: rr, striped)");
+  ::unsetenv("EXTSCC_PARSER_TEST_IO_THREADS");
+  ::unsetenv("EXTSCC_PARSER_TEST_PLACEMENT");
+
+  // The suites' own front end turns that error into a test failure.
+  const char* matrix = std::getenv("EXTSCC_TEST_PLACEMENT");
+  const std::string saved = matrix != nullptr ? matrix : "";
+  ::setenv("EXTSCC_TEST_PLACEMENT", "spread", 1);
+  EXPECT_NONFATAL_FAILURE(
+      {
+        io::IoContextOptions env_options;
+        testing::ApplyTestEnvOptions(&env_options);
+      },
+      "EXTSCC_TEST_PLACEMENT: bad --placement \"spread\" "
+      "(supported: rr, striped)");
+  if (matrix != nullptr) {
+    ::setenv("EXTSCC_TEST_PLACEMENT", saved.c_str(), 1);
+  } else {
+    ::unsetenv("EXTSCC_TEST_PLACEMENT");
+  }
 }
 
 TEST(StorageConfigTest, ValidateScratchParentsNamesTheBadEntry) {
@@ -429,10 +423,12 @@ TEST(StorageConfigTest, ValidateScratchParentsNamesTheBadEntry) {
       << "error must name the bad directory: " << error;
   // The config-level check applies the device-model policy: mem devices
   // have no on-disk parent to validate, file-backed models do.
-  io::DeviceModelSpec mem_spec;
-  ASSERT_EQ(io::ParseDeviceModelSpec("mem", &mem_spec), "");
-  EXPECT_EQ(io::ValidateScratchConfig(mem_spec, {missing}), "");
-  EXPECT_NE(io::ValidateScratchConfig(io::DeviceModelSpec{}, {missing}), "");
+  io::IoContextOptions options;
+  options.scratch_dirs = {missing};
+  EXPECT_NE(io::ValidateMachineOptions(options).find(missing),
+            std::string::npos);
+  ASSERT_EQ(io::ParseDeviceModelSpec("mem", &options.device_model), "");
+  EXPECT_EQ(io::ValidateMachineOptions(options), "");
   fs::remove_all(good);
 }
 
@@ -560,7 +556,7 @@ TEST(StripedPlacementTest, NewFileStripesOverAvailableDevices) {
   manager.ConfigureStriping(/*block_size=*/1024, /*checksum_blocks=*/false);
   const auto device_list = manager.devices();
 
-  const io::ScratchFile wide = manager.NewFile("w", io::Placement::Ungrouped());
+  const io::ScratchFile wide = manager.NewFile("w");
   EXPECT_EQ(wide.path.rfind("striped://", 0), 0u) << wide.path;
   EXPECT_EQ(manager.DeviceForPath(wide.path), wide.device);
   // The striped composite is not one of the physical scratch devices.
@@ -580,8 +576,7 @@ TEST(StripedPlacementTest, NewFileStripesOverAvailableDevices) {
 
   // A quarantined member must not appear in new stripes.
   manager.Quarantine(device_list[1]);
-  const io::ScratchFile narrowed =
-      manager.NewFile("n", io::Placement::Ungrouped());
+  const io::ScratchFile narrowed = manager.NewFile("n");
   {
     std::unique_ptr<io::StorageFile> handle;
     ASSERT_TRUE(
@@ -601,8 +596,7 @@ TEST(StripedPlacementTest, NewFileStripesOverAvailableDevices) {
   manager.Quarantine(device_list[0]);
   manager.Quarantine(device_list[2]);
   ASSERT_EQ(manager.num_available_devices(), 1u);
-  const io::ScratchFile fallback =
-      manager.NewFile("f", io::Placement::Ungrouped());
+  const io::ScratchFile fallback = manager.NewFile("f");
   EXPECT_EQ(fallback.device, device_list[3]);
   EXPECT_EQ(fallback.path.rfind("striped://", 0), std::string::npos)
       << fallback.path;
@@ -616,7 +610,7 @@ TEST(StripedPlacementTest, SingleDeviceFallsBackToRoundRobin) {
   io::TempFileManager manager(std::move(devices),
                               io::PlacementPolicy::kStriped);
   manager.ConfigureStriping(1024, false);
-  const io::ScratchFile file = manager.NewFile("x", io::Placement::Ungrouped());
+  const io::ScratchFile file = manager.NewFile("x");
   EXPECT_EQ(file.device, manager.devices()[0]);
   EXPECT_EQ(file.path.rfind("striped://", 0), std::string::npos) << file.path;
 }

@@ -2,49 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 
 #include "graph/digraph.h"
 #include "scc/scc_verify.h"
 #include "scc/tarjan.h"
-#include "util/csv.h"
 
 namespace extscc::testing {
 
 void ApplyTestEnvOptions(io::IoContextOptions* options) {
-  if (const char* env = std::getenv("EXTSCC_TEST_SORT_THREADS")) {
-    if (env[0] != '\0') {
-      options->sort_threads =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    }
-  }
-  if (const char* env = std::getenv("EXTSCC_TEST_IO_THREADS")) {
-    if (env[0] != '\0') {
-      options->io_threads =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    }
-  }
-  if (const char* env = std::getenv("EXTSCC_TEST_DEVICE_MODEL")) {
-    if (env[0] != '\0') {
-      const std::string error =
-          io::ParseDeviceModelSpec(env, &options->device_model);
-      if (!error.empty()) {
-        ADD_FAILURE() << "EXTSCC_TEST_DEVICE_MODEL: " << error;
-      }
-    }
-  }
-  if (const char* env = std::getenv("EXTSCC_TEST_SCRATCH_DIRS")) {
-    if (env[0] != '\0') options->scratch_dirs = util::SplitCommaList(env);
-  }
-  if (const char* env = std::getenv("EXTSCC_TEST_PLACEMENT")) {
-    if (env[0] != '\0') {
-      const std::string error =
-          io::ParsePlacementSpec(env, &options->scratch_placement);
-      if (!error.empty()) {
-        ADD_FAILURE() << "EXTSCC_TEST_PLACEMENT: " << error;
-      }
-    }
-  }
+  const std::string error = io::ParseMachineEnv("EXTSCC_TEST_", options);
+  if (!error.empty()) ADD_FAILURE() << error;
 }
 
 namespace {
