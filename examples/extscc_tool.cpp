@@ -64,7 +64,9 @@
 // code 86, and the next run must recover.
 //
 // Text formats: edge lists are "u v" per line; label files are
-// "node scc" per line.
+// "node scc" per line. Both are read and written by graph_io's text pair
+// codec (grammar and errors in graph/graph_io.h), which streams through
+// read(2)/write(2), so pipes and /dev/stdout work as files.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -372,18 +374,15 @@ int CmdSolve(int argc, char** argv) {
   auto result = core::RunExtScc(&context, loaded.value(), scc_path, options);
   const auto dev_after = context.DeviceStats();
   if (!result.ok()) return StatusExit(result.status());
-  std::ofstream out(labels_path);
-  if (!out) {
-    return StatusExit(util::Status::IoError("cannot create " + labels_path));
-  }
+  graph::TextPairWriter out(labels_path, context.block_size());
   io::RecordReader<graph::SccEntry> reader(&context, scc_path);
   graph::SccEntry entry;
-  while (reader.Next(&entry)) {
-    out << entry.node << ' ' << entry.scc << '\n';
-  }
+  while (reader.Next(&entry)) out.Append(entry.node, entry.scc);
   // A read failure looks like EOF to the loop above; distinguish a
   // complete label file from a truncated one before reporting success.
   if (!reader.status().ok()) return StatusExit(reader.status());
+  const util::Status written = out.Close();
+  if (!written.ok()) return StatusExit(written);
   std::printf("%s: %llu SCCs, %u contraction levels, %llu I/Os, %.2fs\n",
               edges_path.c_str(),
               static_cast<unsigned long long>(result.value().num_sccs),
@@ -428,18 +427,12 @@ int CmdVerify(int argc, char** argv) {
   // Parse the label file into an on-disk SCC file.
   const std::string scc_path = context.NewTempPath("labels");
   {
-    std::ifstream in(argv[3]);
-    if (!in) {
-      return StatusExit(util::Status::IoError(std::string("cannot open ") +
-                                              argv[3]));
-    }
+    graph::TextPairReader in(argv[3], context.block_size());
     const std::string staging = context.NewTempPath("labels_raw");
     io::RecordWriter<graph::SccEntry> writer(&context, staging);
-    std::uint64_t node, scc;
-    while (in >> node >> scc) {
-      writer.Append(graph::SccEntry{static_cast<graph::NodeId>(node),
-                                    static_cast<graph::SccId>(scc)});
-    }
+    graph::SccEntry entry;
+    while (in.Next(&entry.node, &entry.scc)) writer.Append(entry);
+    if (!in.status().ok()) return StatusExit(in.status());
     writer.Finish();
     graph::SortSccFileByNode(&context, staging, scc_path);
   }
@@ -792,10 +785,7 @@ int CmdUpdate(int argc, char** argv) {
   auto opened = dyn::DynamicSccIndex::Open(&context, index_path);
   if (!opened.ok()) return StatusExit(opened.status());
   dyn::DynamicSccIndex index = std::move(opened).value();
-  std::ifstream in(edges_path);
-  if (!in) {
-    return StatusExit(util::Status::IoError("cannot open " + edges_path));
-  }
+  graph::TextPairReader in(edges_path, context.block_size());
 
   std::vector<graph::Edge> batch;
   std::uint64_t total_edges = 0, total_ios = 0, rewrites = 0,
@@ -826,15 +816,17 @@ int CmdUpdate(int argc, char** argv) {
     batch.clear();
     return 0;
   };
-  std::uint64_t u = 0, v = 0;
-  while (in >> u >> v) {
-    batch.push_back(graph::Edge{static_cast<graph::NodeId>(u),
-                                static_cast<graph::NodeId>(v)});
+  graph::Edge edge;
+  while (in.Next(&edge.src, &edge.dst)) {
+    batch.push_back(edge);
     if (batch.size() >= batch_size) {
       const int rc = flush();
       if (rc != 0) return rc;
     }
   }
+  // A bad line fails the batch that holds it before it is applied;
+  // batches already published stay.
+  if (!in.status().ok()) return StatusExit(in.status());
   const int rc = flush();
   if (rc != 0) return rc;
   std::printf(

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -321,13 +320,11 @@ TEST(FaultInjectionTest, RetryableErrnoClassification) {
 TEST(FailureInjectionTest, TruncatedRecordFileAborts) {
   auto ctx = MakeTestContext();
   // A user-facing path on the base device, NOT a scratch path: under
-  // the mem/striped test matrices a scratch path is a virtual name an
-  // ofstream cannot create.
-  const std::string path = ::testing::TempDir() + "/extscc_truncated.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "abc";  // 3 bytes: not a whole Edge record
-  }
+  // the mem/striped test matrices a scratch path is a virtual name a
+  // plain file write cannot create.
+  const testing::ScopedTempPath file("truncated.bin");
+  const std::string& path = file.path();
+  testing::WriteTextFile(path, "abc");  // 3 bytes: not a whole Edge record
   EXPECT_DEATH(io::NumRecordsInFile<Edge>(ctx.get(), path),
                "whole number of records");
 }
@@ -390,11 +387,9 @@ TEST(FailureInjectionTest, EmSccBudgetCensoring) {
 TEST(FailureInjectionTest, LoadRejectsHugeNodeIds) {
   auto ctx = MakeTestContext();
   // Base-device path for the same reason as TruncatedRecordFileAborts.
-  const std::string path = ::testing::TempDir() + "/extscc_huge.txt";
-  {
-    std::ofstream out(path);
-    out << "1 99999999999\n";  // exceeds 32-bit node id space
-  }
+  const testing::ScopedTempPath file("huge.txt");
+  const std::string& path = file.path();
+  testing::WriteTextFile(path, "1 99999999999\n");  // exceeds 32-bit ids
   auto result = graph::LoadTextEdgeList(ctx.get(), path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);

@@ -1,6 +1,17 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cerrno>
+#include <csignal>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/classic_graphs.h"
@@ -21,6 +32,8 @@ using graph::Edge;
 using graph::NodeId;
 using graph::SccEntry;
 using testing::MakeTestContext;
+using testing::ScopedTempPath;
+using testing::WriteTextFile;
 
 // ---------------- edge_file ----------------------------------------------
 
@@ -195,18 +208,16 @@ TEST(GraphIoTest, TextRoundTrip) {
   // Text edge lists are user-facing files: real filesystem paths, not
   // scratch paths (which are virtual names under the mem/striped test
   // matrices).
-  const std::string text_path = ::testing::TempDir() + "/extscc_graph.txt";
-  {
-    std::ofstream out(text_path);
-    out << "# comment line\n";
-    out << "1 2\n2 3\n3 1\n";
-  }
+  const ScopedTempPath text("graph.txt");
+  const std::string& text_path = text.path();
+  WriteTextFile(text_path, "# comment line\n1 2\n2 3\n3 1\n");
   auto loaded = graph::LoadTextEdgeList(ctx.get(), text_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().num_edges, 3u);
   EXPECT_EQ(loaded.value().num_nodes, 3u);
 
-  const std::string out_path = ::testing::TempDir() + "/extscc_out.txt";
+  const ScopedTempPath out("out.txt");
+  const std::string& out_path = out.path();
   ASSERT_TRUE(
       graph::SaveTextEdgeList(ctx.get(), loaded.value(), out_path).ok());
   auto reloaded = graph::LoadTextEdgeList(ctx.get(), out_path);
@@ -224,11 +235,9 @@ TEST(GraphIoTest, MissingFileIsNotFound) {
 
 TEST(GraphIoTest, MalformedLineIsCorruption) {
   auto ctx = MakeTestContext();
-  const std::string path = ::testing::TempDir() + "/extscc_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "1 2\nnot an edge\n";
-  }
+  const ScopedTempPath bad("bad.txt");
+  const std::string& path = bad.path();
+  WriteTextFile(path, "1 2\nnot an edge\n");
   const auto result = graph::LoadTextEdgeList(ctx.get(), path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
@@ -244,18 +253,302 @@ TEST(GraphIoTest, BinaryEdgeFileValidation) {
   EXPECT_EQ(ok.value().num_edges, 1u);
 
   // Truncated file: not a whole number of records.
-  const std::string bad = ::testing::TempDir() + "/extscc_bad.bin";
-  {
-    std::ofstream out(bad, std::ios::binary);
-    out << "xyz";
-  }
-  auto corrupt = graph::OpenBinaryEdgeFile(ctx.get(), bad);
+  const ScopedTempPath bad("bad.bin");
+  WriteTextFile(bad.path(), "xyz");
+  auto corrupt = graph::OpenBinaryEdgeFile(ctx.get(), bad.path());
   ASSERT_FALSE(corrupt.ok());
   EXPECT_EQ(corrupt.status().code(), util::StatusCode::kCorruption);
 
   auto missing = graph::OpenBinaryEdgeFile(ctx.get(), "/no/such/file.bin");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
+}
+
+// ---------------- text pair codec ---------------------------------------
+
+// The buffer sizes the codec tests sweep: a few lines, the test
+// contexts' block size, and the tool's block size.
+constexpr std::size_t kBufferSizes[] = {64, 4096, 65536};
+
+// The edge-list parser the codec replaced: getline plus one
+// istringstream per line. The codec must build the same graph from
+// every file this loop accepts (it differs only on signed fields and
+// on values past 2^64).
+util::Result<graph::DiskGraph> ReferenceLoad(io::IoContext* context,
+                                             const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return util::Status::NotFound("cannot open " + path);
+  graph::GraphBuilder builder(context);
+  std::string line;
+  std::uint64_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    std::istringstream fields(line);
+    std::uint64_t src = 0, dst = 0;
+    if (!(fields >> src >> dst)) {
+      return util::Status::Corruption("malformed line " +
+                                      std::to_string(line_no) + " in " +
+                                      path + ": '" + line + "'");
+    }
+    if (src > graph::kInvalidNode - 1 || dst > graph::kInvalidNode - 1) {
+      return util::Status::InvalidArgument(
+          "node id out of 32-bit range at line " + std::to_string(line_no));
+    }
+    builder.AddEdge(static_cast<NodeId>(src), static_cast<NodeId>(dst));
+  }
+  return builder.Finish();
+}
+
+// A random file in the text pair grammar: blank runs of every blank
+// byte, CRLF line ends, empty lines, '#' and '%' comments (one longer
+// than the largest buffer), third fields and trailing junk, ids with
+// leading zeros and ids up to kInvalidNode - 1. Without a final newline
+// the file ends in an edge line.
+std::string RandomPairText(std::uint64_t seed, int lines,
+                           bool final_newline) {
+  std::mt19937_64 rng(seed);
+  static constexpr char kBlanks[] = {' ', '\t', '\r', '\v', '\f'};
+  const auto blanks = [&](int min) {
+    std::string out;
+    for (int n = min + static_cast<int>(rng() % 3); n > 0; --n) {
+      out += kBlanks[rng() % 5];
+    }
+    return out;
+  };
+  const auto id = [&]() -> std::string {
+    switch (rng() % 4) {
+      case 0:
+        return std::to_string(rng() % 16);
+      case 1:
+        return std::to_string(rng() % 100000);
+      case 2:
+        return std::to_string(graph::kInvalidNode - 1 - rng() % 4);
+      default:
+        return "00" + std::to_string(rng() % 1000);
+    }
+  };
+  const auto junk = [&]() {
+    std::string out(rng() % 40, ' ');
+    for (char& c : out) c = static_cast<char>(' ' + rng() % 95);
+    return out;
+  };
+  const auto edge = [&]() { return blanks(0) + id() + blanks(1) + id(); };
+  const int long_comment_at = static_cast<int>(rng() % lines);
+  std::string text;
+  for (int i = 0; i < lines; ++i) {
+    if (i == long_comment_at) {
+      text += (rng() % 2 ? '#' : '%') + std::string(70000, 'c') + "\n";
+    }
+    switch (rng() % 10) {
+      case 0:
+        break;  // empty line
+      case 1:
+        text += '#' + junk();
+        break;
+      case 2:
+        text += '%' + junk();
+        break;
+      default:
+        text += edge();
+        switch (rng() % 5) {
+          case 0:
+            break;
+          case 1:
+            text += blanks(1) + id();  // a weight column
+            break;
+          case 2:
+            text += '\r';
+            break;
+          case 3:
+            text += blanks(1) + "w=0.5 " + junk();
+            break;
+          default:
+            text += 'x' + junk();
+            break;
+        }
+    }
+    text += '\n';
+  }
+  if (!final_newline) text += edge();
+  return text;
+}
+
+void ExpectSameGraph(io::IoContext* context, const graph::DiskGraph& got,
+                     const graph::DiskGraph& want) {
+  EXPECT_EQ(got.num_edges, want.num_edges);
+  EXPECT_EQ(got.num_nodes, want.num_nodes);
+  EXPECT_EQ(io::ReadAllRecords<Edge>(context, got.edge_path),
+            io::ReadAllRecords<Edge>(context, want.edge_path));
+  EXPECT_EQ(io::ReadAllRecords<NodeId>(context, got.node_path),
+            io::ReadAllRecords<NodeId>(context, want.node_path));
+}
+
+TEST(TextPairCodecTest, RandomGrammarFilesLoadLikeTheReferenceLoop) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const ScopedTempPath file("edges.txt");
+    const std::string text =
+        RandomPairText(seed, 3000, /*final_newline=*/seed % 2 == 0);
+    WriteTextFile(file.path(), text);
+    for (const std::size_t block : kBufferSizes) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", B = " +
+                   std::to_string(block));
+      auto ctx = MakeTestContext(/*memory_bytes=*/1 << 20, block);
+      auto want = ReferenceLoad(ctx.get(), file.path());
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      auto got = graph::LoadTextEdgeList(ctx.get(), file.path());
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_GT(got.value().num_edges, 1500u);
+      ExpectSameGraph(ctx.get(), got.value(), want.value());
+    }
+  }
+}
+
+TEST(TextPairCodecTest, MalformedLineAcrossABufferBoundaryNamesItsLine) {
+  // 21 lines, 84 bytes.
+  std::string prefix;
+  for (int i = 0; i < 20; ++i) prefix += "3 4\n";
+  prefix += "# c\n";
+  // Line 22 runs from byte 84 across the 128-, 4096- and 65536-byte
+  // boundaries.
+  const std::string long_bad = prefix + "5 " + std::string(70000, 'z') + "\n";
+  // A short bad line at bytes 4094..4098 straddles byte 4096 (a boundary
+  // at B = 64 and 4096, mid-buffer at 65536).
+  std::string short_bad = prefix;
+  while (short_bad.size() < 4092) short_bad += "1 2\n";
+  short_bad += "\n\n7 x8\n9 9\n";
+  for (const std::string& text : {long_bad, short_bad}) {
+    const ScopedTempPath file("bad.txt");
+    WriteTextFile(file.path(), text);
+    for (const std::size_t block : kBufferSizes) {
+      SCOPED_TRACE("B = " + std::to_string(block));
+      auto ctx = MakeTestContext(/*memory_bytes=*/1 << 20, block);
+      const auto want = ReferenceLoad(ctx.get(), file.path());
+      const auto got = graph::LoadTextEdgeList(ctx.get(), file.path());
+      ASSERT_FALSE(want.ok());
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), util::StatusCode::kCorruption);
+      EXPECT_EQ(got.status().message(), want.status().message());
+    }
+  }
+}
+
+// Loads `text` through the codec at buffer size `block`. The graph's
+// scratch files are gone on return; its counts remain.
+util::Result<graph::DiskGraph> LoadText(const std::string& text,
+                                        std::size_t block) {
+  const ScopedTempPath file("edges.txt");
+  WriteTextFile(file.path(), text);
+  auto ctx = MakeTestContext(/*memory_bytes=*/1 << 20, block);
+  return graph::LoadTextEdgeList(ctx.get(), file.path());
+}
+
+TEST(TextPairCodecTest, GrammarEdgeCases) {
+  for (const std::size_t block : kBufferSizes) {
+    SCOPED_TRACE("B = " + std::to_string(block));
+    const std::pair<const char*, std::uint64_t> good[] = {
+        {"1 2", 1},          {"1 2\n3 4", 2},
+        {"1 2\n", 1},        {"\t 1\v\f2 3 4\r\n5 6\r\n", 2},
+        {"1 2x\n", 1},       {"\n\n# only comments\n%\n", 0},
+        {"", 0},             {"4294967294 0\n", 1}};
+    for (const auto& [text, edges] : good) {
+      const auto loaded = LoadText(text, block);
+      ASSERT_TRUE(loaded.ok()) << "'" << text << "'";
+      EXPECT_EQ(loaded.value().num_edges, edges) << "'" << text << "'";
+    }
+    for (const char* bad : {"   \n1 2\n", "\r\n", "1\n", "1 \n", "1x 2\n",
+                            "  # indented comment\n", "+5 3\n", "-5 3\n",
+                            "5 +3\n", "a b\n"}) {
+      EXPECT_EQ(LoadText(bad, block).status().code(),
+                util::StatusCode::kCorruption)
+          << "'" << bad << "'";
+    }
+    for (const char* huge : {"1 4294967295\n", "4294967296 1\n",
+                             "1 18446744073709551616\n",
+                             "99999999999999999999999999 5 x\n"}) {
+      const util::Status status =
+          LoadText(std::string("0 0\n") + huge, block).status();
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << huge;
+      EXPECT_NE(status.message().find("out of 32-bit range at line 2"),
+                std::string::npos)
+          << status.message();
+    }
+  }
+}
+
+TEST(TextPairCodecTest, WriterOutputReadsBackUnchanged) {
+  std::mt19937_64 rng(11);
+  std::vector<Edge> pairs = {{0, 0}, {graph::kInvalidNode - 1, 7}};
+  for (int i = 0; i < 5000; ++i) {
+    pairs.push_back({static_cast<NodeId>(rng() % graph::kInvalidNode),
+                     static_cast<NodeId>(rng() % 1000)});
+  }
+  std::string expected;
+  for (const Edge& e : pairs) {
+    expected += std::to_string(e.src) + " " + std::to_string(e.dst) + "\n";
+  }
+  for (const std::size_t block : kBufferSizes) {
+    SCOPED_TRACE("B = " + std::to_string(block));
+    const ScopedTempPath file("pairs.txt");
+    graph::TextPairWriter writer(file.path(), block);
+    for (const Edge& e : pairs) writer.Append(e.src, e.dst);
+    ASSERT_TRUE(writer.Close().ok());
+    std::ifstream in(file.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, expected);
+
+    graph::TextPairReader reader(file.path(), block);
+    std::vector<Edge> read_back;
+    Edge e;
+    while (reader.Next(&e.src, &e.dst)) read_back.push_back(e);
+    EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+    EXPECT_EQ(read_back, pairs);
+  }
+}
+
+TEST(TextPairCodecTest, FifoLoadsLikeTheFile) {
+  auto ctx = MakeTestContext();
+  const std::string text = RandomPairText(/*seed=*/9, 2000, true);
+  const ScopedTempPath file("edges.txt");
+  const ScopedTempPath fifo("edges.fifo");
+  WriteTextFile(file.path(), text);
+  ASSERT_EQ(::mkfifo(fifo.path().c_str(), 0600), 0) << std::strerror(errno);
+  // Opening a FIFO blocks until both ends are open, so the writer runs
+  // beside the load; the load sees short reads, never a seekable size.
+  // A load that stops early must fail the test, not end the process
+  // with SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] {
+    std::ofstream out(fifo.path(), std::ios::binary);
+    out << text;
+  });
+  auto from_fifo = graph::LoadTextEdgeList(ctx.get(), fifo.path());
+  writer.join();
+  ASSERT_TRUE(from_fifo.ok()) << from_fifo.status().ToString();
+  auto from_file = graph::LoadTextEdgeList(ctx.get(), file.path());
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  ExpectSameGraph(ctx.get(), from_fifo.value(), from_file.value());
+}
+
+TEST(TextPairCodecTest, DirectoryIsIoError) {
+  auto ctx = MakeTestContext();
+  const ScopedTempPath dir("dir");
+  ASSERT_TRUE(std::filesystem::create_directory(dir.path()));
+  const auto result = graph::LoadTextEdgeList(ctx.get(), dir.path());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+}
+
+TEST(GraphIoTest, SaveToFullDeviceIsIoError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  auto ctx = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(ctx.get(), gen::CycleEdges(10));
+  const util::Status status =
+      graph::SaveTextEdgeList(ctx.get(), g, "/dev/full");
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status.ToString();
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // and corrupt-input handling.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -160,15 +159,9 @@ TEST(RobustnessTest, TextPipelineEndToEnd) {
   // Write a text graph, load it, solve it, save labels next to it.
   // (A real filesystem path: text input is user-facing, and scratch
   // paths are virtual names under the mem/striped test matrices.)
-  const std::string text = ::testing::TempDir() + "/extscc_input.txt";
-  {
-    std::vector<std::string> lines = {"# demo", "1 2", "2 3", "3 1", "3 4"};
-    std::string blob;
-    for (const auto& line : lines) blob += line + "\n";
-    std::ofstream out(text);
-    out << blob;
-  }
-  auto loaded = graph::LoadTextEdgeList(ctx.get(), text);
+  const testing::ScopedTempPath text("input.txt");
+  testing::WriteTextFile(text.path(), "# demo\n1 2\n2 3\n3 1\n3 4\n");
+  auto loaded = graph::LoadTextEdgeList(ctx.get(), text.path());
   ASSERT_TRUE(loaded.ok());
   const std::string out = ctx->NewTempPath("scc");
   auto result = core::RunExtScc(ctx.get(), loaded.value(), out,

@@ -1,7 +1,10 @@
 #include "test_util.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "graph/digraph.h"
@@ -42,6 +45,33 @@ std::unique_ptr<io::IoContext> MakeMemTestContext(std::uint64_t memory_bytes,
                                                   std::size_t block_size) {
   return MakeContextWithModel(memory_bytes, block_size,
                               io::DeviceModel::kMem);
+}
+
+ScopedTempPath::ScopedTempPath(const std::string& name) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string unique = "extscc_";
+  if (test != nullptr) {
+    unique += std::string(test->test_suite_name()) + "." + test->name() + "_";
+  }
+  unique += std::to_string(::getpid()) + "_" + name;
+  // Parameterized test names carry '/'.
+  for (char& c : unique) {
+    if (c == '/') c = '_';
+  }
+  path_ = (std::filesystem::path(::testing::TempDir()) / unique).string();
+}
+
+ScopedTempPath::~ScopedTempPath() {
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
+}
+
+void WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  out.close();
+  if (!out) ADD_FAILURE() << "cannot write " << path;
 }
 
 scc::SccResult Oracle(const std::vector<graph::Edge>& edges,

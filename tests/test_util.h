@@ -3,6 +3,7 @@
 #define EXTSCC_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -47,6 +48,29 @@ std::unique_ptr<io::IoContext> MakeTestContext(
 // multidevice CI job drives these suites through its simulated disks.
 std::unique_ptr<io::IoContext> MakeMemTestContext(
     std::uint64_t memory_bytes = 1 << 20, std::size_t block_size = 4096);
+
+// A path under ::testing::TempDir() unique to the running test and
+// process, so parallel ctest runs cannot collide; whatever is there
+// (file, FIFO, directory tree) is removed when the object goes out of
+// scope. For user-facing files — text edge lists, label files — that
+// live on the real filesystem, not on a (possibly virtual) scratch
+// device.
+class ScopedTempPath {
+ public:
+  explicit ScopedTempPath(const std::string& name);
+  ~ScopedTempPath();
+
+  ScopedTempPath(const ScopedTempPath&) = delete;
+  ScopedTempPath& operator=(const ScopedTempPath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// Replaces the file at `path` with `text`.
+void WriteTextFile(const std::string& path, const std::string& text);
 
 // In-memory oracle partition of an edge list (+ optional isolated nodes).
 scc::SccResult Oracle(const std::vector<graph::Edge>& edges,
