@@ -12,7 +12,6 @@
 
 #include "app/bisimulation.h"
 #include "app/reachability_index.h"
-#include "bench/merge_lab.h"
 #include "baseline/buffered_repository_tree.h"
 #include "core/ext_scc.h"
 #include "gen/rmat_generator.h"
@@ -66,7 +65,7 @@ BENCHMARK(BM_ExternalSortEdges)->Arg(10'000)->Arg(100'000)->Arg(500'000);
 
 // ---- sort/scan engine microbenches ---------------------------------------
 // These quantify the PR-1 overhaul: tournament loser tree vs the linear
-// O(k) scan it replaced, batched vs per-record streaming, and read-ahead.
+// O(k) scan it replaced, and batched vs per-record streaming.
 
 // Faithful replica of the seed's merge stack, kept here as the measured
 // baseline: a one-record lookahead reader (the pre-batching
@@ -287,55 +286,6 @@ BENCHMARK(BM_MergeKWay)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// Device-parallel merge: k round-robin-placed runs on 2 scratch devices
-// drain through the loser tree into a checksum sink — the fused
-// final-pass shape (workload shared with bench_merge_parallel via
-// bench/merge_lab.h). arg0: io_threads; arg1: 0 = MemDevice scratch,
-// 1 = ThrottledDevice (2 ms/op, 256 MB/s — merge reads become
-// device-bound and the io_threads speedup approaches the device
-// count). On page-cached RAM devices the win is bounded: the scheduler
-// mostly offloads the memcpy+decode of read-ahead.
-void BM_MergeParallel(benchmark::State& state) {
-  const auto io_threads = static_cast<std::size_t>(state.range(0));
-  const bool throttled = state.range(1) != 0;
-  constexpr int kFanIn = 8;
-  constexpr std::uint64_t kRunLen = 64 * 1024;
-  io::IoContextOptions options;
-  options.block_size = 64 * 1024;
-  options.memory_bytes = 8 << 20;
-  if (throttled) {
-    options.device_model.model = io::DeviceModel::kThrottled;
-    options.device_model.throttle_latency_us = 2000;
-    options.device_model.throttle_mb_per_sec = 256;
-    options.scratch_dirs = {"/tmp", "/tmp"};  // two devices, one backing
-  } else {
-    options.device_model.model = io::DeviceModel::kMem;
-    options.scratch_dirs = {"d0", "d1"};  // under kMem: device count only
-  }
-  options.io_threads = io_threads;
-  auto ctx = std::make_unique<io::IoContext>(options);
-  const auto runs = bench::MakeMergeRuns(ctx.get(), kFanIn, kRunLen, 13);
-  std::uint64_t merged = 0;
-  const auto before = ctx->stats();
-  for (auto _ : state) {
-    const auto result = bench::DrainMergeChecksum(ctx.get(), runs);
-    merged = result.records;
-    benchmark::DoNotOptimize(result.checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * merged);
-  state.SetBytesProcessed(state.iterations() * merged * sizeof(graph::Edge));
-  state.counters["ios"] = static_cast<double>(
-      (ctx->stats() - before).total_ios() /
-      std::max<std::uint64_t>(1, state.iterations()));
-}
-BENCHMARK(BM_MergeParallel)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({0, 1})
-    ->Args({2, 1})
-    ->Unit(benchmark::kMillisecond);
-
 // End-to-end external sort throughput with merge-pass count reported
 // (arg0: record count, arg1: memory budget KB — smaller budget, more runs).
 void BM_SortThroughput(benchmark::State& state) {
@@ -413,14 +363,13 @@ BENCHMARK(BM_SortConsume)
     ->Args({500'000, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Sequential scan throughput: per-record Next vs batched NextBatch vs
-// batched with scheduler read-ahead at io_threads=1 (arg: 0/1/2).
+// Sequential scan throughput: per-record Next vs batched NextBatch
+// (arg: 0/1).
 void BM_ScanThroughput(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   io::IoContextOptions options;
   options.block_size = 64 * 1024;
   options.memory_bytes = 4 << 20;
-  options.io_threads = mode == 2 ? 1 : 0;
   auto ctx = std::make_unique<io::IoContext>(options);
   constexpr std::uint64_t kCount = 8 * 1024 * 1024;  // 64 MB of u64
   const std::string path = ctx->NewTempPath("scan");
@@ -449,7 +398,7 @@ void BM_ScanThroughput(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * kCount *
                           sizeof(std::uint64_t));
 }
-BENCHMARK(BM_ScanThroughput)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ScanThroughput)->Arg(0)->Arg(1);
 
 void BM_BrtInsertExtract(benchmark::State& state) {
   const auto keys = static_cast<std::uint32_t>(state.range(0));

@@ -87,15 +87,14 @@ struct PointResult {
 
 // ---- bench flags -----------------------------------------------------
 // Every machine the benches build takes the shared machine options
-// (io/io_context.h: --sort-threads, --io-threads, --scratch-dirs,
-// --device-model, --placement), as flags or as
-// EXTSCC_BENCH_<SUFFIX> variables, which win over flags. The defaults
-// are the serial single-disk engine, so the tables are the paper's
-// Aggarwal-Vitter accounting. Block accounting is identical across
-// device models and placements; --sort-threads and --io-threads keep
-// outputs byte-identical but can shift I/O counts slightly (halved run
-// buffers, read-ahead ring reservations), so the figure tables are the
-// paper's only at their default 0.
+// (io/io_context.h: --sort-threads, --scratch-dirs, --device-model), as
+// flags or as EXTSCC_BENCH_<SUFFIX> variables, which win over flags.
+// The defaults are the serial single-disk engine, so the tables are the
+// paper's Aggarwal-Vitter accounting. Block accounting is identical
+// across device models and scratch-device counts; --sort-threads=1
+// keeps outputs byte-identical but can shift I/O counts slightly
+// (halved run buffers), so the figure tables are the paper's only at
+// its default 0.
 inline io::IoContextOptions& MachineFlags() {
   static io::IoContextOptions options;
   return options;

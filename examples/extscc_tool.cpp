@@ -1,9 +1,8 @@
 // extscc_tool — command-line front end over the library's public API.
 //
-//   extscc_tool [--sort-threads=N] [--io-threads=N]
-//               [--scratch-dirs=a,b,...]
+//   extscc_tool [--sort-threads=0|1] [--scratch-dirs=a,b,...]
 //               [--device-model=posix|mem|throttled[:...]|faulty[:...]]
-//               [--placement=rr|striped] [--checksum-blocks] <command> ...
+//               [--checksum-blocks] [--crash-at=[tag:]N] <command> ...
 //
 //   extscc_tool generate <kind> <num_nodes> <out.txt> [seed]
 //       kind: web | massive | large | small | rmat | cycle | dag
@@ -34,23 +33,20 @@
 //
 // Global flags (before the command) apply to every machine the tool
 // builds. All but --checksum-blocks and --crash-at are the shared
-// machine options (io::ParseMachineFlag): --sort-threads enables
+// machine options (io::ParseMachineFlag): --sort-threads=1 enables
 // overlapped run formation (labels are byte-identical; I/O counts can
 // shift because file sorts halve their run buffers to double-buffer),
-// --io-threads enables device-parallel I/O (up to N worker threads,
-// one per storage device, keep every
-// sequential stream's read-ahead full and double-buffer merge output —
-// labels byte-identical, counts can shift like --sort-threads),
-// --scratch-dirs builds one scratch device per listed directory,
-// --device-model selects what backs them (real files, RAM, or
-// latency/bandwidth-throttled files), --placement selects how scratch
-// files are assigned to devices (round-robin by file, or striped
-// round-robining every scratch file's BLOCKS across the devices so one
-// sequential stream runs at D× a single device's bandwidth), and
-// --checksum-blocks adds a CRC32 trailer to every scratch block. With
-// several devices, `solve` prints the per-device I/O breakdown and the
-// critical-path (busiest-device) count; under striped placement it
-// also prints the stripe width.
+// --scratch-dirs builds one scratch device per listed directory (new
+// scratch files go round-robin across them), --device-model selects
+// what backs them (real files, RAM, latency/bandwidth-throttled files,
+// or seeded fault injection), and --checksum-blocks adds a CRC32
+// trailer to every scratch block. With several devices, `solve` prints
+// the per-device I/O breakdown and the critical-path (busiest-device)
+// count.
+//
+// Numeric arguments (memory_bytes, num_nodes, seed, --labels, --seed,
+// --batch-size, --threads) are whole-string decimals: "4M", "1e5" or
+// "x" exit 2 with a message naming the argument.
 //
 // Crash-safety knobs: `solve --checkpoint-dir=D` durably checkpoints
 // every completed phase into D so a killed solve restarts from the last
@@ -99,10 +95,10 @@
 #include "scc/scc_verify.h"
 #include "scc/semi_external_scc.h"
 #include "serve/artifact.h"
-#include "serve/artifact_stage.h"
 #include "serve/index_builder.h"
 #include "serve/query_engine.h"
 #include "serve/service.h"
+#include "util/csv.h"
 #include "util/status.h"
 
 namespace {
@@ -112,9 +108,8 @@ using namespace extscc;
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: extscc_tool [--sort-threads=N] [--io-threads=N] "
-      "[--scratch-dirs=a,b,...] "
-      "[--device-model=MODEL] [--placement=rr|striped] "
+      "usage: extscc_tool [--sort-threads=0|1] [--scratch-dirs=a,b,...] "
+      "[--device-model=MODEL] "
       "[--checksum-blocks] [--crash-at=[tag:]N] <command> ...\n"
       "  extscc_tool generate <web|massive|large|small|rmat|cycle|dag> "
       "<num_nodes> <out.txt> [seed]\n"
@@ -220,23 +215,6 @@ void PrintDeviceBreakdown(
               static_cast<unsigned long long>(critical_path));
 }
 
-// Striped placement is a per-block fan-out: say how wide the stripes
-// actually are. Quarantine or a 1-device machine narrows it to the
-// round-robin fallback, in which case the manager's once-per-run note
-// goes to stderr instead of a width line. `out` is stdout for solve
-// (whose stdout is human-readable) and stderr for the serving commands
-// (whose stdout carries the query protocol).
-void ReportStripePlacement(io::IoContext* context, std::FILE* out) {
-  if (g_machine.scratch_placement != io::PlacementPolicy::kStriped) return;
-  const std::size_t width = context->temp_files().effective_stripe_width();
-  if (width >= 2) {
-    std::fprintf(out, "striped scratch placement: stripe width %llu devices\n",
-                 static_cast<unsigned long long>(width));
-  } else {
-    context->temp_files().NoteStripedFallback();
-  }
-}
-
 // Splits a command's tail into positional arguments and `--flag=value`
 // pairs the caller inspects one by one. Unknown flags are a usage
 // error, reported by the caller.
@@ -257,17 +235,6 @@ CommandArgs SplitCommandArgs(int argc, char** argv) {
   return out;
 }
 
-bool FlagValue(const std::string& flag, const char* name,
-               std::uint64_t* value) {
-  const std::size_t len = std::strlen(name);
-  if (flag.compare(0, len, name) != 0 || flag.size() <= len ||
-      flag[len] != '=') {
-    return false;
-  }
-  *value = std::strtoull(flag.c_str() + len + 1, nullptr, 10);
-  return true;
-}
-
 bool FlagStringValue(const std::string& flag, const char* name,
                      std::string* value) {
   const std::size_t len = std::strlen(name);
@@ -279,13 +246,46 @@ bool FlagStringValue(const std::string& flag, const char* name,
   return true;
 }
 
+// A numeric argument: the whole of `text` is a decimal in [min, max]
+// (util::ParseDecimal). A bad value is reported naming the argument;
+// the caller then exits 2.
+bool ParseNumberArg(const char* name, const std::string& text,
+                    std::uint64_t min, std::uint64_t max,
+                    std::uint64_t* value) {
+  if (util::ParseDecimal(text, max, value) && *value >= min) return true;
+  std::fprintf(stderr, "bad %s \"%s\" (want a decimal integer %llu..%llu)\n",
+               name, text.c_str(), static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max));
+  return false;
+}
+
+constexpr std::uint64_t kAnyU64 = ~std::uint64_t{0};
+
+// The optional trailing memory_bytes positional of solve, condense and
+// build-index (`fallback` when absent).
+bool ParseMemoryArg(const std::vector<std::string>& positional,
+                    std::size_t index, std::uint64_t fallback,
+                    std::uint64_t* memory) {
+  *memory = fallback;
+  return positional.size() <= index ||
+         ParseNumberArg("memory_bytes", positional[index], 0, kAnyU64,
+                        memory);
+}
+
 int CmdGenerate(int argc, char** argv) {
   if (argc < 5) return Usage();
   const std::string kind = argv[2];
-  const std::uint64_t n = std::strtoull(argv[3], nullptr, 10);
+  // Node ids are 32-bit with 0xffffffff reserved; every generator needs
+  // two nodes.
+  std::uint64_t n = 0;
+  if (!ParseNumberArg("num_nodes", argv[3], 2, graph::kInvalidNode, &n)) {
+    return 2;
+  }
   const std::string out_path = argv[4];
-  const std::uint64_t seed =
-      argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+  std::uint64_t seed = 1;
+  if (argc > 5 && !ParseNumberArg("seed", argv[5], 0, kAnyU64, &seed)) {
+    return 2;
+  }
   auto context = MakeContext(64 << 20);
 
   graph::DiskGraph g;
@@ -346,12 +346,14 @@ int CmdSolve(int argc, char** argv) {
   if (resume && checkpoint_dir.empty()) return Usage();
   const std::string edges_path = args.positional[0];
   const std::string labels_path = args.positional[1];
-  const std::uint64_t memory =
-      args.positional.size() > 2
-          ? std::strtoull(args.positional[2].c_str(), nullptr, 10)
-          : (4u << 20);
-  const bool basic =
-      args.positional.size() > 3 && args.positional[3] == "basic";
+  std::uint64_t memory = 0;
+  if (!ParseMemoryArg(args.positional, 2, 4u << 20, &memory)) return 2;
+  const bool basic = args.positional.size() > 3;
+  if (basic && args.positional[3] != "basic") {
+    std::fprintf(stderr, "bad mode \"%s\" (the only mode is basic)\n",
+                 args.positional[3].c_str());
+    return 2;
+  }
   core::ExtSccOptions options = basic ? core::ExtSccOptions::Basic()
                                       : core::ExtSccOptions::Optimized();
   options.checkpoint_dir = checkpoint_dir;
@@ -366,7 +368,6 @@ int CmdSolve(int argc, char** argv) {
     }
   }
   auto context = MakeContext(memory);
-  ReportStripePlacement(&context, stdout);
   auto loaded = graph::LoadTextEdgeList(&context, edges_path);
   if (!loaded.ok()) return StatusExit(loaded.status());
   const std::string scc_path = context.NewTempPath("scc");
@@ -447,8 +448,11 @@ int CmdVerify(int argc, char** argv) {
 
 int CmdCondense(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const std::uint64_t memory =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : (4u << 20);
+  std::uint64_t memory = 4u << 20;
+  if (argc > 4 &&
+      !ParseNumberArg("memory_bytes", argv[4], 0, kAnyU64, &memory)) {
+    return 2;
+  }
   auto context = MakeContext(memory);
   auto loaded = graph::LoadTextEdgeList(&context, argv[2]);
   if (!loaded.ok()) return StatusExit(loaded.status());
@@ -470,11 +474,17 @@ int CmdBuildIndex(int argc, char** argv) {
   const CommandArgs args = SplitCommandArgs(argc, argv);
   serve::BuildArtifactOptions options;
   for (const std::string& flag : args.flags) {
-    std::uint64_t value = 0;
-    if (FlagValue(flag, "--labels", &value)) {
-      options.num_labels = static_cast<std::uint32_t>(value);
-    } else if (FlagValue(flag, "--seed", &value)) {
-      options.label_seed = value;
+    std::string text;
+    if (FlagStringValue(flag, "--labels", &text)) {
+      std::uint64_t labels = 0;
+      if (!ParseNumberArg("--labels", text, 0, 0xffffffffu, &labels)) {
+        return 2;
+      }
+      options.num_labels = static_cast<std::uint32_t>(labels);
+    } else if (FlagStringValue(flag, "--seed", &text)) {
+      if (!ParseNumberArg("--seed", text, 0, kAnyU64, &options.label_seed)) {
+        return 2;
+      }
     } else if (flag == "--no-bowtie") {
       options.include_bowtie = false;
     } else {
@@ -484,12 +494,9 @@ int CmdBuildIndex(int argc, char** argv) {
   if (args.positional.size() < 2 || args.positional.size() > 3) {
     return Usage();
   }
-  const std::uint64_t memory =
-      args.positional.size() > 2
-          ? std::strtoull(args.positional[2].c_str(), nullptr, 10)
-          : (64u << 20);
+  std::uint64_t memory = 0;
+  if (!ParseMemoryArg(args.positional, 2, 64u << 20, &memory)) return 2;
   auto context = MakeContext(memory);
-  ReportStripePlacement(&context, stdout);
   auto loaded = graph::LoadTextEdgeList(&context, args.positional[0]);
   if (!loaded.ok()) return StatusExit(loaded.status());
   auto built = serve::BuildArtifact(&context, loaded.value(),
@@ -561,22 +568,29 @@ void PrintBatchStats(const serve::QueryBatchStats& totals,
 }
 
 struct ServeFlags {
-  std::size_t batch_size = 4096;
-  std::size_t threads = 1;
-  bool ok = true;
+  std::uint64_t batch_size = 4096;
+  std::uint64_t threads = 1;
+  // 0 = parsed; else the exit code (a usage error or a bad value).
+  int exit_code = 0;
 };
 
 ServeFlags ParseServeFlags(const std::vector<std::string>& flags) {
   ServeFlags out;
   for (const std::string& flag : flags) {
-    std::uint64_t value = 0;
-    if (FlagValue(flag, "--batch-size", &value) && value > 0) {
-      out.batch_size = static_cast<std::size_t>(value);
-    } else if (FlagValue(flag, "--threads", &value)) {
-      out.threads = static_cast<std::size_t>(value);
+    std::string text;
+    if (FlagStringValue(flag, "--batch-size", &text)) {
+      if (!ParseNumberArg("--batch-size", text, 1, kAnyU64,
+                          &out.batch_size)) {
+        out.exit_code = 2;
+      }
+    } else if (FlagStringValue(flag, "--threads", &text)) {
+      if (!ParseNumberArg("--threads", text, 0, 1024, &out.threads)) {
+        out.exit_code = 2;
+      }
     } else {
-      out.ok = false;
+      out.exit_code = Usage();
     }
+    if (out.exit_code != 0) break;
   }
   return out;
 }
@@ -584,14 +598,10 @@ ServeFlags ParseServeFlags(const std::vector<std::string>& flags) {
 int CmdQuery(int argc, char** argv) {
   const CommandArgs args = SplitCommandArgs(argc, argv);
   const ServeFlags flags = ParseServeFlags(args.flags);
-  if (!flags.ok || args.positional.size() != 2) return Usage();
+  if (flags.exit_code != 0) return flags.exit_code;
+  if (args.positional.size() != 2) return Usage();
   auto context = MakeContext(64 << 20);
-  ReportStripePlacement(&context, stderr);
-  // Stage the artifact onto the scratch devices when striping is live,
-  // so every map sweep runs at the full multi-device bandwidth.
-  auto staged = serve::StageArtifactForServing(&context, args.positional[0]);
-  if (!staged.ok()) return StatusExit(staged.status());
-  auto opened = serve::ArtifactReader::Open(&context, staged.value().path);
+  auto opened = serve::ArtifactReader::Open(&context, args.positional[0]);
   if (!opened.ok()) return StatusExit(opened.status());
   const serve::ArtifactReader artifact = std::move(opened).value();
   const serve::QueryEngine engine(&artifact);
@@ -638,31 +648,19 @@ int CmdQuery(int argc, char** argv) {
 int CmdServe(int argc, char** argv) {
   const CommandArgs args = SplitCommandArgs(argc, argv);
   const ServeFlags flags = ParseServeFlags(args.flags);
-  if (!flags.ok || args.positional.size() != 1) return Usage();
+  if (flags.exit_code != 0) return flags.exit_code;
+  if (args.positional.size() != 1) return Usage();
   auto context = MakeContext(64 << 20);
-  ReportStripePlacement(&context, stderr);
   const std::string source = args.positional[0];
 
-  // The live artifact: reopened (and restaged under striping) whenever
-  // an `update` publishes a new data version at the source path. The
-  // engine borrows the reader, so both rebuild together.
-  std::string active_path;
-  bool active_staged = false;
+  // The live artifact: reopened whenever an `update` publishes a new
+  // data version at the source path. The engine borrows the reader, so
+  // both rebuild together.
   std::optional<serve::ArtifactReader> artifact;
   std::optional<serve::QueryEngine> engine;
   const auto open_live = [&]() -> util::Status {
-    auto staged = serve::StageArtifactForServing(&context, source);
-    RETURN_IF_ERROR(staged.status());
-    auto opened = serve::ArtifactReader::Open(&context, staged.value().path);
-    if (!opened.ok()) {
-      if (staged.value().staged) {
-        context.temp_files().Remove(staged.value().path);
-      }
-      return opened.status();
-    }
-    if (active_staged) context.temp_files().Remove(active_path);
-    active_path = staged.value().path;
-    active_staged = staged.value().staged;
+    auto opened = serve::ArtifactReader::Open(&context, source);
+    RETURN_IF_ERROR(opened.status());
     engine.reset();
     artifact.emplace(std::move(opened).value());
     engine.emplace(&*artifact);
@@ -710,12 +708,10 @@ int CmdServe(int argc, char** argv) {
   serve::QueryBatchStats totals;
   std::uint64_t num_batches = 0;
   // The refresh peek runs BEFORE the batch, but an update can still
-  // publish mid-sweep when serving the source file directly (the map
-  // scanner reopens it by path, so the old CRC table meets new bytes
-  // and the sweep reports corruption). That failure is the swap itself:
-  // reopen the artifact and retry the batch once before treating it as
-  // real corruption. A staged (striped) artifact sweeps a private
-  // scratch copy and never hits this.
+  // publish mid-sweep (the map scanner reopens the source by path, so
+  // the old CRC table meets new bytes and the sweep reports
+  // corruption). That failure is the swap itself: reopen the artifact
+  // and retry the batch once before treating it as real corruption.
   const auto flush = [&]() -> int {
     maybe_refresh();
     util::Status status = RunOneBatch(&context, *engine, flags.threads,
@@ -766,13 +762,14 @@ int CmdUpdate(int argc, char** argv) {
   std::uint64_t batch_size = 65536;
   for (const std::string& flag : args.flags) {
     std::string text;
-    std::uint64_t value = 0;
     if (FlagStringValue(flag, "--index", &text)) {
       index_path = text;
     } else if (FlagStringValue(flag, "--edges", &text)) {
       edges_path = text;
-    } else if (FlagValue(flag, "--batch-size", &value) && value > 0) {
-      batch_size = value;
+    } else if (FlagStringValue(flag, "--batch-size", &text)) {
+      if (!ParseNumberArg("--batch-size", text, 1, kAnyU64, &batch_size)) {
+        return 2;
+      }
     } else {
       return Usage();
     }
@@ -781,7 +778,6 @@ int CmdUpdate(int argc, char** argv) {
     return Usage();
   }
   auto context = MakeContext(64 << 20);
-  ReportStripePlacement(&context, stderr);
   auto opened = dyn::DynamicSccIndex::Open(&context, index_path);
   if (!opened.ok()) return StatusExit(opened.status());
   dyn::DynamicSccIndex index = std::move(opened).value();

@@ -71,7 +71,7 @@ class DynamicSccIndex {
  public:
   // Opens the artifact at `artifact_path` plus its delta log (missing
   // or stale log = nothing pending). The artifact must live on a
-  // device supporting Rename (any non-striped path).
+  // device supporting Rename (every device model does).
   static util::Result<DynamicSccIndex> Open(io::IoContext* context,
                                             const std::string& artifact_path);
 

@@ -264,12 +264,6 @@ RunFormation<T> FormRuns(io::IoContext* context,
                          const std::string& input_path, Less less, bool dedup,
                          SortRunInfo* info) {
   RunFormation<T> out;
-  // Size the run buffer BEFORE the reader opens: the reader's optional
-  // read-ahead ring (io_threads) reserves budget, and sizing after it
-  // would shrink every run — a geometry change that multiplies runs and
-  // merge passes at tight budgets. Sized here, run geometry is
-  // identical to the serial engine's; the ring overdraft is absorbed by
-  // the clamped reservations downstream.
   const std::uint64_t full_capacity =
       context->memory().MaxRecordsInMemory(sizeof(T));
   io::RecordReader<T> reader(context, input_path);
@@ -374,16 +368,11 @@ util::Status MergeGroupToFile(io::IoContext* context,
           std::make_unique<io::PeekableReader<T>>(context, runs[i]));
       readers.push_back(inputs.back().get());
     }
-    // One block per input run plus the output writer's block — reserved
-    // after the readers open so their optional read-ahead rings claim
-    // budget first (the clamp absorbs the difference).
+    // One block per input run plus the output writer's block.
     const auto blocks = ReserveMergeBlocks(context, end - begin + 1);
     const io::ScratchFile out = temp.NewFile("mergerun");
     LoserTree<T, Less> tree(std::move(inputs), less);
-    // Overlapped output: with io_threads the device write of block N
-    // runs on the output device's worker while the tree selects the
-    // records of block N+1.
-    io::RecordWriter<T> writer(context, out.path, /*overlap_output=*/true);
+    io::RecordWriter<T> writer(context, out.path);
     DrainMerge(&tree, &writer, less, dedup);
     writer.Finish();
     for (io::PeekableReader<T>* reader : readers) {
@@ -553,7 +542,7 @@ SortRunInfo SortFile(io::IoContext* context, const std::string& input_path,
   // Spilled formation always yields >= 2 runs (one run that covers the
   // whole input takes the in-memory branch above), so this is a real
   // merge; MergeRunsInto still handles a lone run for other callers.
-  FileSink<T> sink(context, output_path, /*overlap_output=*/true);
+  FileSink<T> sink(context, output_path);
   info.status = internal::MergeRunsInto<T>(context, std::move(formed.runs),
                                            sink, less, dedup, &info);
   sink.Finish();
@@ -658,7 +647,7 @@ class SortingWriter {
   // File sugar: FinishInto over a FileSink. A single-buffer input is one
   // sequential output write — no staging round trip.
   SortRunInfo FinishInto(const std::string& output_path) {
-    FileSink<T> sink(context_, output_path, /*overlap_output=*/true);
+    FileSink<T> sink(context_, output_path);
     SortRunInfo info = FinishInto(sink);
     sink.Finish();
     if (info.status.ok()) info.status = sink.status();

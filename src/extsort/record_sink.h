@@ -85,13 +85,8 @@ std::uint64_t SinkAppendAllRecords(io::IoContext* context,
 template <typename T>
 class FileSink {
  public:
-  // `overlap_output` forwards to RecordWriter: double-buffered writes
-  // through the device's I/O worker when io_threads > 0 — the sorter's
-  // materializing entry points pass true so the final merge pass writes
-  // block N while selecting block N+1.
-  FileSink(io::IoContext* context, const std::string& path,
-           bool overlap_output = false)
-      : writer_(context, path, overlap_output) {}
+  FileSink(io::IoContext* context, const std::string& path)
+      : writer_(context, path) {}
 
   void Append(const T& record) { writer_.Append(record); }
   void AppendBatch(const T* records, std::size_t n) {

@@ -3,11 +3,10 @@
 //
 // Serial run formation alternates fill → sort → spill on one thread, so
 // the CPU sits idle during spill writes and the disk sits idle during
-// the sort — the write-side twin of the problem read-ahead solves.
-// RunSpillPipeline overlaps them: with IoContextOptions::sort_threads >
-// 0 a single background worker sorts and spills buffer N while the
-// producer fills buffer N+1 of a double-buffered pair. Runs come back
-// in submission order, each run's
+// the sort. RunSpillPipeline overlaps them: with
+// IoContextOptions::sort_threads = 1 a single background worker sorts
+// and spills buffer N while the producer fills buffer N+1 of a
+// double-buffered pair. Runs come back in submission order, each run's
 // bytes are identical to the serial path's (the buffer sort is stable
 // either way), and every spilled block is still counted in IoStats
 // (under IoContext::stats_mutex()), so threaded execution changes

@@ -218,7 +218,7 @@ util::Status SaveTextEdgeList(io::IoContext* context, const DiskGraph& graph,
 util::Result<DiskGraph> OpenBinaryEdgeFile(io::IoContext* context,
                                            const std::string& edge_path) {
   // Scratch paths are virtual names only their device can resolve
-  // (mem://, striped://); everything else is a real file the
+  // (mem://); everything else is a real file the
   // filesystem can stat.
   std::uint64_t size = 0;
   if (io::StorageDevice* device =

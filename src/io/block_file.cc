@@ -8,12 +8,20 @@
 
 #include "io/checksum.h"
 #include "io/io_context.h"
-#include "io/read_scheduler.h"
 #include "util/logging.h"
 
 namespace extscc::io {
 
 namespace {
+
+// The retry policy against transient device faults: kIoRetryAttempts
+// TOTAL device attempts per block op; the k-th retry sleeps
+// min(kIoRetryBackoffInitialUs << (k-1), kIoRetryBackoffMaxUs). A
+// fault-free run takes none, so the policy leaves the Aggarwal-Vitter
+// numbers untouched.
+constexpr std::size_t kIoRetryAttempts = 4;
+constexpr std::uint64_t kIoRetryBackoffInitialUs = 200;
+constexpr std::uint64_t kIoRetryBackoffMaxUs = 20'000;
 
 // Bounded exponential backoff around one raw device transfer. Only
 // transient errors (IsRetryableIoError) burn attempts; each retry is
@@ -23,12 +31,10 @@ namespace {
 template <typename Op>
 util::Status RunWithRetries(IoContext* context, StorageDevice* device,
                             bool is_read, Op&& op) {
-  const std::size_t max_attempts =
-      std::max<std::size_t>(1, context->io_retry_attempts());
-  std::uint64_t backoff_us = context->io_retry_backoff_initial_us();
+  std::uint64_t backoff_us = kIoRetryBackoffInitialUs;
   for (std::size_t attempt = 1;; ++attempt) {
     util::Status status = op();
-    if (status.ok() || attempt >= max_attempts ||
+    if (status.ok() || attempt >= kIoRetryAttempts ||
         !IsRetryableIoError(status)) {
       return status;
     }
@@ -44,11 +50,8 @@ util::Status RunWithRetries(IoContext* context, StorageDevice* device,
         device_stats.write_retries += 1;
       }
     }
-    if (backoff_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-    backoff_us = std::min(std::max<std::uint64_t>(1, backoff_us) * 2,
-                          context->io_retry_backoff_max_us());
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+    backoff_us = std::min(backoff_us * 2, kIoRetryBackoffMaxUs);
   }
 }
 
@@ -66,9 +69,9 @@ std::uint64_t LogicalSizeFromPhysical(std::uint64_t physical,
          (rem > kChecksumTrailerBytes ? rem - kChecksumTrailerBytes : 0);
 }
 
-// Per-thread staging buffer for checksummed transfers: PreadBlock runs
-// concurrently on the consumer and the scheduler's device workers, so
-// the staging area cannot be per-file state.
+// Per-thread staging buffer for checksummed transfers: a sort_threads
+// spill worker writes run files while the producer reads its input, so
+// the staging area is per thread.
 std::vector<char>& ChecksumStaging(std::size_t block_size) {
   static thread_local std::vector<char> staging;
   if (staging.size() < block_size + kChecksumTrailerBytes) {
@@ -102,9 +105,7 @@ BlockFile::BlockFile(IoContext* context, const std::string& path,
   if (mode == OpenMode::kTruncateWrite) {
     std::lock_guard<std::mutex> lock(context_->stats_mutex());
     context_->stats().files_created += 1;
-    // Striped files charge their creation to the member owning block 0,
-    // keeping per-device rows summing to the aggregate.
-    StatsDevice(0)->stats().files_created += 1;
+    device_->stats().files_created += 1;
   }
 }
 
@@ -115,35 +116,18 @@ BlockFile::~BlockFile() {
 }
 
 util::Status BlockFile::Close() {
-  // Unregister drains a pending async write before the handle closes,
-  // so a run file reopened for merging sees every submitted block.
-  if (sched_reader_ != nullptr) {
-    context_->read_scheduler()->Unregister(sched_reader_);
-    sched_reader_ = nullptr;
-  }
-  if (sched_writer_ != nullptr) {
-    context_->read_scheduler()->Unregister(sched_writer_);
-    sched_writer_ = nullptr;
-  }
   file_.reset();
   return status();
 }
 
 util::Status BlockFile::Sync() {
   if (file_ == nullptr) return status();
-  // Drain a pending overlapped write first: fsync hardens only bytes
-  // the device has already accepted.
-  if (sched_writer_ != nullptr) {
-    context_->read_scheduler()->Unregister(sched_writer_);
-    sched_writer_ = nullptr;
-  }
   const util::Status sync_status = RunWithRetries(
-      context_, StatsDevice(0), /*is_read=*/false,
-      [&] { return file_->Sync(); });
+      context_, device_, /*is_read=*/false, [&] { return file_->Sync(); });
   {
     std::lock_guard<std::mutex> lock(context_->stats_mutex());
     context_->stats().sync_calls += 1;
-    StatsDevice(0)->stats().sync_calls += 1;
+    device_->stats().sync_calls += 1;
   }
   if (!sync_status.ok()) MarkError(sync_status);
   return sync_status;
@@ -173,18 +157,6 @@ std::uint64_t BlockFile::PhysicalOffset(std::uint64_t block_index) const {
   return block_index * stride;
 }
 
-void BlockFile::StartSequentialPrefetch(std::uint64_t start_block) {
-  // Read-ahead runs on the context's shared ReadScheduler; the serial
-  // engine (io_threads == 0) reads directly. Register degrades to
-  // nullptr (direct reads) when the budget cannot cover even one ring
-  // slot.
-  ReadScheduler* scheduler = context_->read_scheduler();
-  if (scheduler == nullptr || sched_reader_ != nullptr) return;
-  if (file_ == nullptr) return;  // dead open: nothing to read ahead
-  if (start_block >= num_blocks()) return;  // nothing to read ahead
-  sched_reader_ = scheduler->RegisterReader(this, start_block);
-}
-
 util::Status BlockFile::PreadBlock(std::uint64_t block_index, void* buf,
                                    std::size_t* bytes) {
   *bytes = 0;
@@ -194,12 +166,9 @@ util::Status BlockFile::PreadBlock(std::uint64_t block_index, void* buf,
   const std::size_t want = static_cast<std::size_t>(
       std::min<std::uint64_t>(block_size_, size_bytes_ - offset));
   if (!checksummed_) {
-    // Retries (like the model I/O itself) are charged to the device
-    // that owns this block's stripe.
-    RETURN_IF_ERROR(RunWithRetries(context_, StatsDevice(block_index),
-                                   /*is_read=*/true, [&] {
-                                     return file_->ReadAt(offset, buf, want);
-                                   }));
+    RETURN_IF_ERROR(RunWithRetries(context_, device_, /*is_read=*/true, [&] {
+      return file_->ReadAt(offset, buf, want);
+    }));
     *bytes = want;
     return util::Status::Ok();
   }
@@ -209,11 +178,9 @@ util::Status BlockFile::PreadBlock(std::uint64_t block_index, void* buf,
   // point is to refuse to merge them into an answer.
   std::vector<char>& staging = ChecksumStaging(block_size_);
   const std::uint64_t phys = PhysicalOffset(block_index);
-  RETURN_IF_ERROR(RunWithRetries(
-      context_, StatsDevice(block_index), /*is_read=*/true, [&] {
-        return file_->ReadAt(phys, staging.data(),
-                             want + kChecksumTrailerBytes);
-      }));
+  RETURN_IF_ERROR(RunWithRetries(context_, device_, /*is_read=*/true, [&] {
+    return file_->ReadAt(phys, staging.data(), want + kChecksumTrailerBytes);
+  }));
   const std::uint32_t expected = DecodeChecksumTrailer(staging.data() + want);
   const std::uint32_t actual = Crc32(staging.data(), want);
   if (expected != actual) {
@@ -237,7 +204,7 @@ void BlockFile::CountRead(std::uint64_t block_index, std::size_t bytes) {
   last_read_block_ = static_cast<std::int64_t>(block_index);
   std::lock_guard<std::mutex> lock(context_->stats_mutex());
   IoStats& stats = context_->stats();
-  IoStats& device_stats = StatsDevice(block_index)->stats();
+  IoStats& device_stats = device_->stats();
   if (sequential) {
     stats.sequential_reads += 1;
     device_stats.sequential_reads += 1;
@@ -250,30 +217,7 @@ void BlockFile::CountRead(std::uint64_t block_index, std::size_t bytes) {
   context_->OnIo();
 }
 
-void BlockFile::EnableOverlappedWrites() {
-  if (sched_writer_ != nullptr) return;
-  if (file_ == nullptr) return;  // dead open: stay on the no-op sync path
-  ReadScheduler* scheduler = context_->read_scheduler();
-  if (scheduler == nullptr) return;
-  sched_writer_ = scheduler->RegisterWriter(this);  // nullptr: stay sync
-}
-
 std::size_t BlockFile::ReadBlock(std::uint64_t block_index, void* buf) {
-  DCHECK(sched_writer_ == nullptr)
-      << "read from a file with overlapped writes still open";
-  if (sched_reader_ != nullptr) {
-    std::size_t bytes = 0;
-    if (context_->read_scheduler()->TakeBlock(sched_reader_, block_index,
-                                              buf, &bytes)) {
-      if (bytes == 0) return 0;  // past EOF or parked error: uncounted
-      CountRead(block_index, bytes);
-      return bytes;
-    }
-    // Off-sequence request: the stream is no longer sequential, so the
-    // read-ahead is useless — drop it and serve directly from here on.
-    context_->read_scheduler()->Unregister(sched_reader_);
-    sched_reader_ = nullptr;
-  }
   std::size_t bytes = 0;
   const util::Status status = PreadBlock(block_index, buf, &bytes);
   if (!status.ok()) {
@@ -293,7 +237,7 @@ void BlockFile::CountWrite(std::uint64_t block_index, std::size_t bytes) {
   last_write_block_ = static_cast<std::int64_t>(block_index);
   std::lock_guard<std::mutex> lock(context_->stats_mutex());
   IoStats& stats = context_->stats();
-  IoStats& device_stats = StatsDevice(block_index)->stats();
+  IoStats& device_stats = device_->stats();
   if (sequential) {
     stats.sequential_writes += 1;
     device_stats.sequential_writes += 1;
@@ -310,8 +254,7 @@ util::Status BlockFile::RawWriteAt(std::uint64_t block_index,
                                    const void* data, std::size_t bytes) {
   if (file_ == nullptr) return status();  // dead open
   if (!checksummed_) {
-    return RunWithRetries(context_, StatsDevice(block_index),
-                          /*is_read=*/false, [&] {
+    return RunWithRetries(context_, device_, /*is_read=*/false, [&] {
       return file_->WriteAt(block_index * block_size_, data, bytes);
     });
   }
@@ -323,8 +266,7 @@ util::Status BlockFile::RawWriteAt(std::uint64_t block_index,
   std::memcpy(staging.data(), data, bytes);
   EncodeChecksumTrailer(Crc32(data, bytes), staging.data() + bytes);
   const std::uint64_t phys = PhysicalOffset(block_index);
-  return RunWithRetries(context_, StatsDevice(block_index),
-                        /*is_read=*/false, [&] {
+  return RunWithRetries(context_, device_, /*is_read=*/false, [&] {
     return file_->WriteAt(phys, staging.data(),
                           bytes + kChecksumTrailerBytes);
   });
@@ -341,18 +283,6 @@ void BlockFile::WriteBlock(std::uint64_t block_index, const void* data,
     if (!status_.ok()) return;
   }
   const std::uint64_t offset = block_index * block_size_;
-  if (sched_writer_ != nullptr) {
-    // Advance size_bytes_ BEFORE the hand-off (RawWriteAt's off-thread
-    // safety contract), then give the block to the device worker
-    // (blocks while the previous write is in flight — the
-    // double-buffer bound) and account it here in submission order, so
-    // IoStats match the synchronous path.
-    size_bytes_ = std::max(size_bytes_, offset + bytes);
-    context_->read_scheduler()->SubmitWrite(sched_writer_, block_index,
-                                            data, bytes);
-    CountWrite(block_index, bytes);
-    return;
-  }
   // Writing beyond the current final partial block would leave a hole of
   // undefined record data; the streaming writers never do this.
   const util::Status status = RawWriteAt(block_index, data, bytes);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdlib>
 
 #include "io/fault_injection.h"
@@ -80,23 +79,6 @@ const IoContextOptions& CheckedOptions(const IoContextOptions& options) {
   return options;
 }
 
-// Strict decimal thread count: strtoull would read "two" as 0 and "-1"
-// as 2^64-1.
-std::string ParseThreadCount(const char* flag, const std::string& value,
-                             std::size_t* out) {
-  constexpr std::size_t kMaxThreads = 1024;
-  std::size_t threads = 0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, threads);
-  if (value.empty() || ec != std::errc() || ptr != end ||
-      threads > kMaxThreads) {
-    return std::string("bad ") + flag + " \"" + value +
-           "\" (want a count 0.." + std::to_string(kMaxThreads) + ")";
-  }
-  *out = threads;
-  return {};
-}
-
 // The machine-option table: each option's flag name (without "--") and
 // its parser. The variable suffix is the name upper-cased with
 // '-' -> '_'; ParseMachineEnv applies variables in table order.
@@ -108,12 +90,12 @@ struct MachineOption {
 constexpr MachineOption kMachineOptions[] = {
     {"sort-threads",
      [](const std::string& value, IoContextOptions* options) {
-       return ParseThreadCount("--sort-threads", value,
-                               &options->sort_threads);
-     }},
-    {"io-threads",
-     [](const std::string& value, IoContextOptions* options) {
-       return ParseThreadCount("--io-threads", value, &options->io_threads);
+       std::uint64_t threads = 0;
+       if (!util::ParseDecimal(value, 1, &threads)) {
+         return "bad --sort-threads \"" + value + "\" (want 0 or 1)";
+       }
+       options->sort_threads = static_cast<std::size_t>(threads);
+       return std::string();
      }},
     {"scratch-dirs",
      [](const std::string& value, IoContextOptions* options) {
@@ -123,10 +105,6 @@ constexpr MachineOption kMachineOptions[] = {
     {"device-model",
      [](const std::string& value, IoContextOptions* options) {
        return ParseDeviceModelSpec(value, &options->device_model);
-     }},
-    {"placement",
-     [](const std::string& value, IoContextOptions* options) {
-       return ParsePlacementSpec(value, &options->scratch_placement);
      }},
 };
 
@@ -182,17 +160,7 @@ std::string ValidateMachineOptions(const IoContextOptions& options) {
 IoContext::IoContext(const IoContextOptions& options)
     : options_(CheckedOptions(options)),
       memory_(options.memory_bytes),
-      temp_files_(BuildScratchDevices(options), options.scratch_placement) {
-  temp_files_.set_keep_files(options.keep_temp_files);
-  // Striped placement needs the physical stride before the first open:
-  // block_size, plus the CRC32 trailer when scratch blocks carry one.
-  temp_files_.ConfigureStriping(options.block_size, options.checksum_blocks);
-  if (options.io_threads > 0) {
-    read_scheduler_ = std::make_unique<ReadScheduler>(
-        &memory_, options.block_size, options.io_threads,
-        options.prefetch_depth);
-  }
-}
+      temp_files_(BuildScratchDevices(options)) {}
 
 std::vector<IoContext::DeviceStatsRow> IoContext::DeviceStats() const {
   std::vector<DeviceStatsRow> rows;

@@ -8,14 +8,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "io/io_stats.h"
 #include "io/memory_budget.h"
-#include "io/read_scheduler.h"
 #include "io/storage.h"
 #include "io/temp_file_manager.h"
 
@@ -35,79 +33,39 @@ struct IoContextOptions {
   // ResourceExhausted, which benches print as the paper's INF.
   std::uint64_t io_budget = 0;
 
-  // Read-ahead ring size: blocks each sequential reader may hold in
-  // flight on the ReadScheduler (io_threads > 0) ahead of the consumer
-  // (>= 1; 2 = classic double buffering). Each ring is reserved from
-  // the MemoryBudget, degrading to fewer slots, then to direct reads,
-  // when the budget cannot cover it.
-  std::size_t prefetch_depth = 2;
-
-  // Overlapped run formation: when > 0, every run-forming sort (FormRuns
+  // Overlapped run formation: when 1, every run-forming sort (FormRuns
   // behind SortFile/SortInto, SortingWriter) hands full buffers to one
   // background worker that sorts and spills them while the producer
-  // fills the other buffer of a double-buffered pair — the write-side
-  // twin of read-ahead. 0 (the default) keeps run formation serial, so
-  // the Aggarwal-Vitter accounting and the run geometry are
-  // bit-identical to the single-threaded engine. Values > 1 are
-  // reserved and currently behave like 1 (a single worker). Stages
-  // degrade to the serial path per sort whenever the MemoryBudget
-  // cannot cover a second run buffer.
+  // fills the other buffer of a double-buffered pair. 0 (the default)
+  // keeps run formation serial, so the Aggarwal-Vitter accounting and
+  // the run geometry are bit-identical to the single-threaded engine.
+  // Stages degrade to the serial path per sort whenever the
+  // MemoryBudget cannot cover a second run buffer. The parser accepts
+  // only 0 and 1.
   std::size_t sort_threads = 0;
-
-  // Device-parallel I/O: when > 0 the context owns a ReadScheduler with
-  // up to `io_threads` I/O worker threads — one per active storage
-  // device until the cap, shared round-robin past it. Every sequential
-  // reader then keeps up to `prefetch_depth` blocks in flight on its
-  // device's worker, and the sorter's merge output double-buffers one
-  // async write. 0 (the default) keeps the serial engine: byte-identical
-  // output and identical IoStats, the same discipline as sort_threads.
-  // With io_threads > 0 the I/O *counts* can shift slightly (ring
-  // reservations change run geometry), but sorted outputs stay
-  // byte-identical. Streams degrade to direct reads /
-  // synchronous writes whenever the MemoryBudget cannot cover their
-  // buffers.
-  std::size_t io_threads = 0;
 
   // Scratch directory parent ("" = $TMPDIR or /tmp).
   std::string temp_parent_dir;
 
   // Multi-disk scratch: when non-empty, one scratch StorageDevice is
   // built per listed parent directory (one entry per spindle/NVMe
-  // namespace) and new scratch files are assigned across them by
-  // `scratch_placement`, so merge passes read runs from independent
-  // devices. Overrides temp_parent_dir. (Under device_model kMem the
-  // entries only set the device *count*; the backing is RAM.)
+  // namespace) and new scratch files are assigned round-robin across
+  // them, so consecutive sort runs land on distinct devices. Overrides
+  // temp_parent_dir. (Under device_model kMem the entries only set the
+  // device *count*; the backing is RAM.)
   std::vector<std::string> scratch_dirs;
 
   // What backs the scratch devices: real files (kPosix, the default),
-  // RAM (kMem — page-cache-free tests/microbenches), or
-  // latency/bandwidth-throttled files (kThrottled — simulated spindles
-  // for the parallel-bandwidth model). The model never changes the
+  // RAM (kMem — page-cache-free tests/microbenches),
+  // latency/bandwidth-throttled files (kThrottled — simulated spindles),
+  // or seeded fault injection (kFaulty). The model never changes the
   // block accounting, only where the bytes live and how long they take.
   DeviceModelSpec device_model;
 
-  // Device-assignment policy for scratch files. kRoundRobin (default)
-  // stripes by global sequence number — byte-identical paths and device
-  // choice to the pre-device engine. kStriped round-robins every
-  // scratch file's BLOCKS across the devices, so a single sequential
-  // stream runs at D× one device's bandwidth (see storage.h).
-  PlacementPolicy scratch_placement = PlacementPolicy::kRoundRobin;
-
-  // Keep scratch files on destruction (debugging aid).
-  bool keep_temp_files = false;
-
   // ---- fault tolerance (docs/robustness.md) --------------------------
-
-  // Bounded exponential backoff against transient device faults
-  // (IsRetryableIoError). io_retry_attempts is the TOTAL number of
-  // device attempts per block op (1 = no retry); the k-th retry sleeps
-  // min(io_retry_backoff_initial_us << (k-1), io_retry_backoff_max_us).
-  // Retries are counted in IoStats::{read,write}_retries but are NOT
-  // model I/Os; a fault-free run takes none, so these defaults leave
-  // the Aggarwal-Vitter numbers untouched.
-  std::size_t io_retry_attempts = 4;
-  std::uint64_t io_retry_backoff_initial_us = 200;
-  std::uint64_t io_retry_backoff_max_us = 20'000;
+  // Transient device faults are retried by BlockFile under a fixed
+  // bounded-backoff policy (RunWithRetries in block_file.cc); retries
+  // are counted in IoStats::{read,write}_retries, never as model I/Os.
 
   // Append a CRC32 trailer to every scratch block and verify it on
   // read (mismatch = kCorruption, never retried — re-reading flipped
@@ -121,17 +79,15 @@ struct IoContextOptions {
 };
 
 // ---- machine options ---------------------------------------------------
-// The five options every front end offers for the machines it builds —
+// The three options every front end offers for the machines it builds —
 // extscc_tool's global flags, the benches' flags and EXTSCC_BENCH_*
 // variables, the test suites' EXTSCC_TEST_* variables — parsed once,
 // here:
 //
 //   flag                     variable suffix   field
-//   --sort-threads=N         SORT_THREADS      sort_threads
-//   --io-threads=N           IO_THREADS        io_threads
+//   --sort-threads=0|1       SORT_THREADS      sort_threads
 //   --scratch-dirs=a,b,...   SCRATCH_DIRS      scratch_dirs
 //   --device-model=MODEL     DEVICE_MODEL      device_model
-//   --placement=rr|striped   PLACEMENT         scratch_placement
 //
 // MODEL is ParseDeviceModelSpec's syntax (storage.h). Each parser
 // returns "" on success, else an error naming the offending option.
@@ -163,18 +119,7 @@ class IoContext {
   std::size_t block_size() const { return options_.block_size; }
 
   std::size_t sort_threads() const { return options_.sort_threads; }
-  std::size_t io_retry_attempts() const { return options_.io_retry_attempts; }
-  std::uint64_t io_retry_backoff_initial_us() const {
-    return options_.io_retry_backoff_initial_us;
-  }
-  std::uint64_t io_retry_backoff_max_us() const {
-    return options_.io_retry_backoff_max_us;
-  }
   bool checksum_blocks() const { return options_.checksum_blocks; }
-
-  // The device-parallel I/O engine, or nullptr when io_threads == 0
-  // (the serial engine). BlockFile is the only caller.
-  ReadScheduler* read_scheduler() { return read_scheduler_.get(); }
 
   // The stats object itself; with sort_threads > 0 a spill worker and
   // the producing thread count I/Os concurrently, so all mutation (and
@@ -206,7 +151,7 @@ class IoContext {
   };
   std::vector<DeviceStatsRow> DeviceStats() const;
 
-  // Critical-path metric for the parallel-bandwidth model: with devices
+  // Critical-path metric for multi-device scratch: with devices
   // operating independently, a phase's lower bound is the busiest
   // device's I/O count, not the aggregate.
   std::uint64_t max_per_device_ios() const;
@@ -231,8 +176,7 @@ class IoContext {
 
   // ---- I/O error latch ------------------------------------------------
   // First-wins record of an unrecovered I/O error anywhere in the
-  // context (a failed spill worker, a dead read-ahead slot, a direct
-  // read). The long-running algorithms poll has_io_error() at phase
+  // context (a failed spill worker, a failed read or write). The long-running algorithms poll has_io_error() at phase
   // boundaries — the same discipline as io_budget_exceeded() — so an
   // error parked by a background thread surfaces as a typed Status on
   // the driver API instead of a crash or a silent wrong answer.
@@ -277,9 +221,6 @@ class IoContext {
   mutable std::mutex io_error_mu_;
   util::Status io_error_;
   std::atomic<bool> has_io_error_{false};
-  // Declared last: destroyed first, so the I/O workers are joined while
-  // every other member (devices, budget) is still alive.
-  std::unique_ptr<ReadScheduler> read_scheduler_;
 };
 
 }  // namespace extscc::io

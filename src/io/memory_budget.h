@@ -6,8 +6,8 @@
 // component oversubscribes M.
 //
 // Thread safety: all accounting is guarded by an internal mutex, so
-// concurrent pipelines (sort workers, read-ahead rings, serve-side
-// query readers) may reserve against one budget. ReserveUpTo is the atomic
+// concurrent pipelines (sort workers, serve-side query readers) may
+// reserve against one budget. ReserveUpTo is the atomic
 // form of the "clamp to what is left, then reserve" pattern — callers
 // that size a buffer from available_bytes() must use it, or two threads
 // can both observe the same headroom and jointly oversubscribe.

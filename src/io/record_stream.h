@@ -38,21 +38,10 @@ class RecordWriter {
   static_assert(std::is_trivially_copyable_v<T>,
                 "on-disk records must be PODs");
 
-  // `overlap_output` asks for double-buffered writes through the
-  // context's ReadScheduler (the device write of block N overlaps
-  // production of block N+1); a no-op at io_threads == 0 or when the
-  // budget cannot cover the slot. The slot is claimed lazily at the
-  // first flush — after the consuming stage's own reservations are in
-  // place — so requesting overlap never changes the merge fan-in or
-  // run geometry, only whether spare budget buys wall-clock overlap.
-  // Only use from the algorithm thread (the slot is a MemoryBudget
-  // reservation).
-  RecordWriter(IoContext* context, const std::string& path,
-               bool overlap_output = false)
+  RecordWriter(IoContext* context, const std::string& path)
       : file_(std::make_unique<BlockFile>(context, path,
                                           OpenMode::kTruncateWrite)),
-        buffer_(file_->block_size()),
-        overlap_output_(overlap_output) {}
+        buffer_(file_->block_size()) {}
 
   ~RecordWriter() {
     if (file_ != nullptr) Finish();
@@ -83,8 +72,8 @@ class RecordWriter {
     count_ += n;
   }
 
-  // Flushes the tail block and closes the file (draining any overlapped
-  // write), capturing the file's final status. Idempotent via destructor.
+  // Flushes the tail block and closes the file, capturing the file's
+  // final status. Idempotent via destructor.
   void Finish() {
     if (file_ == nullptr) return;
     if (fill_ > 0) Flush();
@@ -106,10 +95,6 @@ class RecordWriter {
 
  private:
   void Flush() {
-    if (overlap_output_) {
-      overlap_output_ = false;
-      file_->EnableOverlappedWrites();
-    }
     file_->WriteBlock(next_block_++, buffer_.data(), fill_);
     fill_ = 0;
   }
@@ -119,7 +104,6 @@ class RecordWriter {
   std::size_t fill_ = 0;
   std::uint64_t next_block_ = 0;
   std::uint64_t count_ = 0;
-  bool overlap_output_ = false;
   util::Status status_;
 };
 
@@ -139,11 +123,7 @@ class RecordReader {
       // its own status; its size is 0 and passes this check.)
       status_ = util::Status::Corruption(
           path + " is not a whole number of records");
-      return;
     }
-    // Sequential scans are exactly what read-ahead hides latency for;
-    // a no-op unless the IoContext runs a ReadScheduler (io_threads).
-    file_->StartSequentialPrefetch();
   }
 
   RecordReader(const RecordReader&) = delete;
@@ -225,9 +205,6 @@ class PeekableReader {
           path + " is not a whole number of records");
       return;
     }
-    // Sequential scans are exactly what read-ahead hides latency for;
-    // a no-op unless the IoContext runs a ReadScheduler (io_threads).
-    file_->StartSequentialPrefetch();
     has_value_ = DecodeSlow();
   }
 

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -14,7 +13,7 @@
 #include <filesystem>
 #include <thread>
 
-#include "io/checksum.h"
+#include "util/csv.h"
 #include "util/logging.h"
 
 namespace extscc::io {
@@ -560,300 +559,9 @@ void ThrottledDevice::ChargeOp(std::size_t bytes) {
   if (sleep) std::this_thread::sleep_until(end);
 }
 
-// ---- StripedDevice ---------------------------------------------------
-
-namespace {
-
-// The routing composite behind StripedDevice::Open. Offsets split into
-// stride-sized chunks; chunk at stride index b goes to part b % D at
-// inner offset (b / D) * stride + (offset % stride). BlockFile only
-// ever issues stride-aligned whole-block transfers, but the general
-// split keeps the mapping correct for any caller. A part-level failure
-// notes the owning member on the StripedDevice (the quarantine
-// redirection seam) before propagating.
-class StripedFile : public StorageFile {
- public:
-  StripedFile(StripedDevice* owner, std::vector<StorageDevice*> devices,
-              std::vector<std::unique_ptr<StorageFile>> parts,
-              std::uint64_t stride)
-      : owner_(owner),
-        devices_(std::move(devices)),
-        parts_(std::move(parts)),
-        part_extents_(parts_.size()),
-        stride_(stride) {
-    // Logical size at open: the furthest byte any part implies. Part d
-    // holding k full strides plus `rem` trailing bytes extends the
-    // striped file to stride index k * D + d (the partial stride) or
-    // (k - 1) * D + d (its last full stride).
-    const std::uint64_t width = parts_.size();
-    std::uint64_t size = 0;
-    for (std::uint64_t d = 0; d < width; ++d) {
-      const std::uint64_t part_size = parts_[d]->size_bytes();
-      part_extents_[d].store(part_size, std::memory_order_relaxed);
-      const std::uint64_t full = part_size / stride_;
-      const std::uint64_t rem = part_size % stride_;
-      std::uint64_t extent = 0;
-      if (rem > 0) {
-        extent = (full * width + d) * stride_ + rem;
-      } else if (full > 0) {
-        extent = ((full - 1) * width + d) * stride_ + stride_;
-      }
-      size = std::max(size, extent);
-    }
-    size_bytes_.store(size, std::memory_order_relaxed);
-  }
-
-  util::Status ReadAt(std::uint64_t offset, void* buf,
-                      std::size_t bytes) override {
-    // A linear file's extent is one number, so a positioned write past
-    // a hole makes every earlier byte readable (holes read as zeros).
-    // Stripe parts have independent extents: block b's part may be
-    // shorter than sibling parts that hold later blocks. Reproduce the
-    // linear semantics exactly — reads past the LOGICAL extent are the
-    // same truncation error a linear file reports, reads inside it
-    // zero-fill whatever the owning part never materialized.
-    if (offset + bytes > size_bytes_.load(std::memory_order_acquire)) {
-      return util::Status::IoError("read(striped) hit unexpected EOF "
-                                   "(truncated striped file)");
-    }
-    char* p = static_cast<char*>(buf);
-    while (bytes > 0) {
-      const std::uint64_t block = offset / stride_;
-      const std::uint64_t within = offset % stride_;
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(bytes, stride_ - within));
-      const std::size_t d =
-          static_cast<std::size_t>(block % parts_.size());
-      const std::uint64_t inner =
-          (block / parts_.size()) * stride_ + within;
-      const std::uint64_t extent =
-          part_extents_[d].load(std::memory_order_acquire);
-      const std::size_t avail = static_cast<std::size_t>(
-          extent > inner ? std::min<std::uint64_t>(chunk, extent - inner)
-                         : 0);
-      if (avail > 0) {
-        const util::Status status = parts_[d]->ReadAt(inner, p, avail);
-        if (!status.ok()) {
-          owner_->NoteFailedDevice(devices_[d]);
-          return status;
-        }
-      }
-      if (avail < chunk) std::memset(p + avail, 0, chunk - avail);
-      offset += chunk;
-      p += chunk;
-      bytes -= chunk;
-    }
-    return util::Status::Ok();
-  }
-
-  util::Status WriteAt(std::uint64_t offset, const void* data,
-                       std::size_t bytes) override {
-    const char* p = static_cast<const char*>(data);
-    while (bytes > 0) {
-      const std::uint64_t block = offset / stride_;
-      const std::uint64_t within = offset % stride_;
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(bytes, stride_ - within));
-      const std::size_t d =
-          static_cast<std::size_t>(block % parts_.size());
-      const std::uint64_t inner =
-          (block / parts_.size()) * stride_ + within;
-      const util::Status status = parts_[d]->WriteAt(inner, p, chunk);
-      if (!status.ok()) {
-        owner_->NoteFailedDevice(devices_[d]);
-        return status;
-      }
-      AdvanceTo(&part_extents_[d], inner + chunk);
-      AdvanceTo(&size_bytes_, offset + chunk);
-      offset += chunk;
-      p += chunk;
-      bytes -= chunk;
-    }
-    return util::Status::Ok();
-  }
-
-  std::uint64_t size_bytes() const override {
-    return size_bytes_.load(std::memory_order_acquire);
-  }
-
-  util::Status Sync() override {
-    // The striped file is durable only when every part is.
-    for (std::size_t d = 0; d < parts_.size(); ++d) {
-      const util::Status status = parts_[d]->Sync();
-      if (!status.ok()) {
-        owner_->NoteFailedDevice(devices_[d]);
-        return status;
-      }
-    }
-    return util::Status::Ok();
-  }
-
-  const std::vector<StorageDevice*>* stripe_devices() const override {
-    return &devices_;
-  }
-
- private:
-  // Monotone max-advance (concurrent member workers may write distinct
-  // blocks of one striped file at once).
-  static void AdvanceTo(std::atomic<std::uint64_t>* extent,
-                        std::uint64_t candidate) {
-    std::uint64_t current = extent->load(std::memory_order_relaxed);
-    while (current < candidate &&
-           !extent->compare_exchange_weak(current, candidate,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-    }
-  }
-
-  StripedDevice* owner_;
-  std::vector<StorageDevice*> devices_;
-  std::vector<std::unique_ptr<StorageFile>> parts_;
-  std::vector<std::atomic<std::uint64_t>> part_extents_;
-  std::uint64_t stride_;
-  std::atomic<std::uint64_t> size_bytes_{0};
-};
-
-}  // namespace
-
-StripedDevice::StripedDevice(std::string name)
-    : StorageDevice(std::move(name)) {}
-
-void StripedDevice::SetGeometry(std::size_t block_size,
-                                bool checksum_blocks) {
-  std::lock_guard<std::mutex> lock(mu_);
-  block_size_ = block_size;
-  checksum_blocks_ = checksum_blocks;
-}
-
-bool StripedDevice::has_geometry() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return block_size_ > 0;
-}
-
-void StripedDevice::RegisterFile(const std::string& path,
-                                 std::vector<StorageDevice*> devices,
-                                 std::vector<std::string> parts) {
-  CHECK_EQ(devices.size(), parts.size());
-  CHECK_GE(devices.size(), 2u)
-      << "a 1-wide stripe is round-robin in disguise; the placement "
-         "layer must fall back explicitly";
-  std::lock_guard<std::mutex> lock(mu_);
-  files_[path] = StripeInfo{std::move(devices), std::move(parts)};
-}
-
-void StripedDevice::NoteFailedDevice(StorageDevice* device) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (std::find(failed_devices_.begin(), failed_devices_.end(), device) ==
-      failed_devices_.end()) {
-    failed_devices_.push_back(device);
-  }
-}
-
-std::vector<StorageDevice*> StripedDevice::TakeFailedDevices() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::move(failed_devices_);
-}
-
-util::Status StripedDevice::Open(const std::string& path, OpenMode mode,
-                                 std::unique_ptr<StorageFile>* out) {
-  StripeInfo info;
-  std::uint64_t stride = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = files_.find(path);
-    if (it == files_.end()) {
-      return util::Status::IoError("open(" + path +
-                                       ") failed: no such striped file on "
-                                       "device " + name(),
-                                   ENOENT);
-    }
-    info = it->second;
-    CHECK_GT(block_size_, 0u)
-        << "StripedDevice::Open before SetGeometry (TempFileManager::"
-           "ConfigureStriping was never called)";
-    // The physical block stride — BlockFile's own stride rule, so the
-    // stripe boundary and the checksummed block boundary coincide.
-    stride = block_size_ + (checksum_blocks_ && mode != OpenMode::kReadWrite
-                                ? kChecksumTrailerBytes
-                                : 0);
-  }
-  // kTruncateWrite creates (or truncates) every part up front, so a
-  // later kRead open never trips over a part no block landed on.
-  std::vector<std::unique_ptr<StorageFile>> parts(info.parts.size());
-  for (std::size_t d = 0; d < info.parts.size(); ++d) {
-    const util::Status status =
-        info.devices[d]->Open(info.parts[d], mode, &parts[d]);
-    if (!status.ok()) {
-      NoteFailedDevice(info.devices[d]);
-      return status;
-    }
-  }
-  *out = std::make_unique<StripedFile>(this, std::move(info.devices),
-                                       std::move(parts), stride);
-  return util::Status::Ok();
-}
-
-util::Status StripedDevice::Delete(const std::string& path) {
-  StripeInfo info;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = files_.find(path);
-    if (it == files_.end()) return util::Status::Ok();  // missing: fine
-    info = std::move(it->second);
-    files_.erase(it);
-  }
-  // Attempt every part even after a failure; report the first error (a
-  // stuck part file must not hide behind its healthy siblings).
-  util::Status first;
-  for (std::size_t d = 0; d < info.parts.size(); ++d) {
-    const util::Status status = info.devices[d]->Delete(info.parts[d]);
-    if (!status.ok() && first.ok()) first = status;
-  }
-  return first;
-}
-
-std::string StripedDevice::CreateSessionRoot() {
-  // Not a filesystem path on purpose: the virtual namespace must never
-  // match a member root's prefix (DeviceForPath checks it first) and
-  // never reach the signal-cleanup registry.
-  std::lock_guard<std::mutex> lock(mu_);
-  return "striped://" + name() + "/s" + std::to_string(next_session_++);
-}
-
-void StripedDevice::RemoveTree(const std::string& root) {
-  // Part bytes are removed by each member's own RemoveTree (the parts
-  // live inside member session roots); only the registry is ours.
-  const std::string prefix = root + "/";
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = files_.begin(); it != files_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = files_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 // ---- configuration helpers -------------------------------------------
 
 namespace {
-
-// Strict bounded integer parse: strtoull silently negates a leading
-// '-' (a typo'd "-1" latency would become a multi-century ChargeOp
-// sleep) and saturates on ERANGE, and an in-range huge latency
-// would overflow the *1000 ns conversion back to a tiny value — so
-// reject signs, range errors, and anything above `max`.
-bool ParseBoundedU64(const std::string& field, std::uint64_t max,
-                     std::uint64_t* out) {
-  if (field.empty() || field[0] < '0' || field[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(field.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
-  if (value > max) return false;
-  *out = value;
-  return true;
-}
 
 // Strict probability parse for the fault rates: a plain non-negative
 // double in [0, 1] ("1e-3", "0.25"). Rejects signs other than the
@@ -892,7 +600,7 @@ std::string ParseFaultySpec(const std::string& text, FaultSpec* out) {
       const std::string value = item.substr(eq + 1);
       bool ok = true;
       if (key == "seed") {
-        ok = ParseBoundedU64(value, ~0ull, &fault.seed);
+        ok = util::ParseDecimal(value, ~0ull, &fault.seed);
       } else if (key == "rate") {
         ok = ParseRate(value, &fault.read_fault_rate);
         fault.write_fault_rate = fault.read_fault_rate;
@@ -905,14 +613,14 @@ std::string ParseFaultySpec(const std::string& text, FaultSpec* out) {
       } else if (key == "corrupt") {
         ok = ParseRate(value, &fault.corrupt_rate);
       } else if (key == "wfail_after") {
-        ok = ParseBoundedU64(value, ~0ull, &fault.fail_writes_after);
+        ok = util::ParseDecimal(value, ~0ull, &fault.fail_writes_after);
       } else if (key == "rfail_after") {
-        ok = ParseBoundedU64(value, ~0ull, &fault.fail_reads_after);
+        ok = util::ParseDecimal(value, ~0ull, &fault.fail_reads_after);
       } else if (key == "tag") {
         fault.path_tag = value;
       } else if (key == "device") {
         std::uint64_t index = 0;
-        ok = ParseBoundedU64(value, 4096, &index);
+        ok = util::ParseDecimal(value, 4096, &index);
         fault.device_index = static_cast<int>(index);
       } else if (key == "inner") {
         if (value == "posix") {
@@ -977,14 +685,14 @@ std::string ParseDeviceModelSpec(const std::string& text,
     constexpr std::uint64_t kMaxLatencyUs = 3'600'000'000ull;
     constexpr std::uint64_t kMaxMbPerSec = 1'000'000'000ull;
     if (fields.size() >= 1 &&
-        !ParseBoundedU64(fields[0], kMaxLatencyUs,
+        !util::ParseDecimal(fields[0], kMaxLatencyUs,
                          &spec.throttle_latency_us)) {
       return "bad --device-model latency \"" + fields[0] +
              "\" (want throttled[:latency_us[:mb_per_s]], latency_us <= " +
              std::to_string(kMaxLatencyUs) + ")";
     }
     if (fields.size() == 2 &&
-        !ParseBoundedU64(fields[1], kMaxMbPerSec,
+        !util::ParseDecimal(fields[1], kMaxMbPerSec,
                          &spec.throttle_mb_per_sec)) {
       return "bad --device-model bandwidth \"" + fields[1] +
              "\" (want throttled[:latency_us[:mb_per_s]], mb_per_s <= " +
@@ -1014,19 +722,6 @@ bool IsRetryableIoError(const util::Status& status) {
     default:
       return false;
   }
-}
-
-std::string ParsePlacementSpec(const std::string& text,
-                               PlacementPolicy* out) {
-  if (text == "rr") {
-    *out = PlacementPolicy::kRoundRobin;
-    return {};
-  }
-  if (text == "striped") {
-    *out = PlacementPolicy::kStriped;
-    return {};
-  }
-  return "bad --placement \"" + text + "\" (supported: rr, striped)";
 }
 
 std::string ValidateScratchParents(const std::vector<std::string>& parents) {

@@ -3,8 +3,8 @@
 // issues ReadAt/WriteAt against the device's StorageFile handle, counting
 // each block transfer both in the IoContext's aggregate IoStats and in
 // the device's own IoStats — so layers above can reason about *which*
-// device a stream lives on (placement-aware run scheduling, per-device
-// accounting, the parallel-bandwidth model of the figure benches).
+// device a stream lives on (round-robin run placement, per-device
+// accounting and the busiest-device critical path).
 //
 // Three implementations:
 //  - PosixDevice: the real filesystem (pread/pwrite), current behavior.
@@ -44,9 +44,10 @@ class StorageDevice;
 // the only caller and never reads past the size it tracks, so ReadAt
 // transfers exactly `bytes` bytes or returns a non-OK Status (a short
 // transfer is an errno-carrying IoError, never a crash — the retry and
-// failover machinery above decides what survives). Implementations must
-// be safe for concurrent ReadAt calls from a read-ahead worker
-// alongside the consumer.
+// failover machinery above decides what survives). Handles of one file
+// may be used from different threads at once (each serving query thread
+// opens its own scan of the shared artifact), so implementations keep
+// shared per-file state under a lock.
 class StorageFile {
  public:
   virtual ~StorageFile() = default;
@@ -67,15 +68,6 @@ class StorageFile {
   // checkpoint paths call this; scratch files never do, which is what
   // keeps the fast path byte-identical.
   virtual util::Status Sync() { return util::Status::Ok(); }
-
-  // Non-null for striped composite files (StripedDevice): the member
-  // devices, in stripe order — block b lives on member b % D. BlockFile
-  // routes per-block accounting to the owning member and the
-  // ReadScheduler registers the stream with every member's worker. The
-  // vector is immutable for the life of the handle.
-  virtual const std::vector<StorageDevice*>* stripe_devices() const {
-    return nullptr;
-  }
 };
 
 // A scratch/storage backend with its own I/O statistics. stats() follows
@@ -111,9 +103,7 @@ class StorageDevice {
   // one and swapped in with a single rename, so a concurrent reader
   // sees either the old version or the new one, never a torn mix.
   // Missing `from` is an ENOENT-carrying IoError. The base default is
-  // kUnimplemented for devices without an atomic swap (StripedDevice:
-  // a virtual path's identity is its part registration, which cannot
-  // change under a live reader).
+  // kUnimplemented for devices without an atomic swap.
   virtual util::Status Rename(const std::string& from, const std::string& to);
 
   // Flushes the directory entry metadata of `dir` to durable storage —
@@ -158,7 +148,7 @@ class PosixDevice : public StorageDevice {
 
 // RAM-backed device. Paths are opaque keys ("mem://<name>/s<k>/..." for
 // scratch); file contents live in a hash map guarded by a device mutex,
-// with per-file locks so a read-ahead worker and a spill worker can
+// with per-file locks so a spill worker and the producing thread can
 // touch different files concurrently.
 class MemDevice : public StorageDevice {
  public:
@@ -190,8 +180,8 @@ class MemDevice : public StorageDevice {
 // OUTSIDE every lock. Concurrent operations on ONE device therefore
 // serialize in simulated time (two readers share the spindle's
 // bandwidth), while operations on DISTINCT devices overlap fully — two
-// throttled devices sustain twice one device's bandwidth, the property
-// the parallel merge-read engine cashes in. Sleeps shorter than a
+// throttled devices sustain twice one device's bandwidth. Sleeps
+// shorter than a
 // scheduler quantum are deferred (the clock simply runs ahead of real
 // time until >= 1 ms is owed), so sub-quantum sleep_for slack does not
 // distort the simulated rate; oversleep self-corrects because the next
@@ -211,8 +201,7 @@ class ThrottledDevice : public StorageDevice {
 
   // Charges the simulated cost of one operation moving `bytes` bytes and
   // sleeps it off. Callers must not hold any lock shared with another
-  // device's operations (the I/O engine's workers call this with no
-  // scheduler lock held) — sleeping under a shared lock would serialize
+  // device's operations — sleeping under a shared lock would serialize
   // devices that the simulation promises are independent.
   void ChargeOp(std::size_t bytes);
 
@@ -227,72 +216,6 @@ class ThrottledDevice : public StorageDevice {
   std::mutex clock_mu_;
   std::chrono::steady_clock::time_point busy_until_{};
   std::chrono::nanoseconds unslept_{0};
-};
-
-// Composite device that stripes each registered file's blocks
-// round-robin across a set of member devices at physical-stride
-// granularity: block b of a striped file lives at stride offset
-// (b / D) * stride of part b % D, so a single sequential stream draws
-// bandwidth from all D members at once (the classic parallel-disk
-// layout). The TempFileManager owns one StripedDevice under the
-// kStriped placement policy, registers a virtual path plus the
-// per-member part paths for every new scratch file, and resolves the
-// virtual path back to this device; Open then opens every part and
-// returns the routing composite.
-//
-// The stride is the *physical* block stride: block_size payload bytes,
-// plus the CRC32 trailer for checksummed scratch streams (mode !=
-// kReadWrite when checksum_blocks is on — exactly BlockFile's own
-// stride rule, so striping composes with checksums without either
-// layer knowing about the other).
-//
-// Accounting: this device's own IoStats stay ZERO by construction —
-// BlockFile charges every block I/O to the member device owning the
-// stripe (StorageFile::stripe_devices), so the per-device rows of
-// DeviceStats (which list only the members) still sum exactly to the
-// aggregate. Failover: a part-level I/O failure notes the failing
-// member here; TempFileManager::Quarantine on this device drains that
-// set and quarantines the members, and new striped placements exclude
-// them.
-class StripedDevice : public StorageDevice {
- public:
-  explicit StripedDevice(std::string name);
-
-  // Stride geometry; must be set before the first Open (IoContext
-  // forwards its block_size/checksum_blocks options at construction
-  // via TempFileManager::ConfigureStriping).
-  void SetGeometry(std::size_t block_size, bool checksum_blocks);
-  bool has_geometry() const;
-
-  // Declares the striped file behind virtual path `path`: part i lives
-  // at parts[i] on devices[i] (>= 2 members, all distinct).
-  void RegisterFile(const std::string& path,
-                    std::vector<StorageDevice*> devices,
-                    std::vector<std::string> parts);
-
-  // Records a member whose part I/O failed; TakeFailedDevices drains
-  // the (deduplicated) set. The quarantine redirection seam.
-  void NoteFailedDevice(StorageDevice* device);
-  std::vector<StorageDevice*> TakeFailedDevices();
-
-  util::Status Open(const std::string& path, OpenMode mode,
-                    std::unique_ptr<StorageFile>* out) override;
-  util::Status Delete(const std::string& path) override;
-  std::string CreateSessionRoot() override;
-  void RemoveTree(const std::string& root) override;
-
- private:
-  struct StripeInfo {
-    std::vector<StorageDevice*> devices;
-    std::vector<std::string> parts;
-  };
-
-  mutable std::mutex mu_;
-  std::size_t block_size_ = 0;
-  bool checksum_blocks_ = false;
-  std::uint64_t next_session_ = 0;
-  std::unordered_map<std::string, StripeInfo> files_;
-  std::vector<StorageDevice*> failed_devices_;
 };
 
 // One PosixDevice ("disk<i>") per entry of `scratch_parents`, or a
@@ -314,19 +237,6 @@ std::vector<std::unique_ptr<StorageDevice>> MakePosixScratchDevices(
 // root, so the next run of any tool sharing the scratch parent reclaims
 // the space. Best-effort — reaping failures are ignored.
 std::size_t ReapOrphanScratchRoots(const std::string& parent);
-
-// ---- placement -------------------------------------------------------
-
-// How the TempFileManager assigns scratch files to devices.
-//  - kRoundRobin: by global file sequence number (the PR 3 default,
-//    byte-identical paths and device choice). Consecutive files — in
-//    particular consecutive sort runs — land on distinct devices.
-//  - kStriped: every scratch file's BLOCKS round-robin across the
-//    available devices (StripedDevice), so even a single sequential
-//    stream — a long scan, the final merge's output — runs at D× one
-//    device's bandwidth. Falls back to round-robin (with a once-per-
-//    manager stderr note) when fewer than two devices are available.
-enum class PlacementPolicy { kRoundRobin, kStriped };
 
 // ---- device-model configuration -------------------------------------
 
@@ -383,12 +293,6 @@ std::string ParseDeviceModelSpec(const std::string& text,
 // truncated transfers (no errno) and kCorruption are persistent — they
 // propagate (and may quarantine the device) instead of burning retries.
 bool IsRetryableIoError(const util::Status& status);
-
-// Parses "rr" | "striped" into *out. Returns "" on success, else an
-// error message naming the supported policies (ParseMachineFlag's
-// --placement).
-std::string ParsePlacementSpec(const std::string& text,
-                               PlacementPolicy* out);
 
 // Returns "" when every entry is an existing writable directory, else a
 // message naming the first bad entry (ValidateMachineOptions' check).

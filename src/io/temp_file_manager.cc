@@ -1,7 +1,7 @@
 #include "io/temp_file_manager.h"
 
+#include <atomic>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -84,9 +84,7 @@ void InstallScratchSignalCleanup() {
 // ---- TempFileManager -------------------------------------------------
 
 TempFileManager::TempFileManager(
-    std::vector<std::unique_ptr<StorageDevice>> devices,
-    PlacementPolicy placement)
-    : placement_(placement) {
+    std::vector<std::unique_ptr<StorageDevice>> devices) {
   CHECK(!devices.empty()) << "TempFileManager needs at least one device";
   roots_.reserve(devices.size());
   for (auto& device : devices) {
@@ -98,10 +96,6 @@ TempFileManager::TempFileManager(
     }
     roots_.push_back(std::move(root));
   }
-  if (placement_ == PlacementPolicy::kStriped && roots_.size() > 1) {
-    striped_ = std::make_unique<StripedDevice>("striped");
-    striped_root_ = striped_->CreateSessionRoot();
-  }
 }
 
 TempFileManager::TempFileManager(
@@ -110,26 +104,14 @@ TempFileManager::TempFileManager(
     : TempFileManager(MakePosixScratchDevices(parent_dir, scratch_parents)) {}
 
 TempFileManager::~TempFileManager() {
-  // Drop the striped registry first; the part bytes themselves live in
-  // the member roots removed below.
-  if (striped_ != nullptr) striped_->RemoveTree(striped_root_);
   for (const auto& root : roots_) {
-    if (keep_files_) {
-      LOG_INFO << "TempFileManager: keeping scratch files in " << root.root;
-    } else {
-      root.device->RemoveTree(root.root);
-    }
+    root.device->RemoveTree(root.root);
     ReleaseLiveRootSlot(root.live_slot);
   }
 }
 
 std::string TempFileManager::NewPath(const std::string& tag) {
   return NewFile(tag).path;
-}
-
-void TempFileManager::ConfigureStriping(std::size_t block_size,
-                                        bool checksum_blocks) {
-  if (striped_ != nullptr) striped_->SetGeometry(block_size, checksum_blocks);
 }
 
 std::vector<std::size_t> TempFileManager::AvailableRootsLocked() const {
@@ -157,34 +139,6 @@ ScratchFile TempFileManager::NewFile(const std::string& tag) {
   // every scratch path — is byte-identical to the fault-oblivious
   // engine.
   const std::vector<std::size_t> available = AvailableRootsLocked();
-  if (placement_ == PlacementPolicy::kStriped) {
-    if (striped_ != nullptr && available.size() >= 2) {
-      CHECK(striped_->has_geometry())
-          << "kStriped placement before ConfigureStriping";
-      const std::string leaf = std::to_string(id) + "_" + tag;
-      std::vector<StorageDevice*> devices;
-      std::vector<std::string> parts;
-      devices.reserve(available.size());
-      parts.reserve(available.size());
-      for (const std::size_t index : available) {
-        devices.push_back(roots_[index].device.get());
-        parts.push_back(roots_[index].root + "/" + leaf);
-      }
-      const std::string vpath = striped_root_ + "/" + leaf;
-      striped_->RegisterFile(vpath, std::move(devices), std::move(parts));
-      return ScratchFile{vpath, striped_.get()};
-    }
-    // A 1-wide stripe is round-robin in disguise: say so once, then
-    // place honestly on what is left (quarantine shrank the set, or the
-    // machine only has one scratch device to begin with).
-    if (!striped_fallback_noted_.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "extscc: --placement=striped needs >= 2 available "
-                   "scratch devices (have %zu); falling back to "
-                   "round-robin placement\n",
-                   available.size());
-    }
-  }
   Root& root = roots_[available[id % available.size()]];
   return ScratchFile{root.root + "/" + std::to_string(id) + "_" + tag,
                      root.device.get()};
@@ -207,16 +161,6 @@ void TempFileManager::Remove(const std::string& path) {
 }
 
 void TempFileManager::Quarantine(StorageDevice* device) {
-  if (striped_ != nullptr && device == striped_.get()) {
-    // A striped file failed: the real casualty is whichever member
-    // device's part I/O broke. Quarantine exactly those members; the
-    // next striped placement excludes them (or falls back to
-    // round-robin when only one member survives).
-    for (StorageDevice* failed : striped_->TakeFailedDevices()) {
-      Quarantine(failed);
-    }
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& root : roots_) {
     if (root.device.get() == device && !root.quarantined) {
@@ -241,42 +185,7 @@ std::size_t TempFileManager::num_available_devices() const {
   return AvailableRootsLocked().size();
 }
 
-std::size_t TempFileManager::effective_stripe_width() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (placement_ != PlacementPolicy::kStriped || striped_ == nullptr) return 0;
-  const std::size_t available = AvailableRootsLocked().size();
-  return available >= 2 ? available : 0;
-}
-
-void TempFileManager::NoteStripedFallback() {
-  if (placement_ != PlacementPolicy::kStriped) return;
-  std::size_t have;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t available = AvailableRootsLocked().size();
-    if (striped_ != nullptr && available >= 2) return;
-    have = available;
-  }
-  // Same ticket and same wording as the lazy note in NewFile, so a tool
-  // that reports eagerly never double-prints when scratch files follow.
-  if (!striped_fallback_noted_.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "extscc: --placement=striped needs >= 2 available "
-                 "scratch devices (have %zu); falling back to "
-                 "round-robin placement\n",
-                 have);
-  }
-}
-
 StorageDevice* TempFileManager::DeviceForPath(const std::string& path) const {
-  // Striped virtual paths first: their "striped://" namespace can never
-  // prefix-collide with a member root, and striped_root_ is immutable
-  // after construction, so this stays lock-free like the loop below.
-  if (striped_ != nullptr && path.size() > striped_root_.size() + 1 &&
-      path.compare(0, striped_root_.size(), striped_root_) == 0 &&
-      path[striped_root_.size()] == '/') {
-    return striped_.get();
-  }
   for (const auto& root : roots_) {
     if (path.size() > root.root.size() + 1 &&
         path.compare(0, root.root.size(), root.root) == 0 &&

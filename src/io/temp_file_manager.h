@@ -2,13 +2,11 @@
 // of the external algorithms (edge lists E_in/E_out/E_del/E_pre, node
 // lists V_i, SCC label files, sort runs) is a named scratch file inside
 // one session root per device; session roots are removed when the
-// manager is destroyed unless keep_files is set.
+// manager is destroyed.
 //
 // Device assignment is the placement-aware half of the storage API:
-// NewFile places each file per the manager's PlacementPolicy — whole
-// files round-robin by sequence number (byte-identical to the
-// pre-device engine), or every file's blocks striped across the
-// devices — and reports the device it chose.
+// NewFile places whole files round-robin by sequence number across the
+// devices that are not quarantined, and reports the device it chose.
 //
 // NewPath/NewFile/Remove are thread-safe: with
 // IoContextOptions::sort_threads the run-formation spill worker names
@@ -16,7 +14,6 @@
 #ifndef EXTSCC_IO_TEMP_FILE_MANAGER_H_
 #define EXTSCC_IO_TEMP_FILE_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -37,11 +34,9 @@ struct ScratchFile {
 class TempFileManager {
  public:
   // Devices ctor: takes ownership of `devices` (at least one) and
-  // creates one fresh session root on each. `placement` selects the
-  // device-assignment policy for NewPath/NewFile.
+  // creates one fresh session root on each.
   explicit TempFileManager(
-      std::vector<std::unique_ptr<StorageDevice>> devices,
-      PlacementPolicy placement = PlacementPolicy::kRoundRobin);
+      std::vector<std::unique_ptr<StorageDevice>> devices);
 
   // Posix convenience ctor (the historical interface): one PosixDevice
   // per entry of `scratch_parents`, or a single one under `parent_dir`
@@ -58,23 +53,9 @@ class TempFileManager {
   // NewFile's path alone. The file is not created.
   std::string NewPath(const std::string& tag);
 
-  // Returns a unique scratch path plus the device it was placed on.
-  // Under kRoundRobin (the default policy) the path is
-  // "<root>/<seq>_<tag>" on device seq % num_devices. Under kStriped the
-  // file is a virtual path on the manager's StripedDevice whose blocks
-  // round-robin across every available device (ConfigureStriping must
-  // have run first); with fewer than two available devices the
-  // placement falls back to round-robin on what is left, with a
-  // once-per-manager stderr note — a 1-wide "stripe" is never built
-  // silently.
+  // Returns a unique scratch path plus the device it was placed on:
+  // "<root>/<seq>_<tag>" on available device seq % num_available.
   ScratchFile NewFile(const std::string& tag);
-
-  // Hands the StripedDevice its physical stride geometry (block size
-  // plus whether scratch blocks carry CRC32 trailers). IoContext calls
-  // this right after construction; standalone managers using kStriped
-  // must call it before the first NewFile. A no-op under other
-  // policies.
-  void ConfigureStriping(std::size_t block_size, bool checksum_blocks);
 
   // Deletes the file if it exists (ignores missing files), on whichever
   // device owns it. A device that fails to delete an existing file is
@@ -86,11 +67,7 @@ class TempFileManager {
   // (existing files stay readable — a write-dead disk can still serve
   // its surviving runs during failover). Quarantining every device is
   // legal; placement then falls back to the full set, and the next I/O
-  // error propagates instead of failing placement itself. Quarantining
-  // the manager's StripedDevice redirects to the member device(s) whose
-  // part I/O actually failed (StripedDevice::TakeFailedDevices), so a
-  // striped file whose member dies costs that one member — new striped
-  // placements then exclude it.
+  // error propagates instead of failing placement itself.
   void Quarantine(StorageDevice* device);
   bool IsQuarantined(StorageDevice* device) const;
 
@@ -98,20 +75,6 @@ class TempFileManager {
   // quarantined, or total when everything is quarantined — see
   // Quarantine).
   std::size_t num_available_devices() const;
-
-  // Stripe width a new striped placement would actually get right now:
-  // the available device count under kStriped with >= 2 available,
-  // else 0 (round-robin fallback, or a non-striped policy). The tools'
-  // one-line placement report reads this instead of re-deriving the
-  // NewFile fallback condition.
-  std::size_t effective_stripe_width() const;
-
-  // Emits the striped-fallback stderr note now (consuming the
-  // once-per-manager ticket) when kStriped placement cannot stripe; a
-  // no-op otherwise. The serve/update tools call this eagerly so the
-  // note appears at startup instead of whenever the first scratch file
-  // happens to be placed.
-  void NoteStripedFallback();
 
   // The device whose session root contains `path`, or nullptr when the
   // path is not scratch (a user-supplied file).
@@ -124,8 +87,6 @@ class TempFileManager {
   const std::string& dir() const { return roots_.front().root; }
   // All session roots, one per device.
   std::vector<std::string> dirs() const;
-
-  void set_keep_files(bool keep) { keep_files_ = keep; }
 
  private:
   struct Root {
@@ -145,16 +106,8 @@ class TempFileManager {
   // Immutable after construction except the quarantined flags
   // (DeviceForPath reads paths/devices lock-free).
   std::vector<Root> roots_;
-  PlacementPolicy placement_ = PlacementPolicy::kRoundRobin;
-  // The composite striping device (kStriped with >= 2 devices only).
-  // Not a Root: it is not listed in devices()/DeviceStats rows and its
-  // own stats stay zero — block I/Os are charged to the member devices.
-  std::unique_ptr<StripedDevice> striped_;
-  std::string striped_root_;
   mutable std::mutex mu_;
   std::uint64_t next_id_ = 0;
-  std::atomic<bool> striped_fallback_noted_{false};
-  bool keep_files_ = false;
 };
 
 // Installs SIGINT/SIGTERM handlers that best-effort remove every live

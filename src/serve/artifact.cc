@@ -173,9 +173,6 @@ SccMapScanner::SccMapScanner(io::IoContext* context, const std::string& path,
       next_block_(section.first_block),
       payload_left_(section.payload_bytes) {
   status_ = file_->status();
-  if (status_.ok() && payload_left_ > 0) {
-    file_->StartSequentialPrefetch(next_block_);
-  }
 }
 
 bool SccMapScanner::RefillBlock() {

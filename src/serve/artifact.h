@@ -107,7 +107,7 @@ class ArtifactWriter {
 
 // Streaming CRC-verified reader of the node→SCC section, in node order.
 // Obtained from ArtifactReader::OpenNodeSccScan; must not outlive its
-// reader. Sequential block reads with read-ahead; a checksum mismatch
+// reader. Sequential block reads; a checksum mismatch
 // or short read parks kCorruption and ends the stream (error-as-EOF,
 // check status()).
 class SccMapScanner {

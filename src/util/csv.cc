@@ -1,6 +1,7 @@
 #include "util/csv.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -101,6 +102,18 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
   }
   if (!current.empty()) out.push_back(current);
   return out;
+}
+
+bool ParseDecimal(const std::string& text, std::uint64_t max,
+                  std::uint64_t* out) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace extscc::util

@@ -1,8 +1,10 @@
 // Tiny CSV / aligned-table emitters used by the benchmark harnesses to
-// print paper-style result rows and to dump machine-readable series.
+// print paper-style result rows and to dump machine-readable series,
+// plus the two flag-value parsers the front ends share.
 #ifndef EXTSCC_UTIL_CSV_H_
 #define EXTSCC_UTIL_CSV_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,14 @@ std::string FormatCount(std::uint64_t value);
 // "a,b,,c" -> {"a", "b", "c"}: comma-separated list flag values
 // (--scratch-dirs in the benches and extscc_tool); empty segments drop.
 std::vector<std::string> SplitCommaList(const std::string& text);
+
+// Strict whole-string decimal: digits only (no sign, blank, suffix or
+// exponent), at most `max`. strtoull would read "4M" as 4, "1e5" as 1
+// and "-1" as 2^64-1. Returns false, leaving *out untouched, otherwise.
+// Every numeric argument of the machine options, the device-model
+// spec and extscc_tool goes through it.
+bool ParseDecimal(const std::string& text, std::uint64_t max,
+                  std::uint64_t* out);
 
 }  // namespace extscc::util
 

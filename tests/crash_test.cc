@@ -41,6 +41,7 @@ TEST(CrashTest, ToolUnavailable) {
 #include <vector>
 
 #include "io/crash_point.h"
+#include "test_util.h"
 
 namespace extscc {
 namespace {
@@ -58,9 +59,10 @@ constexpr int kMaxSweep = 200;
 class CrashHarness : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::path(::testing::TempDir()) / "extscc_crash");
-    fs::remove_all(*dir_);
-    fs::create_directories(*dir_);
+    // Every file the harness writes lives under one per-pid directory,
+    // removed with everything in it at the end of the suite.
+    dir_ = new testing::ScopedTempPath("crash");
+    fs::create_directories(dir_->path());
     // 30K nodes vs a 128 KiB budget: the solve MUST contract at least
     // two levels, so the checkpoint sweep covers level saves, the semi
     // save, and a non-final expansion save.
@@ -102,7 +104,7 @@ class CrashHarness : public ::testing::Test {
   }
 
   static std::string Path(const std::string& name) {
-    return (*dir_ / name).string();
+    return (fs::path(dir_->path()) / name).string();
   }
 
   // Runs the tool; returns its exit code, or -signal when killed.
@@ -155,13 +157,13 @@ class CrashHarness : public ::testing::Test {
   // nodes exceed the semi contract, forcing contraction levels.
   static constexpr std::uint64_t kMemory = 131072;
   static constexpr int kNodes = 30000;
-  static fs::path* dir_;
+  static testing::ScopedTempPath* dir_;
 };
 
-fs::path* CrashHarness::dir_ = nullptr;
+testing::ScopedTempPath* CrashHarness::dir_ = nullptr;
 
 // One crash+resume cycle at ordinal `k` against a fresh checkpoint
-// directory. `global_flags` (device model, placement, scratch dirs)
+// directory. `global_flags` (device model, scratch dirs)
 // apply to BOTH the crashing run and the resume. Returns false when
 // ordinal `k` was past the last durability point (the run finished
 // cleanly).
@@ -320,26 +322,27 @@ TEST_F(CrashHarness, UpdateCrashSweepRecoversWithFsck) {
   EXPECT_GE(k, 3) << "update exposed suspiciously few durability points";
 }
 
-TEST_F(CrashHarness, CrashMatrixFaultyDeviceStripedPlacement) {
+TEST_F(CrashHarness, CrashMatrixFaultyDeviceTwoScratchDirs) {
   // The matrix point the single-axis sweeps miss: a crash landing
   // while the scratch devices are ALSO injecting transient faults and
-  // every scratch file stripes across two simulated disks. Labels must
+  // scratch files go round-robin across two faulty disks. Labels must
   // still come back byte-identical — crash recovery, retry/failover,
-  // and striped placement compose.
-  const std::string a = Path("stripe_a");
-  const std::string b = Path("stripe_b");
+  // and multi-device placement compose.
+  const std::string a = Path("scratch_a");
+  const std::string b = Path("scratch_b");
   fs::create_directories(a);
   fs::create_directories(b);
   const std::string flags =
-      "--device-model=faulty:seed=11,rate=0.002 --placement=striped "
+      "--device-model=faulty:seed=11,rate=0.002 "
       "--scratch-dirs=" + a + "," + b + " ";
-  // A clean run under the matrix first: transient faults + striping
-  // must not change the labels even without a crash.
+  // A clean run under the matrix first: transient faults on two
+  // devices must not change the labels even without a crash.
   const std::string out = Path("labels_matrix.txt");
   ASSERT_EQ(Tool(flags + "solve " + Path("g.txt") + " " + out + " " +
                  std::to_string(kMemory)),
             0);
-  ExpectSameBytes(out, Path("ref_labels.txt"), "faulty+striped clean solve");
+  ExpectSameBytes(out, Path("ref_labels.txt"),
+                  "faulty two-device clean solve");
   for (const int k : {2, 7, 13, 21}) {
     CrashResumeCycleAt(k, "", flags);
     if (HasFatalFailure()) return;

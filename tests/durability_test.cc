@@ -43,12 +43,22 @@ std::unique_ptr<io::IoContext> MakeContext(std::size_t block_size) {
   return testing::MakeTestContext(1 << 20, block_size);
 }
 
-fs::path FreshDir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+// A fresh per-test, per-pid directory (testing::ScopedTempPath),
+// removed with everything in it — .tmp and .dlog siblings included —
+// at scope end.
+class FreshDir {
+ public:
+  explicit FreshDir(const std::string& name) : scoped_(name) {
+    fs::create_directories(scoped_.path());
+  }
+  fs::path operator/(const std::string& leaf) const {
+    return fs::path(scoped_.path()) / leaf;
+  }
+  const std::string& string() const { return scoped_.path(); }
+
+ private:
+  testing::ScopedTempPath scoped_;
+};
 
 std::vector<Edge> SomeEdges(std::uint32_t n, std::uint32_t salt) {
   std::vector<Edge> out;
@@ -79,7 +89,7 @@ void Spit(const fs::path& path, const std::vector<char>& bytes) {
 TEST(DurabilityTest, TornTailTruncationSweepEveryByteOffset) {
   constexpr std::size_t kBlock = 512;
   auto context = MakeContext(kBlock);
-  const fs::path dir = FreshDir("durability_torn_sweep");
+  const FreshDir dir("durability_torn_sweep");
   const std::string log = (dir / "art.dlog").string();
 
   const auto first = SomeEdges(30, 1000);    // 264 bytes -> 1 block
@@ -153,7 +163,7 @@ TEST(DurabilityTest, TornTailTruncationSweepEveryByteOffset) {
 TEST(DurabilityTest, TornTailStrictReadIsCorruption) {
   constexpr std::size_t kBlock = 512;
   auto context = MakeContext(kBlock);
-  const fs::path dir = FreshDir("durability_torn_strict");
+  const FreshDir dir("durability_torn_strict");
   const std::string log = (dir / "art.dlog").string();
   ASSERT_TRUE(
       dyn::WriteDeltaLog(context.get(), log, 3, SomeEdges(200, 1)).ok());
@@ -168,7 +178,7 @@ TEST(DurabilityTest, TornTailStrictReadIsCorruption) {
 TEST(DurabilityTest, AppendOntoTornLogFoldsValidPrefix) {
   constexpr std::size_t kBlock = 512;
   auto context = MakeContext(kBlock);
-  const fs::path dir = FreshDir("durability_torn_append");
+  const FreshDir dir("durability_torn_append");
   const std::string log = (dir / "art.dlog").string();
   const auto first = SomeEdges(20, 10);
   const auto lost = SomeEdges(90, 20);
@@ -190,7 +200,7 @@ TEST(DurabilityTest, AppendOntoTornLogFoldsValidPrefix) {
 
 TEST(DurabilityTest, DamagedHeaderIsCorruptionNotSelfHealing) {
   auto context = MakeContext(512);
-  const fs::path dir = FreshDir("durability_bad_header");
+  const FreshDir dir("durability_bad_header");
   const std::string log = (dir / "art.dlog").string();
   ASSERT_TRUE(
       dyn::WriteDeltaLog(context.get(), log, 1, SomeEdges(5, 0)).ok());
@@ -209,7 +219,7 @@ TEST(DurabilityTest, DamagedHeaderIsCorruptionNotSelfHealing) {
 
 TEST(DurabilityTest, DeltaLogSyncsAreCountedOutsideModelColumns) {
   auto context = MakeContext(4096);
-  const fs::path dir = FreshDir("durability_sync_counts");
+  const FreshDir dir("durability_sync_counts");
   const std::string log = (dir / "art.dlog").string();
   const auto before = context->stats();
   ASSERT_TRUE(
@@ -228,7 +238,7 @@ TEST(DurabilityTest, DeltaLogSyncsAreCountedOutsideModelColumns) {
 
 TEST(DurabilityTest, DurableRenamePublishesAndCountsOneDirSync) {
   auto context = MakeContext(4096);
-  const fs::path dir = FreshDir("durability_rename");
+  const FreshDir dir("durability_rename");
   const std::string tmp = (dir / "artifact.tmp").string();
   const std::string final_path = (dir / "artifact").string();
   Spit(tmp, {'h', 'i'});
@@ -276,7 +286,7 @@ TEST(DurabilityTest, DisarmedCrashPointsOnlyCount) {
 // ---- orphan scratch-root reaping ------------------------------------
 
 TEST(DurabilityTest, ReapsDeadOwnersKeepsLiveOnes) {
-  const fs::path parent = FreshDir("durability_reap");
+  const FreshDir parent("durability_reap");
 
   // A pid that is guaranteed dead AND guaranteed once-valid: a child
   // we already waited on.
@@ -315,7 +325,6 @@ class CheckpointManifestTest : public ::testing::Test {
  protected:
   void SetUp() override {
     context_ = MakeContext(4096);
-    dir_ = FreshDir("durability_ckpt");
     ckpt_ = std::make_unique<core::CheckpointSession>(
         context_.get(), dir_.string(), /*data_version=*/42);
     // One completed contraction level: the manifest obligates the four
@@ -338,8 +347,9 @@ class CheckpointManifestTest : public ::testing::Test {
     }
   }
 
+  // First member: removed last, after the session and context.
+  FreshDir dir_{"durability_ckpt"};
   std::unique_ptr<io::IoContext> context_;
-  fs::path dir_;
   std::unique_ptr<core::CheckpointSession> ckpt_;
   core::CheckpointSession::ResumeState state_;
   std::vector<std::string> files_;

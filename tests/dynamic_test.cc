@@ -12,8 +12,8 @@
 //    failed update NEVER publishes a torn artifact: the previous
 //    version stays live, readable, and identical.
 //
-// The oracle matrix runs the same randomized insert stream across
-// io_threads {0, 2} x placement {rr, striped}.
+// The oracle run drives a randomized insert stream on two round-robin
+// RAM scratch devices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,23 +51,10 @@ using graph::SccEntry;
 using graph::SccId;
 using serve::ArtifactReader;
 
-struct MatrixConfig {
-  const char* name;
-  std::size_t io_threads;
-  io::PlacementPolicy placement;
-};
-
-constexpr MatrixConfig kMatrix[] = {
-    {"serial_rr", 0, io::PlacementPolicy::kRoundRobin},
-    {"serial_striped", 0, io::PlacementPolicy::kStriped},
-    {"threaded_rr", 2, io::PlacementPolicy::kRoundRobin},
-    {"threaded_striped", 2, io::PlacementPolicy::kStriped},
-};
-
-// RAM-backed scratch regardless of the env matrix (the chaos job's
-// faulty injection gets its own dedicated test below; the oracle runs
-// must be deterministic), but sort_threads and the like still apply.
-std::unique_ptr<io::IoContext> MakeDynContext(const MatrixConfig& config) {
+// Two RAM-backed scratch devices regardless of the env matrix (the
+// chaos job's faulty injection gets its own dedicated test below; the
+// oracle runs must be deterministic), but sort_threads still applies.
+std::unique_ptr<io::IoContext> MakeDynContext() {
   io::IoContextOptions options;
   options.block_size = 4096;
   options.memory_bytes = 4 << 20;
@@ -75,8 +62,6 @@ std::unique_ptr<io::IoContext> MakeDynContext(const MatrixConfig& config) {
   options.device_model = io::DeviceModelSpec{};
   options.device_model.model = io::DeviceModel::kMem;
   options.scratch_dirs = {"", ""};
-  options.scratch_placement = config.placement;
-  options.io_threads = config.io_threads;
   return std::make_unique<io::IoContext>(options);
 }
 
@@ -214,127 +199,123 @@ std::vector<Edge> MakeBatch(util::Rng* rng, const std::vector<Edge>& base,
   return out;
 }
 
-// ---- The oracle matrix -----------------------------------------------
+// ---- The oracle run ---------------------------------------------------
 
-TEST(DynamicTest, IncrementalMatchesFullRebuildAcrossMatrix) {
-  for (const MatrixConfig& config : kMatrix) {
-    SCOPED_TRACE(config.name);
-    auto context = MakeDynContext(config);
-    const std::vector<Edge> base = gen::RandomDigraphEdges(300, 1200, 42);
-    const std::string inc_path =
-        BaseArtifactPath(std::string("inc_") + config.name);
-    const std::string rebuild_path =
-        BaseArtifactPath(std::string("re_") + config.name);
-    {
-      const auto g = graph::MakeDiskGraph(context.get(), base);
-      auto built = serve::BuildArtifact(context.get(), g, inc_path, {});
-      ASSERT_TRUE(built.ok()) << built.status().ToString();
-    }
-    auto opened = DynamicSccIndex::Open(context.get(), inc_path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    DynamicSccIndex index = std::move(opened).value();
-
-    util::Rng rng(1000 + config.io_threads * 10 +
-                  (config.placement == io::PlacementPolicy::kStriped));
-    std::vector<Edge> union_edges = base;
-    std::uint32_t next_new_node = 300;
-    // Batch 2 is crafted non-structural; the last batch is structural
-    // so the run ends with an empty delta log (raw-byte comparison).
-    const bool structural_plan[] = {true, false, true, true, true};
-    for (std::size_t k = 0; k < 5; ++k) {
-      SCOPED_TRACE("batch " + std::to_string(k));
-      const std::vector<Edge> batch = MakeBatch(
-          &rng, base, 300, &next_new_node, 60, structural_plan[k]);
-      union_edges.insert(union_edges.end(), batch.begin(), batch.end());
-
-      auto applied = index.ApplyBatch(batch);
-      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-      const UpdateBatchStats& stats = applied.value();
-      EXPECT_EQ(stats.edges_in, batch.size());
-      if (!structural_plan[k]) {
-        EXPECT_FALSE(stats.rewrote_artifact);
-        EXPECT_EQ(stats.new_dag_edges, 0u);
-        EXPECT_EQ(stats.new_nodes, 0u);
-        EXPECT_GT(index.pending_delta_edges(), 0u);
-      }
-
-      // Full rebuild over the union graph, same label parameters.
-      const auto g = graph::MakeDiskGraph(context.get(), union_edges);
-      auto rebuilt =
-          serve::BuildArtifact(context.get(), g, rebuild_path, {});
-      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-      auto rebuild_reader = ArtifactReader::Open(context.get(), rebuild_path);
-      ASSERT_TRUE(rebuild_reader.ok()) << rebuild_reader.status().ToString();
-      ExpectMatchesRebuild(index.reader(), rebuild_reader.value(),
-                           index.pending_delta_edges(), config.name);
-    }
-
-    // The stream ended on a structural publish: delta log folded in, so
-    // the files agree byte for byte outside the data-version field.
-    EXPECT_EQ(index.pending_delta_edges(), 0u);
-    EXPECT_GT(index.data_version(), 0u);
-    ExpectArtifactBytesIdentical(inc_path, rebuild_path, config.name);
-
-    // Query answers off the maintained artifact match fresh oracles of
-    // the union graph.
-    const auto oracle = testing::Oracle(union_edges);
-    const graph::Digraph union_graph(union_edges);
-    const serve::QueryEngine engine(&index.reader());
-    std::vector<serve::Query> queries;
-    for (std::size_t i = 0; i < 300; ++i) {
-      const std::uint64_t kind = rng.Uniform(3);
-      serve::Query q;
-      q.type = kind == 0   ? serve::QueryType::kSameScc
-               : kind == 1 ? serve::QueryType::kReachable
-                           : serve::QueryType::kSccStat;
-      q.u = static_cast<NodeId>(rng.Uniform(next_new_node + 5));
-      q.v = static_cast<NodeId>(rng.Uniform(next_new_node + 5));
-      queries.push_back(q);
-    }
-    std::vector<serve::QueryAnswer> answers(queries.size());
-    ASSERT_TRUE(engine
-                    .RunBatch(context.get(), queries.data(), queries.size(),
-                              answers.data())
-                    .ok());
-    const auto sizes = oracle.ComponentSizes();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const serve::Query& q = queries[i];
-      const serve::QueryAnswer& a = answers[i];
-      const bool u_known = oracle.Contains(q.u);
-      const bool v_known = oracle.Contains(q.v);
-      switch (q.type) {
-        case serve::QueryType::kSccStat:
-          ASSERT_EQ(a.known, u_known) << "stat " << q.u;
-          if (a.known) {
-            ASSERT_EQ(a.scc_size, sizes.at(oracle.LabelOf(q.u)))
-                << "stat " << q.u;
-          }
-          break;
-        case serve::QueryType::kSameScc:
-          ASSERT_EQ(a.known, u_known && v_known);
-          if (a.known) {
-            ASSERT_EQ(a.result, oracle.LabelOf(q.u) == oracle.LabelOf(q.v))
-                << "same " << q.u << " " << q.v;
-          }
-          break;
-        case serve::QueryType::kReachable:
-          ASSERT_EQ(a.known, u_known && v_known);
-          if (a.known) {
-            ASSERT_EQ(a.result, testing::OracleReach(union_graph, q.u, q.v))
-                << "reach " << q.u << " " << q.v;
-          }
-          break;
-      }
-    }
-    fs::remove(inc_path);
-    fs::remove(rebuild_path);
+TEST(DynamicTest, IncrementalMatchesFullRebuild) {
+  constexpr const char* kName = "serial_rr";
+  auto context = MakeDynContext();
+  const std::vector<Edge> base = gen::RandomDigraphEdges(300, 1200, 42);
+  const std::string inc_path = BaseArtifactPath(std::string("inc_") + kName);
+  const std::string rebuild_path =
+      BaseArtifactPath(std::string("re_") + kName);
+  {
+    const auto g = graph::MakeDiskGraph(context.get(), base);
+    auto built = serve::BuildArtifact(context.get(), g, inc_path, {});
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
   }
+  auto opened = DynamicSccIndex::Open(context.get(), inc_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DynamicSccIndex index = std::move(opened).value();
+
+  util::Rng rng(1000);
+  std::vector<Edge> union_edges = base;
+  std::uint32_t next_new_node = 300;
+  // Batch 2 is crafted non-structural; the last batch is structural
+  // so the run ends with an empty delta log (raw-byte comparison).
+  const bool structural_plan[] = {true, false, true, true, true};
+  for (std::size_t k = 0; k < 5; ++k) {
+    SCOPED_TRACE("batch " + std::to_string(k));
+    const std::vector<Edge> batch = MakeBatch(
+        &rng, base, 300, &next_new_node, 60, structural_plan[k]);
+    union_edges.insert(union_edges.end(), batch.begin(), batch.end());
+
+    auto applied = index.ApplyBatch(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    const UpdateBatchStats& stats = applied.value();
+    EXPECT_EQ(stats.edges_in, batch.size());
+    if (!structural_plan[k]) {
+      EXPECT_FALSE(stats.rewrote_artifact);
+      EXPECT_EQ(stats.new_dag_edges, 0u);
+      EXPECT_EQ(stats.new_nodes, 0u);
+      EXPECT_GT(index.pending_delta_edges(), 0u);
+    }
+
+    // Full rebuild over the union graph, same label parameters.
+    const auto g = graph::MakeDiskGraph(context.get(), union_edges);
+    auto rebuilt =
+        serve::BuildArtifact(context.get(), g, rebuild_path, {});
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    auto rebuild_reader = ArtifactReader::Open(context.get(), rebuild_path);
+    ASSERT_TRUE(rebuild_reader.ok()) << rebuild_reader.status().ToString();
+    ExpectMatchesRebuild(index.reader(), rebuild_reader.value(),
+                         index.pending_delta_edges(), kName);
+  }
+
+  // The stream ended on a structural publish: delta log folded in, so
+  // the files agree byte for byte outside the data-version field.
+  EXPECT_EQ(index.pending_delta_edges(), 0u);
+  EXPECT_GT(index.data_version(), 0u);
+  ExpectArtifactBytesIdentical(inc_path, rebuild_path, kName);
+
+  // Query answers off the maintained artifact match fresh oracles of
+  // the union graph.
+  const auto oracle = testing::Oracle(union_edges);
+  const graph::Digraph union_graph(union_edges);
+  const serve::QueryEngine engine(&index.reader());
+  std::vector<serve::Query> queries;
+  for (std::size_t i = 0; i < 300; ++i) {
+    const std::uint64_t kind = rng.Uniform(3);
+    serve::Query q;
+    q.type = kind == 0   ? serve::QueryType::kSameScc
+             : kind == 1 ? serve::QueryType::kReachable
+                         : serve::QueryType::kSccStat;
+    q.u = static_cast<NodeId>(rng.Uniform(next_new_node + 5));
+    q.v = static_cast<NodeId>(rng.Uniform(next_new_node + 5));
+    queries.push_back(q);
+  }
+  std::vector<serve::QueryAnswer> answers(queries.size());
+  ASSERT_TRUE(engine
+                  .RunBatch(context.get(), queries.data(), queries.size(),
+                            answers.data())
+                  .ok());
+  const auto sizes = oracle.ComponentSizes();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const serve::Query& q = queries[i];
+    const serve::QueryAnswer& a = answers[i];
+    const bool u_known = oracle.Contains(q.u);
+    const bool v_known = oracle.Contains(q.v);
+    switch (q.type) {
+      case serve::QueryType::kSccStat:
+        ASSERT_EQ(a.known, u_known) << "stat " << q.u;
+        if (a.known) {
+          ASSERT_EQ(a.scc_size, sizes.at(oracle.LabelOf(q.u)))
+              << "stat " << q.u;
+        }
+        break;
+      case serve::QueryType::kSameScc:
+        ASSERT_EQ(a.known, u_known && v_known);
+        if (a.known) {
+          ASSERT_EQ(a.result, oracle.LabelOf(q.u) == oracle.LabelOf(q.v))
+              << "same " << q.u << " " << q.v;
+        }
+        break;
+      case serve::QueryType::kReachable:
+        ASSERT_EQ(a.known, u_known && v_known);
+        if (a.known) {
+          ASSERT_EQ(a.result, testing::OracleReach(union_graph, q.u, q.v))
+              << "reach " << q.u << " " << q.v;
+        }
+        break;
+    }
+  }
+  fs::remove(inc_path);
+  fs::remove(rebuild_path);
 }
 
 // ---- Delta log -------------------------------------------------------
 
 TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
-  auto context = MakeDynContext(kMatrix[0]);
+  auto context = MakeDynContext();
   const std::vector<Edge> base = gen::RandomDigraphEdges(200, 800, 9);
   const std::string path = BaseArtifactPath("reopen");
   {
@@ -385,7 +366,7 @@ TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
 }
 
 TEST(DynamicTest, StaleDeltaLogReadsEmpty) {
-  auto context = MakeDynContext(kMatrix[0]);
+  auto context = MakeDynContext();
   const std::string path = BaseArtifactPath("stale");
   // A log claiming base version 7 against an artifact at version 0:
   // its edges are already folded in — honest empty, not an error.

@@ -34,9 +34,7 @@ using testing::MakeTestContext;
 // even tiny graphs spill real runs.
 std::unique_ptr<io::IoContext> MakeFaultyContext(
     const io::FaultSpec& fault, std::size_t num_devices,
-    std::size_t sort_threads = 0, std::size_t io_threads = 0,
-    bool checksums = false,
-    io::PlacementPolicy placement = io::PlacementPolicy::kRoundRobin) {
+    std::size_t sort_threads = 0, bool checksums = false) {
   io::IoContextOptions options;
   options.block_size = 128;
   options.memory_bytes = scc::SemiExternalScc::StateBytes(32);
@@ -45,9 +43,7 @@ std::unique_ptr<io::IoContext> MakeFaultyContext(
   options.device_model.fault = fault;
   options.device_model.fault.inner = io::DeviceModel::kMem;
   options.sort_threads = sort_threads;
-  options.io_threads = io_threads;
   options.checksum_blocks = checksums;
-  options.scratch_placement = placement;
   return std::make_unique<io::IoContext>(options);
 }
 
@@ -84,19 +80,16 @@ TEST(FaultInjectionTest, TransientFaultsRetryToByteIdenticalSolve) {
   EXPECT_EQ(clean->stats().read_retries + clean->stats().write_retries, 0u)
       << "fault-free runs must never take the retry path";
 
-  // Compose with the threaded engines: retries live below the worker
-  // rings, so overlapped sort/spill and device-parallel I/O must solve
-  // through the same fault schedule.
-  struct { std::size_t sort_threads, io_threads; } grid[] = {
-      {0, 0}, {1, 0}, {0, 2}, {1, 2}};
-  for (const auto& point : grid) {
+  // Compose with overlapped run formation: retries live below the
+  // spill worker, so the threaded sort must solve through the same
+  // fault schedule.
+  for (const std::size_t sort_threads : {0, 1}) {
     io::FaultSpec fault;
     fault.seed = 41;
     fault.read_fault_rate = 2e-3;
     fault.write_fault_rate = 2e-3;
     fault.short_rate = 1e-3;
-    auto faulty = MakeFaultyContext(fault, 1, point.sort_threads,
-                                    point.io_threads);
+    auto faulty = MakeFaultyContext(fault, 1, sort_threads);
     const auto labels = SolveOrDie(faulty.get(), edges, "transient faults");
     EXPECT_EQ(labels.size(), reference.size());
     for (std::size_t i = 0; i < labels.size() && i < reference.size(); ++i) {
@@ -146,11 +139,11 @@ TEST(FaultInjectionTest, PersistentDeviceFailureFailsOverAndVerifies) {
   // check above is the correctness bar.
 }
 
-// ---- Faults x striped placement --------------------------------------
+// ---- Faults on two round-robin devices -------------------------------
 
-TEST(FaultInjectionTest, StripedTransientFaultsRetryToByteIdenticalSolve) {
-  // Striped scratch means every block op picks its member device; the
-  // retry layer must charge and absorb faults per member, and the solve
+TEST(FaultInjectionTest, TwoDeviceTransientFaultsRetryToByteIdenticalSolve) {
+  // Consecutive scratch files alternate between two faulty devices; the
+  // retry layer must charge and absorb faults per device, and the solve
   // must stay byte-identical to the clean reference.
   const auto edges = gen::RandomDigraphEdges(150, 450, 17);
   auto clean = MakeCleanMemContext(1);
@@ -162,12 +155,9 @@ TEST(FaultInjectionTest, StripedTransientFaultsRetryToByteIdenticalSolve) {
   fault.read_fault_rate = 2e-3;
   fault.write_fault_rate = 2e-3;
   fault.short_rate = 1e-3;
-  auto faulty =
-      MakeFaultyContext(fault, /*num_devices=*/2, /*sort_threads=*/0,
-                        /*io_threads=*/2, /*checksums=*/false,
-                        io::PlacementPolicy::kStriped);
+  auto faulty = MakeFaultyContext(fault, /*num_devices=*/2);
   const auto labels =
-      SolveOrDie(faulty.get(), edges, "striped transient faults");
+      SolveOrDie(faulty.get(), edges, "two-device transient faults");
   ASSERT_EQ(labels.size(), reference.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     ASSERT_EQ(labels[i].node, reference[i].node) << "at record " << i;
@@ -177,34 +167,31 @@ TEST(FaultInjectionTest, StripedTransientFaultsRetryToByteIdenticalSolve) {
   EXPECT_FALSE(faulty->has_io_error()) << faulty->io_error().ToString();
 }
 
-TEST(FaultInjectionTest, StripedPersistentMemberFailureQuarantinesMember) {
-  // One member of every stripe dies persistently for spill writes. The
-  // failover must treat each affected striped file as ONE lost file,
-  // quarantine the dead MEMBER (not the composite), fall back to
-  // round-robin placement on the survivor (stripes need >= 2 devices),
-  // and finish with verified labels.
+TEST(FaultInjectionTest, TwoDevicePersistentFailureWithSpillWorker) {
+  // Device 1 of 2 dies for spill writes while a sort_threads spill
+  // worker does the spilling. The failover must quarantine it from the
+  // worker, keep placing round-robin on the survivor, and finish with
+  // verified labels.
   io::FaultSpec fault;
   fault.seed = 7;
   fault.fail_writes_after = 1;
   fault.path_tag = "sortrun";
   fault.device_index = 1;
-  auto ctx =
-      MakeFaultyContext(fault, /*num_devices=*/2, /*sort_threads=*/0,
-                        /*io_threads=*/0, /*checksums=*/false,
-                        io::PlacementPolicy::kStriped);
+  auto ctx = MakeFaultyContext(fault, /*num_devices=*/2, /*sort_threads=*/1);
   const auto edges = gen::RandomDigraphEdges(150, 450, 19);
-  const auto labels = SolveOrDie(ctx.get(), edges, "striped dead member");
+  const auto labels =
+      SolveOrDie(ctx.get(), edges, "dead device under a spill worker");
   ASSERT_FALSE(labels.empty());
 
   const auto devices = ctx->temp_files().devices();
   ASSERT_EQ(devices.size(), 2u);
   EXPECT_TRUE(ctx->temp_files().IsQuarantined(devices[1]))
-      << "the failing stripe member must be quarantined";
+      << "the failing device must be quarantined";
   EXPECT_FALSE(ctx->temp_files().IsQuarantined(devices[0]));
   EXPECT_EQ(ctx->temp_files().num_available_devices(), 1u);
   EXPECT_FALSE(ctx->has_io_error())
       << ctx->io_error().ToString()
-      << " — a recovered striped failover must absorb its latched error";
+      << " — a recovered failover must absorb its latched error";
 }
 
 // ---- Silent corruption: checksums turn bit flips into kCorruption ----
@@ -214,7 +201,7 @@ TEST(FaultInjectionTest, BitFlipsYieldCorruptionNeverWrongAnswers) {
   fault.seed = 23;
   fault.corrupt_rate = 5e-3;  // dense enough that some read gets hit
   auto ctx = MakeFaultyContext(fault, 1, /*sort_threads=*/0,
-                               /*io_threads=*/0, /*checksums=*/true);
+                               /*checksums=*/true);
   const auto edges = gen::RandomDigraphEdges(150, 450, 29);
   const auto g = graph::MakeDiskGraph(ctx.get(), edges);
   const std::string out = ctx->NewTempPath("labels");
@@ -236,7 +223,7 @@ TEST(FaultInjectionTest, ChecksummedCleanSolveVerifies) {
   io::FaultSpec fault;
   fault.seed = 3;
   auto ctx = MakeFaultyContext(fault, 1, /*sort_threads=*/0,
-                               /*io_threads=*/2, /*checksums=*/true);
+                               /*checksums=*/true);
   const auto edges = gen::RandomDigraphEdges(150, 450, 17);
   const auto labels = SolveOrDie(ctx.get(), edges, "checksums on");
   EXPECT_FALSE(labels.empty());
@@ -320,8 +307,8 @@ TEST(FaultInjectionTest, RetryableErrnoClassification) {
 TEST(FailureInjectionTest, TruncatedRecordFileAborts) {
   auto ctx = MakeTestContext();
   // A user-facing path on the base device, NOT a scratch path: under
-  // the mem/striped test matrices a scratch path is a virtual name a
-  // plain file write cannot create.
+  // the mem test matrix a scratch path is a virtual name a plain file
+  // write cannot create.
   const testing::ScopedTempPath file("truncated.bin");
   const std::string& path = file.path();
   testing::WriteTextFile(path, "abc");  // 3 bytes: not a whole Edge record

@@ -206,8 +206,7 @@ TEST(GraphBuilderTest, StreamingBuild) {
 TEST(GraphIoTest, TextRoundTrip) {
   auto ctx = MakeTestContext();
   // Text edge lists are user-facing files: real filesystem paths, not
-  // scratch paths (which are virtual names under the mem/striped test
-  // matrices).
+  // scratch paths (which are virtual names under the mem test matrix).
   const ScopedTempPath text("graph.txt");
   const std::string& text_path = text.path();
   WriteTextFile(text_path, "# comment line\n1 2\n2 3\n3 1\n");

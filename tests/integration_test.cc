@@ -158,7 +158,7 @@ TEST(RobustnessTest, TextPipelineEndToEnd) {
   auto ctx = MakeTestContext(/*memory_bytes=*/1 << 20);
   // Write a text graph, load it, solve it, save labels next to it.
   // (A real filesystem path: text input is user-facing, and scratch
-  // paths are virtual names under the mem/striped test matrices.)
+  // paths are virtual names under the mem test matrix.)
   const testing::ScopedTempPath text("input.txt");
   testing::WriteTextFile(text.path(), "# demo\n1 2\n2 3\n3 1\n3 4\n");
   auto loaded = graph::LoadTextEdgeList(ctx.get(), text.path());

@@ -47,10 +47,19 @@ using testing::MakeTestContext;
 // sweeps. The graph is small but spans many 4K blocks, so flips land in
 // every region (preamble, payload, meta, footer).
 struct BuiltArtifact {
+  // The directory holding the artifact and every copy a test makes of
+  // it (testing::ScopedTempPath). Declared first, so it is removed
+  // last, with everything in it.
+  std::unique_ptr<testing::ScopedTempPath> dir;
   std::unique_ptr<io::IoContext> context;
   std::string path;
   std::vector<Edge> edges;
   std::vector<SccEntry> solver_labels;  // reference node→SCC map
+
+  // A file beside the artifact, removed with it.
+  std::string PathFor(const std::string& name) const {
+    return (fs::path(dir->path()) / name).string();
+  }
 };
 
 BuiltArtifact BuildTestArtifact(std::uint32_t nodes, std::uint64_t num_edges,
@@ -60,11 +69,12 @@ BuiltArtifact BuildTestArtifact(std::uint32_t nodes, std::uint64_t num_edges,
   out.edges = gen::RandomDigraphEdges(nodes, num_edges, seed);
   const auto g = graph::MakeDiskGraph(out.context.get(), out.edges);
   // The artifact is a user-facing file: a real filesystem path on the
-  // base device, NOT a scratch path (virtual under the mem/striped
-  // test matrices), so the corruption sweeps can patch its bytes with
+  // base device, NOT a scratch path (virtual under the mem test
+  // matrix), so the corruption sweeps can patch its bytes with
   // ordinary file ops.
-  out.path = ::testing::TempDir() + "/extscc_artifact_" +
-             std::to_string(nodes) + "_" + std::to_string(seed) + ".art";
+  out.dir = std::make_unique<testing::ScopedTempPath>("artifact");
+  fs::create_directories(out.dir->path());
+  out.path = out.PathFor("graph.art");
   auto built =
       serve::BuildArtifact(out.context.get(), g, out.path, {});
   EXPECT_TRUE(built.ok()) << built.status().ToString();
@@ -194,8 +204,8 @@ TEST(ServeArtifactTest, RejectsForeignAndDamagedHeaders) {
 
   int copy_seq = 0;
   const auto copy_to = [&](const char* tag) {
-    const std::string copy = ::testing::TempDir() + "/extscc_" + tag + "_" +
-                             std::to_string(copy_seq++) + ".art";
+    const std::string copy = built.PathFor(
+        std::string(tag) + "_" + std::to_string(copy_seq++) + ".art");
     fs::copy_file(built.path, copy,
                   fs::copy_options::overwrite_existing);
     return copy;
@@ -279,7 +289,7 @@ TEST(ServeArtifactTest, BitFlipNeverYieldsWrongAnswer) {
   }
 
   const std::uint64_t size = fs::file_size(built.path);
-  const std::string mutant = ::testing::TempDir() + "/extscc_mutant.art";
+  const std::string mutant = built.PathFor("mutant.art");
   util::Rng rng(99);
   std::uint64_t detected = 0, harmless = 0;
   // Stride chosen to hit every block and both halves of most 8-byte

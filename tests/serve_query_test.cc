@@ -18,7 +18,6 @@
 #include "graph/graph_types.h"
 #include "io/io_context.h"
 #include "serve/artifact.h"
-#include "serve/artifact_stage.h"
 #include "serve/index_builder.h"
 #include "serve/query_engine.h"
 #include "serve/service.h"
@@ -302,89 +301,6 @@ TEST(ServeQueryTest, ConcurrentReadersMatchSerialAndSumToAggregate) {
   EXPECT_GE((agg_after - agg_before).total_reads(),
             threaded_stats.swept_blocks);
   CleanupFixture(fx);
-}
-
-// ---- Striped staging -------------------------------------------------
-
-// Serving under --placement=striped stages the artifact onto the
-// scratch devices so the map sweep runs at multi-device bandwidth.
-// Explicit options (not the env matrix): two RAM-backed scratch devices
-// under striped placement, the artifact itself on the base device.
-TEST(ServeQueryTest, StagedArtifactSweepStripesAcrossDevices) {
-  io::IoContextOptions options;
-  options.block_size = 4096;
-  options.memory_bytes = 4 << 20;
-  options.device_model.model = io::DeviceModel::kMem;
-  options.scratch_dirs = {"", ""};
-  options.scratch_placement = io::PlacementPolicy::kStriped;
-  io::IoContext context(options);
-  ASSERT_EQ(context.temp_files().effective_stripe_width(), 2u);
-
-  const auto edges = gen::RandomDigraphEdges(6000, 24000, 29);
-  const auto g = graph::MakeDiskGraph(&context, edges);
-  const std::string artifact_path =
-      (fs::path(::testing::TempDir()) / "extscc_striped_serve.art").string();
-  fs::remove(artifact_path);
-  auto built = serve::BuildArtifact(&context, g, artifact_path, {});
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  // Baseline: answers straight off the base-device artifact.
-  const std::vector<Query> queries = RandomQueries(800, 6000, 31);
-  std::vector<QueryAnswer> direct_answers(queries.size());
-  {
-    auto direct = ArtifactReader::Open(&context, artifact_path);
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    const ArtifactReader reader = std::move(direct).value();
-    ASSERT_TRUE(serve::QueryEngine(&reader)
-                    .RunBatch(&context, queries.data(), queries.size(),
-                              direct_answers.data())
-                    .ok());
-  }
-
-  auto staged = serve::StageArtifactForServing(&context, artifact_path);
-  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
-  ASSERT_TRUE(staged.value().staged);
-  ASSERT_NE(staged.value().path, artifact_path);
-  auto opened = ArtifactReader::Open(&context, staged.value().path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const ArtifactReader reader = std::move(opened).value();
-  const serve::QueryEngine engine(&reader);
-
-  const auto before = context.DeviceStats();
-  const io::IoStats agg_before = context.stats();
-  std::vector<QueryAnswer> answers(queries.size());
-  QueryBatchStats stats;
-  ASSERT_TRUE(engine
-                  .RunBatch(&context, queries.data(), queries.size(),
-                            answers.data(), &stats)
-                  .ok());
-  const auto after = context.DeviceStats();
-  const io::IoStats agg_after = context.stats();
-
-  // The sweep fans out: both scratch members read blocks, the base
-  // device none (the staged copy is the only file touched), and the
-  // per-device rows still account for exactly the aggregate.
-  ASSERT_EQ(after[0].name, "base");
-  EXPECT_EQ((after[0].stats - before[0].stats).total_reads(), 0u);
-  std::size_t scratch_readers = 0;
-  std::uint64_t row_sum = 0;
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    const io::IoStats delta = after[i].stats - before[i].stats;
-    row_sum += delta.total_ios();
-    if (i > 0 && delta.total_reads() > 0) ++scratch_readers;
-  }
-  EXPECT_GE(scratch_readers, 2u) << "sweep must stripe across devices";
-  EXPECT_EQ(row_sum, (agg_after - agg_before).total_ios());
-  EXPECT_GT(stats.swept_blocks, 0u);
-
-  // Staging must not change a single answer.
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(answers[i].known, direct_answers[i].known) << "query " << i;
-    ASSERT_EQ(answers[i].result, direct_answers[i].result) << "query " << i;
-    ASSERT_EQ(answers[i].scc_size, direct_answers[i].scc_size)
-        << "query " << i;
-  }
-  fs::remove(artifact_path);
 }
 
 // ---- Line protocol ---------------------------------------------------

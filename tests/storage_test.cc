@@ -1,7 +1,7 @@
 // Storage-device API tests: MemDevice/ThrottledDevice round trips and
 // accounting equivalence with PosixDevice, per-device stats summing
 // exactly to the aggregate IoStats, the round-robin default staying
-// byte-identical to the pre-device engine, striped placement, and the
+// byte-identical to the pre-device engine, the throttle model, and the
 // shared machine-option parser.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
@@ -32,9 +32,6 @@
 namespace extscc {
 namespace {
 
-using graph::Edge;
-using graph::NodeId;
-
 struct U64Less {
   bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
 };
@@ -58,7 +55,6 @@ std::unique_ptr<io::StorageFile> OpenOrDie(io::StorageDevice* device,
 
 std::unique_ptr<io::IoContext> MakeContext(io::DeviceModel model,
                                            std::size_t num_devices,
-                                           io::PlacementPolicy placement,
                                            std::uint64_t memory = 16 << 10,
                                            std::size_t block = 1024) {
   io::IoContextOptions options;
@@ -68,7 +64,6 @@ std::unique_ptr<io::IoContext> MakeContext(io::DeviceModel model,
   // Keep the simulated devices effectively free for tests.
   options.device_model.throttle_latency_us = 0;
   options.device_model.throttle_mb_per_sec = 0;
-  options.scratch_placement = placement;
   // Under kMem/kThrottled-with-empty-parent the entries only set the
   // device count; no directories are created under these names.
   for (std::size_t i = 0; i < num_devices; ++i) {
@@ -81,8 +76,7 @@ std::unique_ptr<io::IoContext> MakeContext(io::DeviceModel model,
 // ---- device round trips ----------------------------------------------
 
 TEST(StorageDeviceTest, MemDeviceRoundTrip) {
-  auto ctx = MakeContext(io::DeviceModel::kMem, 1,
-                         io::PlacementPolicy::kRoundRobin);
+  auto ctx = MakeContext(io::DeviceModel::kMem, 1);
   auto values = RandomValues(10'000, 5);
   const std::string path = ctx->NewTempPath("mem_rt");
   io::WriteAllRecords(ctx.get(), path, values);
@@ -102,8 +96,7 @@ TEST(StorageDeviceTest, MemWriteThroughReadHandleFailsLikePosix) {
   // the typed-error contract the failure is an errno-carrying IoError
   // parked on the file's sticky status and latched on the context —
   // never a crash.
-  auto ctx = MakeContext(io::DeviceModel::kMem, 1,
-                         io::PlacementPolicy::kRoundRobin);
+  auto ctx = MakeContext(io::DeviceModel::kMem, 1);
   const std::string path = ctx->NewTempPath("ro");
   io::WriteAllRecords(ctx.get(), path, std::vector<std::uint64_t>{1, 2});
   io::BlockFile file(ctx.get(), path, io::OpenMode::kRead);
@@ -122,8 +115,7 @@ TEST(StorageDeviceTest, MemWriteThroughReadHandleFailsLikePosix) {
 }
 
 TEST(StorageDeviceTest, ThrottledDeviceRoundTrip) {
-  auto ctx = MakeContext(io::DeviceModel::kThrottled, 2,
-                         io::PlacementPolicy::kRoundRobin);
+  auto ctx = MakeContext(io::DeviceModel::kThrottled, 2);
   auto values = RandomValues(20'000, 6);
   const std::string in = ctx->NewTempPath("in");
   const std::string out = ctx->NewTempPath("out");
@@ -140,7 +132,7 @@ TEST(StorageDeviceTest, ThrottledDeviceRoundTrip) {
 TEST(StorageDeviceTest, MemAccountingIdenticalToPosix) {
   const auto values = RandomValues(60'000, 7);
   const auto run = [&](io::DeviceModel model) {
-    auto ctx = MakeContext(model, 1, io::PlacementPolicy::kRoundRobin);
+    auto ctx = MakeContext(model, 1);
     const std::string in = ctx->NewTempPath("in");
     const std::string out = ctx->NewTempPath("out");
     io::WriteAllRecords(ctx.get(), in, values);
@@ -156,37 +148,6 @@ TEST(StorageDeviceTest, MemAccountingIdenticalToPosix) {
   EXPECT_EQ(posix.bytes_read, mem.bytes_read);
   EXPECT_EQ(posix.bytes_written, mem.bytes_written);
   EXPECT_EQ(posix.files_created, mem.files_created);
-}
-
-// ---- placement --------------------------------------------------------
-
-// A striped-placement solve must still match the oracle partition, and
-// its sorted labels must be byte-identical to the round-robin default —
-// placement moves blocks between devices, never changes their bytes.
-TEST(PlacementTest, StripedSolveMatchesRoundRobinAndOracle) {
-  const auto solve = [](io::PlacementPolicy placement) {
-    auto ctx = MakeContext(io::DeviceModel::kMem, 3, placement,
-                           /*memory=*/96 << 10, /*block=*/4096);
-    gen::SyntheticParams params;
-    params.num_nodes = 4'000;
-    params.avg_degree = 3.0;
-    params.sccs = {{20, 40}};
-    params.seed = 12;
-    const auto g = gen::GenerateSynthetic(ctx.get(), params);
-    const std::string scc_path = ctx->NewTempPath("scc");
-    auto result = core::RunExtScc(ctx.get(), g, scc_path,
-                                  core::ExtSccOptions::Optimized());
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    testing::ExpectSccFileMatchesOracle(ctx.get(), g, scc_path, "placement");
-    return io::ReadAllRecords<graph::SccEntry>(ctx.get(), scc_path);
-  };
-  const auto rr = solve(io::PlacementPolicy::kRoundRobin);
-  const auto striped = solve(io::PlacementPolicy::kStriped);
-  ASSERT_EQ(rr.size(), striped.size());
-  for (std::size_t i = 0; i < rr.size(); ++i) {
-    ASSERT_EQ(rr[i].node, striped[i].node) << "at " << i;
-    ASSERT_EQ(rr[i].scc, striped[i].scc) << "at " << i;
-  }
 }
 
 // ---- per-device accounting -------------------------------------------
@@ -206,7 +167,6 @@ void ExpectDeviceStatsSumToAggregate(const io::IoContext& ctx) {
 
 TEST(DeviceStatsTest, PerDeviceSumsExactlyToAggregate) {
   auto ctx = MakeContext(io::DeviceModel::kMem, 3,
-                         io::PlacementPolicy::kRoundRobin,
                          /*memory=*/64 << 10, /*block=*/2048);
   gen::SyntheticParams params;
   params.num_nodes = 3'000;
@@ -234,8 +194,7 @@ TEST(DeviceStatsTest, PerDeviceSumsExactlyToAggregate) {
 
 TEST(DeviceStatsTest, NonScratchTrafficLandsOnBaseDevice) {
   namespace fs = std::filesystem;
-  auto ctx = MakeContext(io::DeviceModel::kMem, 1,
-                         io::PlacementPolicy::kRoundRobin);
+  auto ctx = MakeContext(io::DeviceModel::kMem, 1);
   const std::string outside =
       (fs::temp_directory_path() / "extscc_storage_test_outside.bin")
           .string();
@@ -257,8 +216,7 @@ TEST(PlacementTest, RoundRobinDefaultAlternatesBySequence) {
   std::vector<std::unique_ptr<io::StorageDevice>> devices;
   devices.push_back(std::make_unique<io::MemDevice>("m0"));
   devices.push_back(std::make_unique<io::MemDevice>("m1"));
-  io::TempFileManager manager(std::move(devices),
-                              io::PlacementPolicy::kRoundRobin);
+  io::TempFileManager manager(std::move(devices));
   const auto device_list = manager.devices();
   const io::ScratchFile a = manager.NewFile("x");
   const io::ScratchFile b = manager.NewFile("x");
@@ -335,17 +293,6 @@ TEST(StorageConfigTest, ParseDeviceModelSpec) {
   EXPECT_NE(io::ParseDeviceModelSpec("faulty:seed=-3", &spec), "");
   EXPECT_NE(io::ParseDeviceModelSpec("faulty:inner=floppy", &spec), "");
   EXPECT_NE(io::ParseDeviceModelSpec("faulty:", &spec), "");
-
-  io::PlacementPolicy policy = io::PlacementPolicy::kRoundRobin;
-  EXPECT_EQ(io::ParsePlacementSpec("striped", &policy), "");
-  EXPECT_EQ(policy, io::PlacementPolicy::kStriped);
-  EXPECT_EQ(io::ParsePlacementSpec("rr", &policy), "");
-  EXPECT_EQ(policy, io::PlacementPolicy::kRoundRobin);
-  EXPECT_NE(io::ParsePlacementSpec("zigzag", &policy), "");
-  // An unknown policy is rejected with a message naming what is
-  // supported.
-  EXPECT_EQ(io::ParsePlacementSpec("spread", &policy),
-            "bad --placement \"spread\" (supported: rr, striped)");
 }
 
 // One parser serves every front end: the tool's and benches' flags, and
@@ -354,59 +301,71 @@ TEST(StorageConfigTest, ParseDeviceModelSpec) {
 TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   io::IoContextOptions options;
   for (const char* flag :
-       {"--sort-threads=1", "--io-threads=2", "--scratch-dirs=a,,b",
-        "--device-model=throttled:5", "--placement=striped"}) {
+       {"--sort-threads=1", "--scratch-dirs=a,,b",
+        "--device-model=throttled:5"}) {
     EXPECT_EQ(io::ParseMachineFlag(flag, &options), "") << flag;
   }
   EXPECT_EQ(options.sort_threads, 1u);
-  EXPECT_EQ(options.io_threads, 2u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(options.device_model.model, io::DeviceModel::kThrottled);
   EXPECT_EQ(options.device_model.throttle_latency_us, 5u);
-  EXPECT_EQ(options.scratch_placement, io::PlacementPolicy::kStriped);
-  // Malformed values, options without a value and unknown options are
-  // errors, never silently ignored.
+  // Malformed values, out-of-range values, options without a value and
+  // unknown options (including the retired --io-threads and
+  // --placement) are errors, never silently ignored.
   for (const char* flag :
-       {"--io-threads=two", "--io-threads=-1", "--sort-threads",
-        "--scratch-dirs", "--device-model", "--checksum-blocks",
-        "--frobnicate", "--frobnicate=1", "positional"}) {
+       {"--sort-threads=two", "--sort-threads=-1", "--sort-threads=2",
+        "--io-threads=2", "--io-threads=two", "--io-threads=-1",
+        "--placement=rr", "--sort-threads", "--scratch-dirs",
+        "--device-model", "--checksum-blocks", "--frobnicate",
+        "--frobnicate=1", "positional"}) {
     EXPECT_NE(io::ParseMachineFlag(flag, &options), "") << flag;
   }
   EXPECT_EQ(io::ParseMachineFlag("--device-model", &options),
             "missing value for --device-model (want --device-model=VALUE)");
+  EXPECT_EQ(io::ParseMachineFlag("--sort-threads=2", &options),
+            "bad --sort-threads \"2\" (want 0 or 1)");
+  EXPECT_EQ(io::ParseMachineFlag("--io-threads=2", &options),
+            "unknown flag --io-threads (machine options: --sort-threads, "
+            "--scratch-dirs, --device-model)");
+  EXPECT_EQ(io::ParseMachineFlag("--placement=rr", &options),
+            "unknown flag --placement (machine options: --sort-threads, "
+            "--scratch-dirs, --device-model)");
   // A rejected flag leaves the options as they were.
+  EXPECT_EQ(options.sort_threads, 1u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(options.device_model.model, io::DeviceModel::kThrottled);
-  EXPECT_EQ(io::ParseMachineFlag("--placement=spread", &options),
-            "bad --placement \"spread\" (supported: rr, striped)");
 
-  ::setenv("EXTSCC_PARSER_TEST_IO_THREADS", "3", 1);
-  ::setenv("EXTSCC_PARSER_TEST_PLACEMENT", "rr", 1);
-  EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options), "");
-  EXPECT_EQ(options.io_threads, 3u);
-  EXPECT_EQ(options.scratch_placement, io::PlacementPolicy::kRoundRobin);
+  // The retired variables are no longer read.
+  ::setenv("EXTSCC_PARSER_TEST_IO_THREADS", "two", 1);
   ::setenv("EXTSCC_PARSER_TEST_PLACEMENT", "spread", 1);
+  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "0", 1);
+  ::setenv("EXTSCC_PARSER_TEST_SCRATCH_DIRS", "c", 1);
+  EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options), "");
+  EXPECT_EQ(options.sort_threads, 0u);
+  EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"c"}));
+  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "2", 1);
   EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options),
-            "EXTSCC_PARSER_TEST_PLACEMENT: bad --placement \"spread\" "
-            "(supported: rr, striped)");
+            "EXTSCC_PARSER_TEST_SORT_THREADS: bad --sort-threads \"2\" "
+            "(want 0 or 1)");
   ::unsetenv("EXTSCC_PARSER_TEST_IO_THREADS");
   ::unsetenv("EXTSCC_PARSER_TEST_PLACEMENT");
+  ::unsetenv("EXTSCC_PARSER_TEST_SORT_THREADS");
+  ::unsetenv("EXTSCC_PARSER_TEST_SCRATCH_DIRS");
 
   // The suites' own front end turns that error into a test failure.
-  const char* matrix = std::getenv("EXTSCC_TEST_PLACEMENT");
+  const char* matrix = std::getenv("EXTSCC_TEST_SORT_THREADS");
   const std::string saved = matrix != nullptr ? matrix : "";
-  ::setenv("EXTSCC_TEST_PLACEMENT", "spread", 1);
+  ::setenv("EXTSCC_TEST_SORT_THREADS", "2", 1);
   EXPECT_NONFATAL_FAILURE(
       {
         io::IoContextOptions env_options;
         testing::ApplyTestEnvOptions(&env_options);
       },
-      "EXTSCC_TEST_PLACEMENT: bad --placement \"spread\" "
-      "(supported: rr, striped)");
+      "EXTSCC_TEST_SORT_THREADS: bad --sort-threads \"2\" (want 0 or 1)");
   if (matrix != nullptr) {
-    ::setenv("EXTSCC_TEST_PLACEMENT", saved.c_str(), 1);
+    ::setenv("EXTSCC_TEST_SORT_THREADS", saved.c_str(), 1);
   } else {
-    ::unsetenv("EXTSCC_TEST_PLACEMENT");
+    ::unsetenv("EXTSCC_TEST_SORT_THREADS");
   }
 }
 
@@ -535,311 +494,6 @@ TEST(ThrottledDeviceTest, SlowConsumerStillPaysSubQuantumCosts) {
       kOps * std::chrono::duration<double>(kThinkTime).count();
   EXPECT_GE(wall, 0.9 * floor)
       << "sub-quantum op costs were forgiven instead of deferred";
-}
-
-// ---- striped placement -----------------------------------------------
-
-// Manager-level contract: under kStriped a new scratch file is a
-// virtual path on the composite StripedDevice whose stripe spans every
-// AVAILABLE device in configuration order; quarantined members are
-// excluded from NEW stripes, and when fewer than two devices remain the
-// manager falls back to round-robin instead of building a 1-wide
-// "stripe".
-TEST(StripedPlacementTest, NewFileStripesOverAvailableDevices) {
-  std::vector<std::unique_ptr<io::StorageDevice>> devices;
-  for (int i = 0; i < 4; ++i) {
-    devices.push_back(
-        std::make_unique<io::MemDevice>("m" + std::to_string(i)));
-  }
-  io::TempFileManager manager(std::move(devices),
-                              io::PlacementPolicy::kStriped);
-  manager.ConfigureStriping(/*block_size=*/1024, /*checksum_blocks=*/false);
-  const auto device_list = manager.devices();
-
-  const io::ScratchFile wide = manager.NewFile("w");
-  EXPECT_EQ(wide.path.rfind("striped://", 0), 0u) << wide.path;
-  EXPECT_EQ(manager.DeviceForPath(wide.path), wide.device);
-  // The striped composite is not one of the physical scratch devices.
-  for (const io::StorageDevice* device : device_list) {
-    EXPECT_NE(wide.device, device);
-  }
-  {
-    std::unique_ptr<io::StorageFile> handle;
-    ASSERT_TRUE(wide.device
-                    ->Open(wide.path, io::OpenMode::kTruncateWrite, &handle)
-                    .ok());
-    const auto* stripe = handle->stripe_devices();
-    ASSERT_NE(stripe, nullptr);
-    ASSERT_EQ(stripe->size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ((*stripe)[i], device_list[i]);
-  }
-
-  // A quarantined member must not appear in new stripes.
-  manager.Quarantine(device_list[1]);
-  const io::ScratchFile narrowed = manager.NewFile("n");
-  {
-    std::unique_ptr<io::StorageFile> handle;
-    ASSERT_TRUE(
-        narrowed.device
-            ->Open(narrowed.path, io::OpenMode::kTruncateWrite, &handle)
-            .ok());
-    const auto* stripe = handle->stripe_devices();
-    ASSERT_NE(stripe, nullptr);
-    ASSERT_EQ(stripe->size(), 3u);
-    for (const io::StorageDevice* member : *stripe) {
-      EXPECT_NE(member, device_list[1]) << "quarantined member in new stripe";
-    }
-  }
-
-  // Down to one available device: fall back to round-robin placement on
-  // what is left — never a 1-wide stripe.
-  manager.Quarantine(device_list[0]);
-  manager.Quarantine(device_list[2]);
-  ASSERT_EQ(manager.num_available_devices(), 1u);
-  const io::ScratchFile fallback = manager.NewFile("f");
-  EXPECT_EQ(fallback.device, device_list[3]);
-  EXPECT_EQ(fallback.path.rfind("striped://", 0), std::string::npos)
-      << fallback.path;
-}
-
-// One device from the start: kStriped never engages (no composite is
-// even built) and placement degrades to plain round-robin.
-TEST(StripedPlacementTest, SingleDeviceFallsBackToRoundRobin) {
-  std::vector<std::unique_ptr<io::StorageDevice>> devices;
-  devices.push_back(std::make_unique<io::MemDevice>("only"));
-  io::TempFileManager manager(std::move(devices),
-                              io::PlacementPolicy::kStriped);
-  manager.ConfigureStriping(1024, false);
-  const io::ScratchFile file = manager.NewFile("x");
-  EXPECT_EQ(file.device, manager.devices()[0]);
-  EXPECT_EQ(file.path.rfind("striped://", 0), std::string::npos) << file.path;
-}
-
-// Mapping identity: bytes written through a striped scratch file read
-// back byte-identically, the blocks land on several member devices, and
-// the per-device rows (which list only the physical members — the
-// composite's own stats stay zero) still sum exactly to the aggregate.
-TEST(StripedPlacementTest, WriteReadBackByteIdenticalAndRowsSum) {
-  auto ctx = MakeContext(io::DeviceModel::kMem, 3,
-                         io::PlacementPolicy::kStriped);
-  const auto values = RandomValues(20'000, 31);
-  const std::string path = ctx->NewTempPath("striped_rt");
-  io::WriteAllRecords(ctx.get(), path, values);
-  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), path), values);
-  ExpectDeviceStatsSumToAggregate(*ctx);
-  std::size_t active = 0;
-  for (const auto& row : ctx->DeviceStats()) {
-    if (row.stats.total_ios() > 0) ++active;
-  }
-  EXPECT_GE(active, 2u) << "a striped file must touch several devices";
-  EXPECT_LT(ctx->max_per_device_ios(), ctx->stats().total_ios());
-  // Truncating reopen resets the contents across all parts.
-  io::WriteAllRecords(ctx.get(), path, std::vector<std::uint64_t>{1, 2, 3});
-  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), path),
-            (std::vector<std::uint64_t>{1, 2, 3}));
-  ctx->temp_files().Remove(path);
-}
-
-// Striping composes with block checksums: the physical stride grows by
-// the CRC32 trailer on both layers (StripedDevice::Open mirrors
-// BlockFile's stride rule), so a checksummed sort over striped scratch
-// still round-trips byte-identically.
-TEST(StripedPlacementTest, ChecksummedStripedSortRoundTrips) {
-  io::IoContextOptions options;
-  options.block_size = 1024;
-  options.memory_bytes = 16 << 10;
-  options.device_model.model = io::DeviceModel::kMem;
-  options.scratch_placement = io::PlacementPolicy::kStriped;
-  options.checksum_blocks = true;
-  for (int i = 0; i < 3; ++i) options.scratch_dirs.push_back("");
-  auto ctx = std::make_unique<io::IoContext>(options);
-  auto values = RandomValues(30'000, 37);
-  const std::string in = ctx->NewTempPath("in");
-  const std::string out = ctx->NewTempPath("out");
-  io::WriteAllRecords(ctx.get(), in, values);
-  extsort::SortFile<std::uint64_t, U64Less>(ctx.get(), in, out, U64Less());
-  std::sort(values.begin(), values.end());
-  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), out), values);
-  ExpectDeviceStatsSumToAggregate(*ctx);
-  EXPECT_FALSE(ctx->has_io_error()) << ctx->io_error().ToString();
-}
-
-// ---- striped bandwidth regressions -----------------------------------
-
-// Throttled-device context for the bandwidth regressions: real latency,
-// device-parallel I/O on, placement under test. Bypasses the test-env
-// overrides — placement and geometry ARE the subject here.
-std::unique_ptr<io::IoContext> MakeThrottledContext(
-    std::size_t num_devices, io::PlacementPolicy placement,
-    std::uint64_t latency_us) {
-  io::IoContextOptions options;
-  options.block_size = 1024;
-  options.memory_bytes = 16 << 10;
-  options.device_model.model = io::DeviceModel::kThrottled;
-  options.device_model.throttle_latency_us = latency_us;
-  options.device_model.throttle_mb_per_sec = 0;
-  options.scratch_placement = placement;
-  options.io_threads = 2;
-  options.prefetch_depth = 4;
-  for (std::size_t i = 0; i < num_devices; ++i) {
-    options.scratch_dirs.push_back("");
-  }
-  if (num_devices <= 1) options.scratch_dirs.clear();
-  return std::make_unique<io::IoContext>(options);
-}
-
-struct ThrottledPhase {
-  double wall = 0;
-  io::IoStats delta;            // aggregate delta over the phase
-  std::uint64_t dev_total = 0;  // per-device total_ios summed (delta)
-  std::uint64_t dev_max = 0;    // busiest device (delta)
-};
-
-// The tentpole's headline property: ONE long sequential scan on two
-// throttled devices under kStriped runs at >= 1.8x one device's
-// bandwidth, with identical counted block I/Os and the per-device
-// critical path at ~total/2. The serialized baseline has a hard lower
-// bound (the busy-until clock guarantees it) and the striped phase
-// retries, so a loaded CI machine cannot flip the verdict.
-TEST(ThrottledStripedTest, SingleStreamScanOnTwoDevicesDoublesBandwidth) {
-  constexpr std::uint64_t kLatencyUs = 4'000;  // 4 ms per block op
-  constexpr std::size_t kBlocks = 40;
-  const auto values =
-      RandomValues(kBlocks * (1024 / sizeof(std::uint64_t)), 41);
-  const auto scan = [&](std::size_t num_devices,
-                        io::PlacementPolicy placement) {
-    auto ctx = MakeThrottledContext(num_devices, placement, kLatencyUs);
-    const std::string path = ctx->NewTempPath("scan");
-    io::WriteAllRecords(ctx.get(), path, values);
-    const io::IoStats before = ctx->stats();
-    const auto dev_before = ctx->DeviceStats();
-    util::Timer timer;
-    const auto got = io::ReadAllRecords<std::uint64_t>(ctx.get(), path);
-    ThrottledPhase phase;
-    phase.wall = timer.ElapsedSeconds();
-    EXPECT_EQ(got, values);
-    phase.delta = ctx->stats() - before;
-    const auto dev_after = ctx->DeviceStats();
-    for (std::size_t i = 0; i < dev_after.size(); ++i) {
-      const std::uint64_t ios =
-          (dev_after[i].stats - dev_before[i].stats).total_ios();
-      phase.dev_total += ios;
-      phase.dev_max = std::max(phase.dev_max, ios);
-    }
-    return phase;
-  };
-
-  const ThrottledPhase one = scan(1, io::PlacementPolicy::kRoundRobin);
-  const double serial_floor = kBlocks * (kLatencyUs / 1e6);
-  EXPECT_GE(one.wall, 0.9 * serial_floor)
-      << "one throttled device must serialize the scan";
-
-  // A loaded CI machine inflates BOTH walls (scheduler starvation is
-  // additive), so each retry re-measures the pair and the verdict
-  // compares the best striped draw against the worst serialized draw —
-  // the latter is still bounded below by the device clock.
-  ThrottledPhase striped = scan(2, io::PlacementPolicy::kStriped);
-  double worst_one = one.wall;
-  double best_striped = striped.wall;
-  for (int attempt = 0; attempt < 4 && best_striped >= worst_one / 1.8;
-       ++attempt) {
-    worst_one =
-        std::max(worst_one, scan(1, io::PlacementPolicy::kRoundRobin).wall);
-    striped = scan(2, io::PlacementPolicy::kStriped);
-    best_striped = std::min(best_striped, striped.wall);
-  }
-  EXPECT_LT(best_striped, worst_one / 1.8)
-      << "a striped scan on 2 devices must draw ~2x one device's bandwidth";
-  // Striping moves blocks between devices, never changes their count.
-  EXPECT_EQ(one.delta.total_reads(), striped.delta.total_reads());
-  EXPECT_EQ(one.delta.bytes_read, striped.delta.bytes_read);
-  // The scan's blocks split ~evenly: the busiest device carries about
-  // half the phase's I/Os (small slack for odd parity).
-  EXPECT_LE(striped.dev_max, striped.dev_total / 2 + 2)
-      << "striped scan must balance I/Os across both devices";
-}
-
-// The merge-side twin: a fan-in-2 final merge (fused drain, the SortInto
-// shape) over two striped throttled devices runs at >= 1.8x the
-// one-device wall with identical counted block I/Os — both input runs
-// stripe over both devices, so both workers feed the loser tree
-// concurrently.
-TEST(ThrottledStripedTest, FanInTwoFinalMergeOnTwoDevicesDoublesBandwidth) {
-  // 8 ms per block op: the merge's per-block hand-off overhead is a
-  // smaller fraction of the simulated time than at 4 ms, which keeps
-  // the 1.8x bound honest on a loaded machine.
-  constexpr std::uint64_t kLatencyUs = 8'000;
-  constexpr std::size_t kRunBlocks = 16;  // per run
-  const std::size_t per_run = kRunBlocks * (1024 / sizeof(std::uint64_t));
-  auto run_a = RandomValues(per_run, 43);
-  auto run_b = RandomValues(per_run, 47);
-  std::sort(run_a.begin(), run_a.end());
-  std::sort(run_b.begin(), run_b.end());
-  std::vector<std::uint64_t> expected;
-  expected.reserve(2 * per_run);
-  std::merge(run_a.begin(), run_a.end(), run_b.begin(), run_b.end(),
-             std::back_inserter(expected));
-
-  const auto merge = [&](std::size_t num_devices,
-                         io::PlacementPolicy placement) {
-    auto ctx = MakeThrottledContext(num_devices, placement, kLatencyUs);
-    const std::string path_a = ctx->NewTempPath("runa");
-    const std::string path_b = ctx->NewTempPath("runb");
-    io::WriteAllRecords(ctx.get(), path_a, run_a);
-    io::WriteAllRecords(ctx.get(), path_b, run_b);
-    const io::IoStats before = ctx->stats();
-    const auto dev_before = ctx->DeviceStats();
-    util::Timer timer;
-    std::vector<std::unique_ptr<io::PeekableReader<std::uint64_t>>> inputs;
-    inputs.push_back(std::make_unique<io::PeekableReader<std::uint64_t>>(
-        ctx.get(), path_a));
-    inputs.push_back(std::make_unique<io::PeekableReader<std::uint64_t>>(
-        ctx.get(), path_b));
-    extsort::internal::LoserTree<std::uint64_t, U64Less> tree(
-        std::move(inputs), U64Less());
-    std::vector<std::uint64_t> merged;
-    merged.reserve(expected.size());
-    auto sink = extsort::MakeCallbackSink<std::uint64_t>(
-        [&merged](const std::uint64_t& v) { merged.push_back(v); });
-    extsort::internal::DrainMerge(&tree, &sink, U64Less(), /*dedup=*/false);
-    ThrottledPhase phase;
-    phase.wall = timer.ElapsedSeconds();
-    EXPECT_EQ(merged, expected);
-    phase.delta = ctx->stats() - before;
-    const auto dev_after = ctx->DeviceStats();
-    for (std::size_t i = 0; i < dev_after.size(); ++i) {
-      const std::uint64_t ios =
-          (dev_after[i].stats - dev_before[i].stats).total_ios();
-      phase.dev_total += ios;
-      phase.dev_max = std::max(phase.dev_max, ios);
-    }
-    return phase;
-  };
-
-  const ThrottledPhase one = merge(1, io::PlacementPolicy::kRoundRobin);
-  const double serial_floor = 2.0 * kRunBlocks * (kLatencyUs / 1e6);
-  EXPECT_GE(one.wall, 0.9 * serial_floor)
-      << "one throttled device must serialize the merge reads";
-
-  // Same paired-retry pattern as the scan test: per-block hand-off
-  // overhead under CI load is additive on both sides, so re-measure
-  // the pair and compare best striped against worst serialized.
-  ThrottledPhase striped = merge(2, io::PlacementPolicy::kStriped);
-  double worst_one = one.wall;
-  double best_striped = striped.wall;
-  for (int attempt = 0; attempt < 4 && best_striped >= worst_one / 1.8;
-       ++attempt) {
-    worst_one =
-        std::max(worst_one, merge(1, io::PlacementPolicy::kRoundRobin).wall);
-    striped = merge(2, io::PlacementPolicy::kStriped);
-    best_striped = std::min(best_striped, striped.wall);
-  }
-  EXPECT_LT(best_striped, worst_one / 1.8)
-      << "a striped fan-in-2 merge on 2 devices must halve the wall";
-  EXPECT_EQ(one.delta.total_reads(), striped.delta.total_reads());
-  EXPECT_EQ(one.delta.bytes_read, striped.delta.bytes_read);
-  EXPECT_LE(striped.dev_max, striped.dev_total / 2 + 2)
-      << "striped merge must balance I/Os across both devices";
 }
 
 }  // namespace

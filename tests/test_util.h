@@ -17,19 +17,16 @@ namespace extscc::testing {
 // Applies the test-matrix environment overrides to `options`: the
 // shared machine options (io::ParseMachineEnv) as EXTSCC_TEST_<SUFFIX>
 // variables; a malformed value fails the calling test.
-//  - EXTSCC_TEST_SORT_THREADS=N: overlapped run formation (the threaded
-//    CI job sets 1; sorted outputs are byte-identical by design).
-//  - EXTSCC_TEST_IO_THREADS=N: device-parallel I/O and read-ahead (the
-//    TSan CI job sets 2; sorted outputs are byte-identical by design).
-//  - EXTSCC_TEST_SCRATCH_DIRS=a,b: one scratch device per entry.
+//  - EXTSCC_TEST_SORT_THREADS=0|1: overlapped run formation (the
+//    threaded and TSan CI jobs set 1; sorted outputs are byte-identical
+//    by design).
+//  - EXTSCC_TEST_SCRATCH_DIRS=a,b: one scratch device per entry, new
+//    scratch files round-robin across them.
 //  - EXTSCC_TEST_DEVICE_MODEL=posix|mem|throttled[:lat_us[:mb_per_s]]
 //    |faulty[:seed=S,rate=R,...]: scratch device backing (the
 //    multidevice CI job sets throttled; the chaos job sets faulty with
 //    a transient-only rate, so every suite solves through injected
 //    EIO + retries).
-//  - EXTSCC_TEST_PLACEMENT=rr|striped: scratch placement policy (the
-//    multidevice CI job runs the engine suites at striped so every
-//    scratch file's blocks fan out across the simulated disks).
 // Suites that build IoContextOptions by hand call this so the CI matrix
 // reaches them too.
 void ApplyTestEnvOptions(io::IoContextOptions* options);
