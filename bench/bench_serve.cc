@@ -1,19 +1,19 @@
 // Machine-readable baseline for the serve path: queries/second over one
 // immutable artifact, swept across batch size and reader-thread count,
-// on RAM-backed and latency/bandwidth-throttled devices. Emits an
-// aligned table and writes BENCH_serve.json next to the binary, so the
-// serving-throughput trajectory has comparable points across PRs.
+// on RAM-backed (mem) and real-file (posix) scratch devices. Emits an
+// aligned table and writes BENCH_serve.json into the working directory,
+// so the serving-throughput trajectory has comparable points across
+// changes.
 //
 // The artifact is built once per device model (on that model's device,
-// so every sweep block pays the modeled cost) and the SAME query
-// workload replays at every grid point — only batch size and thread
-// count move, which is exactly the trade the batched sort-sweep engine
-// is about: bigger batches amortize the map sweep, more threads overlap
+// so every sweep block goes through it) and the SAME query workload
+// replays at every grid point — only batch size and thread count move,
+// which is exactly the trade the batched sort-sweep engine is about:
+// bigger batches amortize the map sweep, more threads overlap
 // independent slices.
 //
 //   bench_serve [--nodes=20000] [--queries=10000]
 //               [--batch-sizes=64,512,4096] [--threads=1,2,4]
-//               [--latency-us=100] [--mb-per-s=512]
 #include <unistd.h>
 
 #include <algorithm>
@@ -45,8 +45,6 @@ struct Config {
   std::size_t queries = 10000;
   std::vector<std::size_t> batch_sizes = {64, 512, 4096};
   std::vector<std::size_t> threads = {1, 2, 4};
-  std::uint64_t latency_us = 100;
-  std::uint64_t mb_per_s = 512;
 };
 
 struct Point {
@@ -62,20 +60,14 @@ struct Point {
 
 constexpr std::size_t kBlockSize = 4096;  // many-block map section
 
-std::unique_ptr<io::IoContext> MakeMachine(const Config& config,
-                                           const std::string& model,
+std::unique_ptr<io::IoContext> MakeMachine(const std::string& model,
                                            const std::string& parent) {
   io::IoContextOptions options;
   options.block_size = kBlockSize;
   options.memory_bytes = 32ull << 20;
   options.scratch_dirs = {parent};
-  if (model == "mem") {
-    options.device_model.model = io::DeviceModel::kMem;
-  } else {
-    options.device_model.model = io::DeviceModel::kThrottled;
-    options.device_model.throttle_latency_us = config.latency_us;
-    options.device_model.throttle_mb_per_sec = config.mb_per_s;
-  }
+  options.device_model.model =
+      model == "mem" ? io::DeviceModel::kMem : io::DeviceModel::kPosix;
   return std::make_unique<io::IoContext>(options);
 }
 
@@ -142,12 +134,9 @@ void WriteJson(const Config& config, std::uint64_t num_sccs,
                "{\n  \"benchmark\": \"serve\",\n"
                "  \"block_size\": %zu,\n  \"nodes\": %llu,\n"
                "  \"num_sccs\": %llu,\n  \"queries\": %zu,\n"
-               "  \"throttle\": {\"latency_us\": %llu, \"mb_per_s\": %llu},\n"
                "  \"points\": [\n",
                kBlockSize, static_cast<unsigned long long>(config.nodes),
-               static_cast<unsigned long long>(num_sccs), config.queries,
-               static_cast<unsigned long long>(config.latency_us),
-               static_cast<unsigned long long>(config.mb_per_s));
+               static_cast<unsigned long long>(num_sccs), config.queries);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     std::fprintf(f,
@@ -189,15 +178,10 @@ int main(int argc, char** argv) {
       config.batch_sizes = ParseSizeList(argv[i] + 14);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       config.threads = ParseSizeList(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--latency-us=", 13) == 0) {
-      config.latency_us = std::strtoull(argv[i] + 13, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--mb-per-s=", 11) == 0) {
-      config.mb_per_s = std::strtoull(argv[i] + 11, nullptr, 10);
     } else {
       std::fprintf(stderr,
                    "usage: bench_serve [--nodes=N] [--queries=Q] "
-                   "[--batch-sizes=a,b,...] [--threads=a,b,...] "
-                   "[--latency-us=L] [--mb-per-s=B]\n");
+                   "[--batch-sizes=a,b,...] [--threads=a,b,...]\n");
       return 2;
     }
   }
@@ -209,14 +193,14 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   std::uint64_t num_sccs = 0;
-  for (const std::string model : {"mem", "throttled"}) {
-    auto ctx = MakeMachine(config, model, parent.string());
+  for (const std::string model : {"mem", "posix"}) {
+    auto ctx = MakeMachine(model, parent.string());
     gen::WebGraphParams params;
     params.num_nodes = config.nodes;
     params.seed = 3;
     const auto g = gen::GenerateWebGraph(ctx.get(), params);
-    // The artifact lives on the modeled device: every sweep block pays
-    // the model's cost, like production reads would.
+    // The artifact lives on the scratch device, so every sweep block
+    // is read through it, like production reads would be.
     const std::string artifact_path = ctx->NewTempPath("artifact");
     auto built = serve::BuildArtifact(ctx.get(), g, artifact_path, {});
     if (!built.ok()) {
@@ -255,11 +239,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.total_ios),
                 static_cast<unsigned long long>(p.swept_blocks));
   }
-  // The workload verdicts are batch- and thread-invariant; a drift
-  // between points means the engine's slicing changed an answer.
+  // The workload verdicts are batch-, thread- and device-invariant; a
+  // drift between points means the engine's slicing (or a device)
+  // changed an answer.
   for (const Point& p : points) {
-    if (p.model == points.front().model &&
-        p.answered_true != points.front().answered_true) {
+    if (p.answered_true != points.front().answered_true) {
       std::fprintf(stderr, "verdict drift: %llu vs %llu\n",
                    static_cast<unsigned long long>(p.answered_true),
                    static_cast<unsigned long long>(points.front().answered_true));

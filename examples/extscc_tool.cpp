@@ -1,7 +1,7 @@
 // extscc_tool — command-line front end over the library's public API.
 //
 //   extscc_tool [--sort-threads=0|1] [--scratch-dirs=a,b,...]
-//               [--device-model=posix|mem|throttled[:...]|faulty[:...]]
+//               [--device-model=posix|mem|faulty[:...]]
 //               [--checksum-blocks] [--crash-at=[tag:]N] <command> ...
 //
 //   extscc_tool generate <kind> <num_nodes> <out.txt> [seed]
@@ -38,11 +38,10 @@
 // shift because file sorts halve their run buffers to double-buffer),
 // --scratch-dirs builds one scratch device per listed directory (new
 // scratch files go round-robin across them), --device-model selects
-// what backs them (real files, RAM, latency/bandwidth-throttled files,
-// or seeded fault injection), and --checksum-blocks adds a CRC32
-// trailer to every scratch block. With several devices, `solve` prints
-// the per-device I/O breakdown and the critical-path (busiest-device)
-// count.
+// what backs them (real files, RAM, or seeded fault injection), and
+// --checksum-blocks adds a CRC32 trailer to every scratch block. With
+// several devices, `solve` prints the per-device I/O breakdown and the
+// critical-path (busiest-device) count.
 //
 // Numeric arguments (memory_bytes, num_nodes, seed, --labels, --seed,
 // --batch-size, --threads) are whole-string decimals: "4M", "1e5" or
@@ -129,7 +128,7 @@ int Usage() {
       "query protocol (one per line): same <u> <v> | reach <u> <v> | "
       "stat <u>; blank line flushes the batch\n"
       "device models:\n"
-      "  posix | mem | throttled[:lat_us[:mb_per_s]] |\n"
+      "  posix (real files, the default) | mem (RAM) |\n"
       "  faulty[:key=value,...] — seeded fault injection on scratch I/O;\n"
       "    keys: seed=U64, rate=R (both directions), read_rate=R,\n"
       "    write_rate=R, short=R (torn transfers), corrupt=R (silent\n"
@@ -192,7 +191,7 @@ io::IoContext MakeContext(std::uint64_t memory_bytes) {
 // between two DeviceStats snapshots, so the rows sum to the phase's
 // headline total and exclude import/read-back traffic), printed by
 // `solve` whenever the machine has more than one scratch device or a
-// simulated backing.
+// non-posix backing.
 void PrintDeviceBreakdown(
     const std::vector<io::IoContext::DeviceStatsRow>& before,
     const std::vector<io::IoContext::DeviceStatsRow>& after) {

@@ -189,7 +189,7 @@ CoverResult ComputeVertexCover(io::IoContext* context,
   result.cover_path = options.cover_output.empty()
                           ? context->NewTempPath("cover")
                           : options.cover_output;
-  extsort::FileSink<NodeId> cover_file(context, result.cover_path);
+  io::RecordWriter<NodeId> cover_file(context, result.cover_path);
   cover_writer.FinishInto(cover_file);
   cover_file.Finish();
   result.cover_count = cover_file.count();

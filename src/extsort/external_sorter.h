@@ -22,15 +22,16 @@
 // merge level (the lazy parallel-edge elimination of §VII benefits most:
 // contracted levels produce heavy duplication).
 //
-// Two entry points share the machinery:
-//  - SortFile(input, output): materializes the sorted stream in a file.
+// One entry point runs the machinery, and one adapter materializes it:
 //  - SortInto(input, sink): the final merge pass (or the single
 //    in-memory run) drains straight into a RecordSink (record_sink.h),
 //    fusing "sort, then one sequential scan" stages into one pipeline
 //    and deleting the write+read of the would-be intermediate file.
+//  - SortFile(input, output): SortInto with an io::RecordWriter on the
+//    output as the sink.
 // SortingWriter is the accumulating variant: Add() buffers records and
 // spills sorted runs directly from the add buffer (no staging file);
-// FinishInto() targets a sink or, as sugar, a path.
+// FinishInto() targets a sink or, through a RecordWriter, a path.
 #ifndef EXTSCC_EXTSORT_EXTERNAL_SORTER_H_
 #define EXTSCC_EXTSORT_EXTERNAL_SORTER_H_
 
@@ -418,7 +419,7 @@ util::Status MergeGroupToFile(io::IoContext* context,
 // surviving runs left to TempFileManager session cleanup. The final
 // pass cannot replay — the sink has already consumed records — so an
 // input failure there propagates; sink-side write failures are the
-// caller's to check (FileSink::status()).
+// caller's to check (io::RecordWriter::status()).
 template <typename T, typename Less, RecordSinkFor<T> S>
 util::Status MergeRunsInto(io::IoContext* context,
                            std::vector<std::string> runs, S& sink, Less less,
@@ -507,12 +508,9 @@ SortRunInfo SortInto(io::IoContext* context, const std::string& input_path,
   return info;
 }
 
-// One-shot external sort of `input_path` into `output_path` — the
-// materializing adapter over the same run-formation/merge machinery
-// (morally SortInto with a FileSink), kept as a first-class entry point
-// because it preserves the file-only fast path: an input that fits in
-// memory is written once, directly to the output, with no run file or
-// re-scan (the old single-run rename-into-place, made stronger).
+// One-shot external sort of `input_path` into `output_path`: SortInto
+// drained into a RecordWriter. An input that fits in memory is written
+// once, directly to the output, with no run file or re-scan.
 // If `dedup` is true, records equal under Less (neither compares before
 // the other) are collapsed to one — used for V_{i+1} dedup (Alg. 3 l.10)
 // and the Op-mode lazy parallel-edge elimination (§VII).
@@ -520,35 +518,12 @@ template <typename T, typename Less>
 SortRunInfo SortFile(io::IoContext* context, const std::string& input_path,
                      const std::string& output_path, Less less,
                      bool dedup = false) {
-  SortRunInfo info;
-  auto formed = internal::FormRuns<T>(context, input_path, less, dedup, &info);
-  if (!info.status.ok()) {
-    for (const auto& run : formed.runs) context->temp_files().Remove(run);
-    return info;
-  }
-  if (formed.in_memory) {
-    io::RecordWriter<T> writer(context, output_path);
-    writer.AppendBatch(formed.resident.data(), formed.resident_count);
-    writer.Finish();
-    info.status = writer.status();
-    return info;
-  }
-  if (formed.runs.empty()) {
-    io::RecordWriter<T> writer(context, output_path);
-    writer.Finish();
-    info.status = writer.status();
-    return info;
-  }
-  // Spilled formation always yields >= 2 runs (one run that covers the
-  // whole input takes the in-memory branch above), so this is a real
-  // merge; MergeRunsInto still handles a lone run for other callers.
-  FileSink<T> sink(context, output_path);
-  info.status = internal::MergeRunsInto<T>(context, std::move(formed.runs),
-                                           sink, less, dedup, &info);
-  sink.Finish();
+  io::RecordWriter<T> writer(context, output_path);
+  SortRunInfo info = SortInto<T>(context, input_path, writer, less, dedup);
+  writer.Finish();
   // The output is the caller's named file, not relocatable scratch —
-  // a sink-side failure propagates instead of failing over.
-  if (info.status.ok()) info.status = sink.status();
+  // a writer failure propagates instead of failing over.
+  if (info.status.ok()) info.status = writer.status();
   return info;
 }
 
@@ -644,13 +619,13 @@ class SortingWriter {
     return info;
   }
 
-  // File sugar: FinishInto over a FileSink. A single-buffer input is one
-  // sequential output write — no staging round trip.
+  // File sugar: FinishInto over a RecordWriter. A single-buffer input is
+  // one sequential output write — no staging round trip.
   SortRunInfo FinishInto(const std::string& output_path) {
-    FileSink<T> sink(context_, output_path);
-    SortRunInfo info = FinishInto(sink);
-    sink.Finish();
-    if (info.status.ok()) info.status = sink.status();
+    io::RecordWriter<T> writer(context_, output_path);
+    SortRunInfo info = FinishInto(writer);
+    writer.Finish();
+    if (info.status.ok()) info.status = writer.status();
     return info;
   }
 

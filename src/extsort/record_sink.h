@@ -12,11 +12,13 @@
 //  - Append(record) receives records in the sort order of the producing
 //    stage (non-decreasing under its Less; strictly increasing when the
 //    stage dedups).
-//  - AppendBatch(ptr, n) is an optional bulk entry point; BatchingSink
-//    below shows the adapter shape, and the provided sinks forward it
-//    record-wise unless a faster path exists (FileSink).
-//  - The *producer* finishes the sink's downstream resources: sinks here
-//    are value types whose destructors flush (FileSink) or do nothing.
+//  - AppendBatch(ptr, n) is an optional bulk entry point, used when the
+//    sink has one (SinkAppendBatch below) and replaced by per-record
+//    Append otherwise.
+//  - The caller that owns the sink finishes it: a file is materialized
+//    by passing an io::RecordWriter (itself a batch sink) and calling
+//    its Finish() and status() once the sort returns, which is all
+//    SortFile and SortingWriter::FinishInto(path) do.
 #ifndef EXTSCC_EXTSORT_RECORD_SINK_H_
 #define EXTSCC_EXTSORT_RECORD_SINK_H_
 
@@ -79,35 +81,6 @@ std::uint64_t SinkAppendAllRecords(io::IoContext* context,
   return total;
 }
 
-// Materializing sink: records land in a file. SortFile(...) is exactly
-// SortInto(...) with this sink, so non-fused callers keep their file
-// semantics and I/O accounting.
-template <typename T>
-class FileSink {
- public:
-  FileSink(io::IoContext* context, const std::string& path)
-      : writer_(context, path) {}
-
-  void Append(const T& record) { writer_.Append(record); }
-  void AppendBatch(const T* records, std::size_t n) {
-    writer_.AppendBatch(records, n);
-  }
-
-  // Flushes the tail block and closes the file (idempotent — the
-  // destructor also finishes).
-  void Finish() { writer_.Finish(); }
-
-  // First I/O error of the underlying writer (OK while healthy). Check
-  // after Finish(): a sink that swallowed its errors would let a
-  // truncated output masquerade as a sorted result.
-  util::Status status() const { return writer_.status(); }
-
-  std::uint64_t count() const { return writer_.count(); }
-
- private:
-  io::RecordWriter<T> writer_;
-};
-
 // Consumer sink: hands each record to a callable. The adapter for scan
 // loops that previously re-read the sorted file.
 template <typename T, typename Fn>
@@ -124,47 +97,6 @@ class CallbackSink {
 template <typename T, typename Fn>
 CallbackSink<T, Fn> MakeCallbackSink(Fn fn) {
   return CallbackSink<T, Fn>(std::move(fn));
-}
-
-// Counts records and otherwise drops them — for stages that only need
-// the cardinality of a sorted/deduped stream.
-template <typename T>
-class CountingSink {
- public:
-  void Append(const T&) { ++count_; }
-  void AppendBatch(const T*, std::size_t n) { count_ += n; }
-
-  std::uint64_t count() const { return count_; }
-
- private:
-  std::uint64_t count_ = 0;
-};
-
-// Duplicates the stream into two downstream sinks (e.g. a FileSink that
-// must materialize for a later phase plus a CallbackSink consuming the
-// same pass).
-template <typename T, typename A, typename B>
-class TeeSink {
- public:
-  TeeSink(A& a, B& b) : a_(a), b_(b) {}
-
-  void Append(const T& record) {
-    a_.Append(record);
-    b_.Append(record);
-  }
-  void AppendBatch(const T* records, std::size_t n) {
-    SinkAppendBatch<T>(a_, records, n);
-    SinkAppendBatch<T>(b_, records, n);
-  }
-
- private:
-  A& a_;
-  B& b_;
-};
-
-template <typename T, typename A, typename B>
-TeeSink<T, A, B> MakeTeeSink(A& a, B& b) {
-  return TeeSink<T, A, B>(a, b);
 }
 
 }  // namespace extscc::extsort

@@ -88,8 +88,8 @@ std::size_t SortDedupPrefix(std::vector<T>& buffer, std::size_t n, Less less,
   return SortDedupPrefix(buffer, n, less, dedup, scratch);
 }
 
-// Writes records[0, n) (already sorted/deduped) as a run file, placed
-// by the context's scratch placement policy.
+// Writes records[0, n) (already sorted/deduped) as a run file on the
+// next scratch device in round-robin order (TempFileManager::NewFile).
 //
 // Scratch failover: a persistent write failure (transient faults were
 // already retried inside BlockFile) quarantines the failing device,

@@ -1,8 +1,5 @@
 #include "graph/edge_file.h"
 
-#include <utility>
-#include <vector>
-
 #include "extsort/external_sorter.h"
 #include "io/record_stream.h"
 
@@ -53,31 +50,6 @@ void SortEdgesBothOrders(io::IoContext* context, const std::string& input,
   }
   SortEdgesDropSelfLoops(context, input, by_dst_output, EdgeByDst(), dedup);
   SortEdgesDropSelfLoops(context, input, by_src_output, EdgeBySrc(), dedup);
-}
-
-void ReverseEdges(io::IoContext* context, const std::string& input,
-                  const std::string& output) {
-  io::RecordReader<Edge> reader(context, input);
-  io::RecordWriter<Edge> writer(context, output);
-  // Batched: flip each block's worth in place, then append it whole.
-  const std::size_t batch = io::RecordsPerBlock<Edge>(context);
-  std::vector<Edge> chunk(batch);
-  std::size_t got;
-  while ((got = reader.NextBatch(chunk.data(), batch)) > 0) {
-    for (std::size_t i = 0; i < got; ++i) {
-      std::swap(chunk[i].src, chunk[i].dst);
-    }
-    writer.AppendBatch(chunk.data(), got);
-  }
-  writer.Finish();
-}
-
-void ConcatEdges(io::IoContext* context, const std::string& base,
-                 const std::string& extra, const std::string& output) {
-  io::RecordWriter<Edge> writer(context, output);
-  io::AppendAllRecords<Edge>(context, base, &writer);
-  io::AppendAllRecords<Edge>(context, extra, &writer);
-  writer.Finish();
 }
 
 }  // namespace extscc::graph

@@ -1,7 +1,6 @@
 // Stream operations over edge files: the primitive vocabulary the paper's
-// Algorithms 3-5 are phrased in (sorted edge lists E_in / E_out, edge
-// reversal, counting). Everything here is sequential scans + external
-// sorts only.
+// Algorithms 3-5 are phrased in (sorted edge lists E_in / E_out,
+// counting). Everything here is sequential scans + external sorts only.
 #ifndef EXTSCC_GRAPH_EDGE_FILE_H_
 #define EXTSCC_GRAPH_EDGE_FILE_H_
 
@@ -34,16 +33,6 @@ void SortEdgesBothOrders(io::IoContext* context, const std::string& input,
                          const std::string& by_dst_output,
                          const std::string& by_src_output,
                          bool dedup = false, bool drop_self_loops = false);
-
-// Streams (u, v) -> (v, u) into `output` (the reversed graph of
-// Algorithm 5 line 1 and of Kosaraju's second pass).
-void ReverseEdges(io::IoContext* context, const std::string& input,
-                  const std::string& output);
-
-// Appends all edges of `extra` to a copy of `base` in `output`
-// (E_{i+1} = E_pre ∪ E_add, Algorithm 4 line 12).
-void ConcatEdges(io::IoContext* context, const std::string& base,
-                 const std::string& extra, const std::string& output);
 
 }  // namespace extscc::graph
 

@@ -6,11 +6,6 @@
 
 namespace extscc::graph {
 
-std::uint64_t CountSccEntries(io::IoContext* context,
-                              const std::string& path) {
-  return io::NumRecordsInFile<SccEntry>(context, path);
-}
-
 void SortSccFileByNode(io::IoContext* context, const std::string& input,
                        const std::string& output) {
   extsort::SortFile<SccEntry, SccEntryByNode>(context, input, output,

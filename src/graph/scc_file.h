@@ -13,8 +13,6 @@
 
 namespace extscc::graph {
 
-std::uint64_t CountSccEntries(io::IoContext* context, const std::string& path);
-
 // Sorts arbitrary SccEntry records by node id into `output`.
 void SortSccFileByNode(io::IoContext* context, const std::string& input,
                        const std::string& output);

@@ -15,7 +15,7 @@ namespace {
 // Builds the scratch device set from the options: one device per
 // scratch_dirs entry (or a single one under temp_parent_dir), backed
 // per the device model. Names are stable ("disk0".., "mem0"..,
-// "sim0"..) so per-device stats rows are self-describing.
+// "flt0"..) so per-device stats rows are self-describing.
 std::vector<std::unique_ptr<StorageDevice>> BuildScratchDevices(
     const IoContextOptions& options) {
   // Posix shares the TempFileManager convenience ctor's construction
@@ -36,7 +36,7 @@ std::vector<std::unique_ptr<StorageDevice>> BuildScratchDevices(
     const std::string suffix = std::to_string(i);
     if (options.device_model.model == DeviceModel::kMem) {
       devices.push_back(std::make_unique<MemDevice>("mem" + suffix));
-    } else if (options.device_model.model == DeviceModel::kFaulty) {
+    } else {  // kFaulty
       const FaultSpec& spec = options.device_model.fault;
       const std::string name = "flt" + suffix;
       std::unique_ptr<StorageDevice> inner;
@@ -59,12 +59,6 @@ std::vector<std::unique_ptr<StorageDevice>> BuildScratchDevices(
         devices.push_back(std::make_unique<FaultInjectingDevice>(
             name, std::move(inner), std::move(device_spec)));
       }
-    } else {
-      devices.push_back(std::make_unique<ThrottledDevice>(
-          "sim" + suffix,
-          std::make_unique<PosixDevice>("sim" + suffix + "_posix", parent),
-          options.device_model.throttle_latency_us,
-          options.device_model.throttle_mb_per_sec));
     }
   }
   return devices;

@@ -55,11 +55,11 @@ struct IoContextOptions {
   // device *count*; the backing is RAM.)
   std::vector<std::string> scratch_dirs;
 
-  // What backs the scratch devices: real files (kPosix, the default),
-  // RAM (kMem — page-cache-free tests/microbenches),
-  // latency/bandwidth-throttled files (kThrottled — simulated spindles),
-  // or seeded fault injection (kFaulty). The model never changes the
-  // block accounting, only where the bytes live and how long they take.
+  // What backs the scratch devices: real files (kPosix, the default and
+  // production backing), RAM (kMem — page-cache-free tests and
+  // microbenches), or seeded fault injection (kFaulty — the chaos
+  // suites). The model never changes the block accounting, only where
+  // the bytes live.
   DeviceModelSpec device_model;
 
   // ---- fault tolerance (docs/robustness.md) --------------------------

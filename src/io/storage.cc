@@ -6,12 +6,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
 #include "util/csv.h"
 #include "util/logging.h"
@@ -445,120 +443,6 @@ void MemDevice::RemoveTree(const std::string& root) {
   }
 }
 
-// ---- ThrottledDevice -------------------------------------------------
-
-namespace {
-
-class ThrottledFile : public StorageFile {
- public:
-  ThrottledFile(std::unique_ptr<StorageFile> inner, ThrottledDevice* device)
-      : inner_(std::move(inner)), device_(device) {}
-
-  util::Status ReadAt(std::uint64_t offset, void* buf,
-                      std::size_t bytes) override {
-    device_->ChargeOp(bytes);
-    return inner_->ReadAt(offset, buf, bytes);
-  }
-
-  util::Status WriteAt(std::uint64_t offset, const void* data,
-                       std::size_t bytes) override {
-    device_->ChargeOp(bytes);
-    return inner_->WriteAt(offset, data, bytes);
-  }
-
-  std::uint64_t size_bytes() const override { return inner_->size_bytes(); }
-
-  util::Status Sync() override {
-    // Metadata-only in the simulation (no transfer to charge), but the
-    // durability request must still reach the backing store.
-    return inner_->Sync();
-  }
-
- private:
-  std::unique_ptr<StorageFile> inner_;
-  ThrottledDevice* device_;
-};
-
-}  // namespace
-
-ThrottledDevice::ThrottledDevice(std::string name,
-                                 std::unique_ptr<StorageDevice> inner,
-                                 std::uint64_t latency_us,
-                                 std::uint64_t mb_per_sec)
-    : StorageDevice(std::move(name)),
-      inner_(std::move(inner)),
-      latency_ns_(latency_us * 1000),
-      ns_per_byte_(mb_per_sec == 0
-                       ? 0.0
-                       : 1e9 / (static_cast<double>(mb_per_sec) * 1024.0 *
-                                1024.0)) {}
-
-util::Status ThrottledDevice::Open(const std::string& path, OpenMode mode,
-                                   std::unique_ptr<StorageFile>* out) {
-  std::unique_ptr<StorageFile> inner_file;
-  RETURN_IF_ERROR(inner_->Open(path, mode, &inner_file));
-  *out = std::make_unique<ThrottledFile>(std::move(inner_file), this);
-  return util::Status::Ok();
-}
-
-util::Status ThrottledDevice::Delete(const std::string& path) {
-  // Report the inner device's verdict — swallowing it here would hide a
-  // stuck scratch file behind a simulated spindle.
-  return inner_->Delete(path);
-}
-
-util::Status ThrottledDevice::Rename(const std::string& from,
-                                     const std::string& to) {
-  // Metadata-only: no simulated transfer cost, like Delete.
-  return inner_->Rename(from, to);
-}
-
-util::Status ThrottledDevice::SyncDir(const std::string& dir) {
-  return inner_->SyncDir(dir);
-}
-
-std::string ThrottledDevice::CreateSessionRoot() {
-  return inner_->CreateSessionRoot();
-}
-
-void ThrottledDevice::RemoveTree(const std::string& root) {
-  inner_->RemoveTree(root);
-}
-
-void ThrottledDevice::ChargeOp(std::size_t bytes) {
-  // Sub-quantum sleeps quantize up to the scheduler slack, so the clock
-  // is allowed to run ahead of real time until >= 1 ms is owed.
-  constexpr std::chrono::nanoseconds kSleepChunk(1'000'000);
-  const std::chrono::nanoseconds cost(
-      latency_ns_ + static_cast<std::uint64_t>(
-                        ns_per_byte_ * static_cast<double>(bytes)));
-  const auto now = std::chrono::steady_clock::now();
-  bool sleep = false;
-  std::chrono::steady_clock::time_point end;
-  {
-    // Reserve this operation's span of the device timeline: ops on one
-    // device serialize in simulated time even when several threads
-    // issue them concurrently.
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    if (busy_until_ < now) {
-      // Device idle: re-anchor the timeline at real time, carrying any
-      // sub-quantum cost that was charged but never slept — a consumer
-      // that computes longer than the per-op cost between operations
-      // must not erode the configured rate to zero.
-      busy_until_ = now + unslept_;
-    }
-    busy_until_ += cost;
-    end = busy_until_;
-    sleep = end - now >= kSleepChunk;
-    // A sleeping op experiences the whole backlog through `end`; a
-    // skipped one leaves exactly end - now unexperienced.
-    unslept_ = sleep ? std::chrono::nanoseconds{0} : end - now;
-  }
-  // Sleep outside every mutex — a distinct device's operation must be
-  // able to run (and sleep) concurrently with this one.
-  if (sleep) std::this_thread::sleep_until(end);
-}
-
 // ---- configuration helpers -------------------------------------------
 
 namespace {
@@ -655,57 +539,13 @@ std::string ParseDeviceModelSpec(const std::string& text,
     spec.model = DeviceModel::kPosix;
   } else if (text == "mem") {
     spec.model = DeviceModel::kMem;
-  } else if (text.compare(0, 9, "throttled") == 0) {
-    spec.model = DeviceModel::kThrottled;
-    // Split the optional ":latency_us[:mb_per_s]" tail, keeping empty
-    // segments: a trailing or doubled ':' is a truncated value the
-    // caller meant to supply, not a request for the default.
-    std::vector<std::string> fields;
-    const std::string rest = text.substr(9);
-    if (!rest.empty()) {
-      if (rest[0] != ':') {
-        return "unknown --device-model \"" + text +
-               "\" (supported: posix, mem, "
-               "throttled[:latency_us[:mb_per_s]], faulty[:key=value,...])";
-      }
-      std::size_t start = 1;
-      while (true) {
-        const std::size_t pos = rest.find(':', start);
-        fields.push_back(rest.substr(start, pos - start));
-        if (pos == std::string::npos) break;
-        start = pos + 1;
-      }
-    }
-    if (fields.size() > 2) {
-      return "bad --device-model \"" + text +
-             "\" (want throttled[:latency_us[:mb_per_s]])";
-    }
-    // One hour per block op / 1 PB/s: far beyond any sane simulation,
-    // far below the uint64 wrap in the ns conversions.
-    constexpr std::uint64_t kMaxLatencyUs = 3'600'000'000ull;
-    constexpr std::uint64_t kMaxMbPerSec = 1'000'000'000ull;
-    if (fields.size() >= 1 &&
-        !util::ParseDecimal(fields[0], kMaxLatencyUs,
-                         &spec.throttle_latency_us)) {
-      return "bad --device-model latency \"" + fields[0] +
-             "\" (want throttled[:latency_us[:mb_per_s]], latency_us <= " +
-             std::to_string(kMaxLatencyUs) + ")";
-    }
-    if (fields.size() == 2 &&
-        !util::ParseDecimal(fields[1], kMaxMbPerSec,
-                         &spec.throttle_mb_per_sec)) {
-      return "bad --device-model bandwidth \"" + fields[1] +
-             "\" (want throttled[:latency_us[:mb_per_s]], mb_per_s <= " +
-             std::to_string(kMaxMbPerSec) + ")";
-    }
   } else if (text.compare(0, 6, "faulty") == 0) {
     spec.model = DeviceModel::kFaulty;
     const std::string error = ParseFaultySpec(text, &spec.fault);
     if (!error.empty()) return error;
   } else {
     return "unknown --device-model \"" + text +
-           "\" (supported: posix, mem, throttled[:latency_us[:mb_per_s]], "
-           "faulty[:key=value,...])";
+           "\" (supported: posix, mem, faulty[:key=value,...])";
   }
   *out = spec;
   return {};

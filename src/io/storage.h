@@ -6,21 +6,18 @@
 // device a stream lives on (round-robin run placement, per-device
 // accounting and the busiest-device critical path).
 //
-// Three implementations:
-//  - PosixDevice: the real filesystem (pread/pwrite), current behavior.
+// Two implementations here, plus one wrapper in fault_injection.h:
+//  - PosixDevice: the real filesystem (pread/pwrite), the production
+//    backing.
 //  - MemDevice: RAM-backed scratch for tests and page-cache-free
 //    microbenches. Block accounting is identical to PosixDevice byte for
 //    byte; the backing store is ordinary heap memory *outside* the
 //    simulated MemoryBudget (it models the disk, not M).
-//  - ThrottledDevice: wraps another device and charges simulated
-//    per-operation latency plus bandwidth time, so multi-disk speedup is
-//    measurable without real spindles. Debt is accumulated and slept in
-//    chunks, keeping the distortion of sub-scheduler-quantum sleeps out
-//    of the model.
+//  - FaultInjectingDevice (fault_injection.h): wraps either one with a
+//    seeded fault schedule for the chaos tests.
 #ifndef EXTSCC_IO_STORAGE_H_
 #define EXTSCC_IO_STORAGE_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -172,52 +169,6 @@ class MemDevice : public StorageDevice {
   std::unordered_map<std::string, std::shared_ptr<FileData>> files_;
 };
 
-// Simulated-latency wrapper: delegates storage to `inner` and charges
-// `latency_us` per block operation plus transfer time at `mb_per_sec`
-// (0 = unlimited bandwidth). The device keeps a virtual busy-until
-// clock: each operation reserves the next `cost` span of the device's
-// timeline under the per-device mutex, then sleeps to its own end time
-// OUTSIDE every lock. Concurrent operations on ONE device therefore
-// serialize in simulated time (two readers share the spindle's
-// bandwidth), while operations on DISTINCT devices overlap fully — two
-// throttled devices sustain twice one device's bandwidth. Sleeps
-// shorter than a
-// scheduler quantum are deferred (the clock simply runs ahead of real
-// time until >= 1 ms is owed), so sub-quantum sleep_for slack does not
-// distort the simulated rate; oversleep self-corrects because the next
-// operation starts from real `now` again.
-class ThrottledDevice : public StorageDevice {
- public:
-  ThrottledDevice(std::string name, std::unique_ptr<StorageDevice> inner,
-                  std::uint64_t latency_us, std::uint64_t mb_per_sec);
-
-  util::Status Open(const std::string& path, OpenMode mode,
-                    std::unique_ptr<StorageFile>* out) override;
-  util::Status Delete(const std::string& path) override;
-  util::Status Rename(const std::string& from, const std::string& to) override;
-  util::Status SyncDir(const std::string& dir) override;
-  std::string CreateSessionRoot() override;
-  void RemoveTree(const std::string& root) override;
-
-  // Charges the simulated cost of one operation moving `bytes` bytes and
-  // sleeps it off. Callers must not hold any lock shared with another
-  // device's operations — sleeping under a shared lock would serialize
-  // devices that the simulation promises are independent.
-  void ChargeOp(std::size_t bytes);
-
- private:
-  std::unique_ptr<StorageDevice> inner_;
-  std::uint64_t latency_ns_;
-  double ns_per_byte_;
-  // Guards the clock state only; never held across a sleep or an inner
-  // op. `unslept_` carries sub-quantum cost that was charged but not
-  // yet slept across idle re-anchors of the timeline, so a consumer
-  // slower than the device still experiences the configured rate.
-  std::mutex clock_mu_;
-  std::chrono::steady_clock::time_point busy_until_{};
-  std::chrono::nanoseconds unslept_{0};
-};
-
 // One PosixDevice ("disk<i>") per entry of `scratch_parents`, or a
 // single one under `parent_dir` ("" = $TMPDIR or /tmp) when the list is
 // empty. The one construction path shared by the TempFileManager
@@ -240,7 +191,7 @@ std::size_t ReapOrphanScratchRoots(const std::string& parent);
 
 // ---- device-model configuration -------------------------------------
 
-enum class DeviceModel { kPosix, kMem, kThrottled, kFaulty };
+enum class DeviceModel { kPosix, kMem, kFaulty };
 
 // Seeded, deterministic fault schedule for FaultInjectingDevice
 // (fault_injection.h). Every decision derives from (seed, device op
@@ -270,15 +221,12 @@ struct FaultSpec {
 
 struct DeviceModelSpec {
   DeviceModel model = DeviceModel::kPosix;
-  // ThrottledDevice parameters (kThrottled only).
-  std::uint64_t throttle_latency_us = 100;
-  std::uint64_t throttle_mb_per_sec = 1024;
   // FaultInjectingDevice parameters (kFaulty only).
   FaultSpec fault;
 };
 
-// Parses "posix" | "mem" | "throttled[:latency_us[:mb_per_s]]" |
-// "faulty[:key=value[,key=value...]]" into *out. Returns "" on
+// Parses "posix" | "mem" | "faulty[:key=value[,key=value...]]" into
+// *out. Returns "" on
 // success, else an error message naming the bad spec. Used by the
 // --device-model flags and the test-env override. Faulty keys: seed=N,
 // rate=R (read and write transient rate), read_rate=R, write_rate=R,

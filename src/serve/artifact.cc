@@ -280,7 +280,11 @@ util::Result<std::vector<T>> ReadSectionRecords(
   std::vector<unsigned char> bytes;
   RETURN_IF_ERROR(ReadSectionBytes(file, entry, block_crcs, &bytes));
   std::vector<T> records(bytes.size() / sizeof(T));
-  std::memcpy(records.data(), bytes.data(), records.size() * sizeof(T));
+  // An empty section leaves data() null, and memcpy's pointers must be
+  // valid even for zero bytes.
+  if (!records.empty()) {
+    std::memcpy(records.data(), bytes.data(), records.size() * sizeof(T));
+  }
   return records;
 }
 

@@ -65,16 +65,22 @@ std::unique_ptr<io::IoContext> MakeDynContext() {
   return std::make_unique<io::IoContext>(options);
 }
 
-// A user-facing artifact path on the base (posix) device — the device
-// whose Rename backs the publish protocol.
-std::string BaseArtifactPath(const std::string& tag) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / ("extscc_dyn_" + tag + ".art"))
-          .string();
-  fs::remove(path);
-  fs::remove(path + ".dlog");
-  return path;
-}
+// A directory for user-facing artifacts on the base (posix) device —
+// the device whose Rename backs the publish protocol. Unique to the
+// test (testing::ScopedTempPath) and removed at scope end with every
+// artifact, delta log and publish temp file in it.
+class BaseArtifactDir {
+ public:
+  BaseArtifactDir() : dir_("artifacts") {
+    fs::create_directories(dir_.path());
+  }
+  std::string PathFor(const std::string& tag) const {
+    return (fs::path(dir_.path()) / (tag + ".art")).string();
+  }
+
+ private:
+  testing::ScopedTempPath dir_;
+};
 
 std::vector<char> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -205,9 +211,9 @@ TEST(DynamicTest, IncrementalMatchesFullRebuild) {
   constexpr const char* kName = "serial_rr";
   auto context = MakeDynContext();
   const std::vector<Edge> base = gen::RandomDigraphEdges(300, 1200, 42);
-  const std::string inc_path = BaseArtifactPath(std::string("inc_") + kName);
-  const std::string rebuild_path =
-      BaseArtifactPath(std::string("re_") + kName);
+  const BaseArtifactDir dir;
+  const std::string inc_path = dir.PathFor(std::string("inc_") + kName);
+  const std::string rebuild_path = dir.PathFor(std::string("re_") + kName);
   {
     const auto g = graph::MakeDiskGraph(context.get(), base);
     auto built = serve::BuildArtifact(context.get(), g, inc_path, {});
@@ -308,8 +314,6 @@ TEST(DynamicTest, IncrementalMatchesFullRebuild) {
         break;
     }
   }
-  fs::remove(inc_path);
-  fs::remove(rebuild_path);
 }
 
 // ---- Delta log -------------------------------------------------------
@@ -317,7 +321,8 @@ TEST(DynamicTest, IncrementalMatchesFullRebuild) {
 TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
   auto context = MakeDynContext();
   const std::vector<Edge> base = gen::RandomDigraphEdges(200, 800, 9);
-  const std::string path = BaseArtifactPath("reopen");
+  const BaseArtifactDir dir;
+  const std::string path = dir.PathFor("reopen");
   {
     const auto g = graph::MakeDiskGraph(context.get(), base);
     ASSERT_TRUE(serve::BuildArtifact(context.get(), g, path, {}).ok());
@@ -362,12 +367,12 @@ TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
   EXPECT_EQ(index.reader().summary().graph_edges,
             base.size() + pending + structural.size());
   EXPECT_FALSE(fs::exists(dyn::DeltaLogPathFor(path)));
-  fs::remove(path);
 }
 
 TEST(DynamicTest, StaleDeltaLogReadsEmpty) {
   auto context = MakeDynContext();
-  const std::string path = BaseArtifactPath("stale");
+  const BaseArtifactDir dir;
+  const std::string path = dir.PathFor("stale");
   // A log claiming base version 7 against an artifact at version 0:
   // its edges are already folded in — honest empty, not an error.
   ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), dyn::DeltaLogPathFor(path),
@@ -384,7 +389,6 @@ TEST(DynamicTest, StaleDeltaLogReadsEmpty) {
   ASSERT_EQ(match.value().size(), 1u);
   EXPECT_EQ(match.value()[0].src, 1u);
   EXPECT_EQ(match.value()[0].dst, 2u);
-  fs::remove(dyn::DeltaLogPathFor(path));
 }
 
 // ---- Chaos: faults must not break publication ------------------------

@@ -54,24 +54,6 @@ TEST(EdgeFileTest, SortAndCount) {
             (std::vector<Edge>{{1, 2}, {1, 3}, {2, 1}}));
 }
 
-TEST(EdgeFileTest, ReverseAndConcat) {
-  auto ctx = MakeTestContext();
-  const std::string a = ctx->NewTempPath("a");
-  const std::string b = ctx->NewTempPath("b");
-  io::WriteAllRecords<Edge>(ctx.get(), a, {{1, 2}, {3, 4}});
-  io::WriteAllRecords<Edge>(ctx.get(), b, {{5, 6}});
-
-  const std::string reversed = ctx->NewTempPath("rev");
-  graph::ReverseEdges(ctx.get(), a, reversed);
-  EXPECT_EQ(io::ReadAllRecords<Edge>(ctx.get(), reversed),
-            (std::vector<Edge>{{2, 1}, {4, 3}}));
-
-  const std::string both = ctx->NewTempPath("cat");
-  graph::ConcatEdges(ctx.get(), a, b, both);
-  EXPECT_EQ(io::ReadAllRecords<Edge>(ctx.get(), both),
-            (std::vector<Edge>{{1, 2}, {3, 4}, {5, 6}}));
-}
-
 // ---------------- node_file ----------------------------------------------
 
 TEST(NodeFileTest, SortDedupAndCanonicalCheck) {

@@ -93,10 +93,12 @@ TEST(TempFileManagerTest, CreatesUniquePathsAndCleansUp) {
   EXPECT_FALSE(std::filesystem::exists(dir)) << "dir removed on destruction";
 }
 
-TEST(TempFileManagerTest, StripesRoundRobinAcrossScratchDirs) {
+TEST(TempFileManagerTest, RoundRobinsFilesAcrossScratchDirs) {
   namespace fs = std::filesystem;
-  const std::string parent_a = fs::temp_directory_path() / "extscc_stripe_a";
-  const std::string parent_b = fs::temp_directory_path() / "extscc_stripe_b";
+  const testing::ScopedTempPath dir_a("scratch_a");
+  const testing::ScopedTempPath dir_b("scratch_b");
+  const std::string& parent_a = dir_a.path();
+  const std::string& parent_b = dir_b.path();
   fs::create_directories(parent_a);
   fs::create_directories(parent_b);
   std::vector<std::string> session_dirs;
@@ -118,8 +120,6 @@ TEST(TempFileManagerTest, StripesRoundRobinAcrossScratchDirs) {
   for (const auto& dir : session_dirs) {
     EXPECT_FALSE(fs::exists(dir)) << "session dirs removed on destruction";
   }
-  fs::remove_all(parent_a);
-  fs::remove_all(parent_b);
 }
 
 // ---------------- BlockFile ----------------------------------------------

@@ -187,17 +187,33 @@ TEST(SortingWriterTest, SpillingPathMatchesSortFileOracle) {
   EXPECT_EQ(streamed, values);
 }
 
-TEST(SortingWriterTest, FileFinishIsSugarOverFileSink) {
+TEST(SortingWriterTest, FileFinishIsSugarOverRecordWriter) {
+  // FinishInto(path) must be exactly FinishInto over a RecordWriter on
+  // that path: same records, same block I/Os.
   auto values = RandomValues(20'000, 57, 1u << 18);
-  auto ctx = MakeMemTestContext(/*memory_bytes=*/16 << 10);
-  extsort::SortingWriter<std::uint64_t, U64Less> writer(ctx.get(), U64Less(),
-                                                        /*dedup=*/true);
-  for (const auto v : values) writer.Add(v);
-  const std::string out = ctx->NewTempPath("out");
-  writer.FinishInto(out);
+  const auto finish = [&](bool by_path) {
+    auto ctx = MakeMemTestContext(/*memory_bytes=*/16 << 10);
+    extsort::SortingWriter<std::uint64_t, U64Less> writer(
+        ctx.get(), U64Less(), /*dedup=*/true);
+    for (const auto v : values) writer.Add(v);
+    const std::string out = ctx->NewTempPath("out");
+    if (by_path) {
+      writer.FinishInto(out);
+    } else {
+      io::RecordWriter<std::uint64_t> file(ctx.get(), out);
+      writer.FinishInto(file);
+      file.Finish();
+    }
+    return std::pair(io::ReadAllRecords<std::uint64_t>(ctx.get(), out),
+                     ctx->stats().total_ios());
+  };
+  const auto [path_records, path_ios] = finish(true);
+  const auto [writer_records, writer_ios] = finish(false);
+  EXPECT_EQ(path_records, writer_records);
+  EXPECT_EQ(path_ios, writer_ios);
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
-  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), out), values);
+  EXPECT_EQ(path_records, values);
 }
 
 TEST(SortingWriterTest, EmptyFinishIntoFileWritesEmptyFile) {
@@ -210,35 +226,24 @@ TEST(SortingWriterTest, EmptyFinishIntoFileWritesEmptyFile) {
   EXPECT_TRUE(io::ReadAllRecords<std::uint64_t>(ctx.get(), out).empty());
 }
 
-// ---- sink building blocks --------------------------------------------
-TEST(RecordSinkTest, CountingAndTee) {
-  auto ctx = MakeMemTestContext();
-  const std::string in = ctx->NewTempPath("in");
-  io::WriteAllRecords<std::uint64_t>(ctx.get(), in, {5, 3, 3, 9, 1});
-  extsort::CountingSink<std::uint64_t> counter;
-  std::vector<std::uint64_t> seen;
-  auto collect = extsort::MakeCallbackSink<std::uint64_t>(
-      [&](std::uint64_t v) { seen.push_back(v); });
-  auto tee = extsort::MakeTeeSink<std::uint64_t>(counter, collect);
-  extsort::SortInto<std::uint64_t>(ctx.get(), in, tee, U64Less(),
-                                   /*dedup=*/true);
-  EXPECT_EQ(counter.count(), 4u);
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 3, 5, 9}));
-}
-
-TEST(RecordSinkTest, FileSinkRoundTrips) {
+// ---- io::RecordWriter as the materializing sink ---------------------
+TEST(RecordSinkTest, RecordWriterSinkRoundTrips) {
   // The suite's designated Posix round trip: the rest of the suite runs
   // on MemDevice scratch.
+  static_assert(extsort::BatchRecordSinkFor<io::RecordWriter<std::uint64_t>,
+                                            std::uint64_t>);
   auto ctx = MakeTestContext();
+  const std::string in = ctx->NewTempPath("in");
+  io::WriteAllRecords<std::uint64_t>(ctx.get(), in, {9, 1, 8, 7, 1});
   const std::string out = ctx->NewTempPath("out");
-  {
-    extsort::FileSink<std::uint64_t> sink(ctx.get(), out);
-    const std::uint64_t batch[3] = {7, 8, 9};
-    sink.Append(1);
-    sink.AppendBatch(batch, 3);
-    sink.Finish();
-    EXPECT_EQ(sink.count(), 4u);
-  }
+  io::RecordWriter<std::uint64_t> writer(ctx.get(), out);
+  const auto info = extsort::SortInto<std::uint64_t>(ctx.get(), in, writer,
+                                                     U64Less(),
+                                                     /*dedup=*/true);
+  writer.Finish();
+  EXPECT_TRUE(info.status.ok()) << info.status.ToString();
+  EXPECT_TRUE(writer.status().ok()) << writer.status().ToString();
+  EXPECT_EQ(writer.count(), 4u);
   EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), out),
             (std::vector<std::uint64_t>{1, 7, 8, 9}));
 }

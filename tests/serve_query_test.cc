@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,7 +27,6 @@
 namespace extscc {
 namespace {
 
-namespace fs = std::filesystem;
 using graph::Edge;
 using graph::NodeId;
 using serve::ArtifactReader;
@@ -40,13 +38,16 @@ using testing::MakeTestContext;
 
 // A built artifact plus every oracle the answers are checked against.
 struct ServeFixture {
+  // Set when the artifact lives on the base device: its per-test path
+  // (testing::ScopedTempPath). Declared first, so the file is removed
+  // last, after the reader that has it open.
+  std::unique_ptr<testing::ScopedTempPath> base_artifact;
   std::unique_ptr<io::IoContext> context;
   std::string artifact_path;
   std::optional<ArtifactReader> reader;
   std::vector<Edge> edges;
   graph::Digraph digraph{std::vector<Edge>{}};  // reachability oracle
   scc::SccResult oracle{{}};                    // partition oracle
-  bool on_base_device = false;
 
   serve::QueryEngine engine() const { return serve::QueryEngine(&*reader); }
 };
@@ -62,14 +63,13 @@ ServeFixture MakeFixture(std::uint32_t nodes, std::uint64_t num_edges,
   fx.digraph = graph::Digraph(fx.edges);
   fx.oracle = testing::Oracle(fx.edges);
   const auto g = graph::MakeDiskGraph(fx.context.get(), fx.edges);
-  fx.on_base_device = on_base_device;
-  fx.artifact_path =
-      on_base_device
-          ? (fs::path(::testing::TempDir()) /
-             ("extscc_serve_art_" + std::to_string(seed) + ".bin"))
-                .string()
-          : fx.context->NewTempPath("artifact");
-  if (on_base_device) fs::remove(fx.artifact_path);
+  if (on_base_device) {
+    fx.base_artifact = std::make_unique<testing::ScopedTempPath>(
+        "artifact_" + std::to_string(seed) + ".bin");
+    fx.artifact_path = fx.base_artifact->path();
+  } else {
+    fx.artifact_path = fx.context->NewTempPath("artifact");
+  }
   auto built =
       serve::BuildArtifact(fx.context.get(), g, fx.artifact_path, {});
   EXPECT_TRUE(built.ok()) << built.status().ToString();
@@ -77,10 +77,6 @@ ServeFixture MakeFixture(std::uint32_t nodes, std::uint64_t num_edges,
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();
   fx.reader.emplace(std::move(opened).value());
   return fx;
-}
-
-void CleanupFixture(const ServeFixture& fx) {
-  if (fx.on_base_device) fs::remove(fx.artifact_path);
 }
 
 // Mixed random queries, including ids past the node range (unknown).
@@ -252,7 +248,6 @@ TEST(ServeQueryTest, ArtifactReadsLandOnTheBaseDeviceRow) {
     row_sum += (after[i].stats - before[i].stats).total_ios();
   }
   EXPECT_EQ(row_sum, (agg_after - agg_before).total_ios());
-  CleanupFixture(fx);
 }
 
 // ---- Concurrent readers ----------------------------------------------
@@ -300,7 +295,6 @@ TEST(ServeQueryTest, ConcurrentReadersMatchSerialAndSumToAggregate) {
   EXPECT_EQ(row_sum, (agg_after - agg_before).total_ios());
   EXPECT_GE((agg_after - agg_before).total_reads(),
             threaded_stats.swept_blocks);
-  CleanupFixture(fx);
 }
 
 // ---- Line protocol ---------------------------------------------------

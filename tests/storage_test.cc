@@ -1,8 +1,8 @@
-// Storage-device API tests: MemDevice/ThrottledDevice round trips and
+// Storage-device API tests: MemDevice and two-device round trips and
 // accounting equivalence with PosixDevice, per-device stats summing
 // exactly to the aggregate IoStats, the round-robin default staying
-// byte-identical to the pre-device engine, the throttle model, and the
-// shared machine-option parser.
+// byte-identical to the pre-device engine, and the shared
+// machine-option parser.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
@@ -13,9 +13,7 @@
 #include <filesystem>
 #include <iterator>
 #include <memory>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/ext_scc.h"
@@ -27,7 +25,6 @@
 #include "io/storage.h"
 #include "test_util.h"
 #include "util/random.h"
-#include "util/timer.h"
 
 namespace extscc {
 namespace {
@@ -43,16 +40,6 @@ std::vector<std::uint64_t> RandomValues(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// Status-checked open for tests exercising devices directly.
-std::unique_ptr<io::StorageFile> OpenOrDie(io::StorageDevice* device,
-                                           const std::string& path,
-                                           io::OpenMode mode) {
-  std::unique_ptr<io::StorageFile> file;
-  const util::Status status = device->Open(path, mode, &file);
-  CHECK(status.ok()) << status.ToString();
-  return file;
-}
-
 std::unique_ptr<io::IoContext> MakeContext(io::DeviceModel model,
                                            std::size_t num_devices,
                                            std::uint64_t memory = 16 << 10,
@@ -61,11 +48,8 @@ std::unique_ptr<io::IoContext> MakeContext(io::DeviceModel model,
   options.block_size = block;
   options.memory_bytes = memory;
   options.device_model.model = model;
-  // Keep the simulated devices effectively free for tests.
-  options.device_model.throttle_latency_us = 0;
-  options.device_model.throttle_mb_per_sec = 0;
-  // Under kMem/kThrottled-with-empty-parent the entries only set the
-  // device count; no directories are created under these names.
+  // Under kMem the entries only set the device count; under kPosix an
+  // empty parent is $TMPDIR, so no directories are named here.
   for (std::size_t i = 0; i < num_devices; ++i) {
     options.scratch_dirs.push_back("");
   }
@@ -114,8 +98,8 @@ TEST(StorageDeviceTest, MemWriteThroughReadHandleFailsLikePosix) {
   ctx->reset_io_error();
 }
 
-TEST(StorageDeviceTest, ThrottledDeviceRoundTrip) {
-  auto ctx = MakeContext(io::DeviceModel::kThrottled, 2);
+TEST(StorageDeviceTest, TwoPosixDevicesRoundTrip) {
+  auto ctx = MakeContext(io::DeviceModel::kPosix, 2);
   auto values = RandomValues(20'000, 6);
   const std::string in = ctx->NewTempPath("in");
   const std::string out = ctx->NewTempPath("out");
@@ -193,19 +177,15 @@ TEST(DeviceStatsTest, PerDeviceSumsExactlyToAggregate) {
 }
 
 TEST(DeviceStatsTest, NonScratchTrafficLandsOnBaseDevice) {
-  namespace fs = std::filesystem;
   auto ctx = MakeContext(io::DeviceModel::kMem, 1);
-  const std::string outside =
-      (fs::temp_directory_path() / "extscc_storage_test_outside.bin")
-          .string();
-  io::WriteAllRecords(ctx.get(), outside,
+  const testing::ScopedTempPath outside("outside.bin");
+  io::WriteAllRecords(ctx.get(), outside.path(),
                       std::vector<std::uint64_t>{1, 2, 3});
   const auto rows = ctx->DeviceStats();
   ASSERT_FALSE(rows.empty());
   EXPECT_EQ(rows.front().name, "base");
   EXPECT_GT(rows.front().stats.total_ios(), 0u);
   ExpectDeviceStatsSumToAggregate(*ctx);
-  fs::remove(outside);
 }
 
 // ---- defaults and validation -----------------------------------------
@@ -236,29 +216,15 @@ TEST(StorageConfigTest, ParseDeviceModelSpec) {
   EXPECT_EQ(spec.model, io::DeviceModel::kPosix);
   EXPECT_EQ(io::ParseDeviceModelSpec("mem", &spec), "");
   EXPECT_EQ(spec.model, io::DeviceModel::kMem);
-  EXPECT_EQ(io::ParseDeviceModelSpec("throttled", &spec), "");
-  EXPECT_EQ(spec.model, io::DeviceModel::kThrottled);
-  EXPECT_EQ(io::ParseDeviceModelSpec("throttled:250", &spec), "");
-  EXPECT_EQ(spec.throttle_latency_us, 250u);
-  EXPECT_EQ(io::ParseDeviceModelSpec("throttled:250:512", &spec), "");
-  EXPECT_EQ(spec.throttle_mb_per_sec, 512u);
   EXPECT_NE(io::ParseDeviceModelSpec("floppy", &spec), "");
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:abc", &spec), "");
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:1:2:3", &spec), "");
-  // strtoull would silently negate/saturate these; the parser must not.
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:-1", &spec), "");
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:10:-5", &spec), "");
-  EXPECT_NE(
-      io::ParseDeviceModelSpec("throttled:99999999999999999999999", &spec),
-      "");
-  // In uint64 range but beyond the sanity bound: the *1000 ns
-  // conversion would wrap to a tiny latency — must be rejected too.
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:18446744073709552", &spec),
-            "");
-  // Trailing/doubled ':' is a truncated value, not a default request.
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:", &spec), "");
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled:100:", &spec), "");
-  EXPECT_NE(io::ParseDeviceModelSpec("throttled::", &spec), "");
+  // The retired simulated-spindle model is an unknown model like any
+  // other; the message lists the three that exist.
+  EXPECT_EQ(io::ParseDeviceModelSpec("throttled", &spec),
+            "unknown --device-model \"throttled\" (supported: posix, mem, "
+            "faulty[:key=value,...])");
+  EXPECT_NE(io::ParseDeviceModelSpec("throttled:10:8192", &spec), "");
+  EXPECT_EQ(spec.model, io::DeviceModel::kMem)
+      << "a rejected spec must leave *out untouched";
 
   EXPECT_EQ(io::ParseDeviceModelSpec("faulty", &spec), "");
   EXPECT_EQ(spec.model, io::DeviceModel::kFaulty);
@@ -302,22 +268,24 @@ TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   io::IoContextOptions options;
   for (const char* flag :
        {"--sort-threads=1", "--scratch-dirs=a,,b",
-        "--device-model=throttled:5"}) {
+        "--device-model=faulty:seed=5"}) {
     EXPECT_EQ(io::ParseMachineFlag(flag, &options), "") << flag;
   }
   EXPECT_EQ(options.sort_threads, 1u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(options.device_model.model, io::DeviceModel::kThrottled);
-  EXPECT_EQ(options.device_model.throttle_latency_us, 5u);
+  EXPECT_EQ(options.device_model.model, io::DeviceModel::kFaulty);
+  EXPECT_EQ(options.device_model.fault.seed, 5u);
   // Malformed values, out-of-range values, options without a value and
   // unknown options (including the retired --io-threads and
-  // --placement) are errors, never silently ignored.
+  // --placement, and the retired throttled model) are errors, never
+  // silently ignored.
   for (const char* flag :
        {"--sort-threads=two", "--sort-threads=-1", "--sort-threads=2",
         "--io-threads=2", "--io-threads=two", "--io-threads=-1",
-        "--placement=rr", "--sort-threads", "--scratch-dirs",
-        "--device-model", "--checksum-blocks", "--frobnicate",
-        "--frobnicate=1", "positional"}) {
+        "--placement=rr", "--device-model=throttled",
+        "--device-model=throttled:10:8192", "--sort-threads",
+        "--scratch-dirs", "--device-model", "--checksum-blocks",
+        "--frobnicate", "--frobnicate=1", "positional"}) {
     EXPECT_NE(io::ParseMachineFlag(flag, &options), "") << flag;
   }
   EXPECT_EQ(io::ParseMachineFlag("--device-model", &options),
@@ -333,7 +301,8 @@ TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   // A rejected flag leaves the options as they were.
   EXPECT_EQ(options.sort_threads, 1u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(options.device_model.model, io::DeviceModel::kThrottled);
+  EXPECT_EQ(options.device_model.model, io::DeviceModel::kFaulty);
+  EXPECT_EQ(options.device_model.fault.seed, 5u);
 
   // The retired variables are no longer read.
   ::setenv("EXTSCC_PARSER_TEST_IO_THREADS", "two", 1);
@@ -347,10 +316,16 @@ TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options),
             "EXTSCC_PARSER_TEST_SORT_THREADS: bad --sort-threads \"2\" "
             "(want 0 or 1)");
+  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "0", 1);
+  ::setenv("EXTSCC_PARSER_TEST_DEVICE_MODEL", "throttled", 1);
+  EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options),
+            "EXTSCC_PARSER_TEST_DEVICE_MODEL: unknown --device-model "
+            "\"throttled\" (supported: posix, mem, faulty[:key=value,...])");
   ::unsetenv("EXTSCC_PARSER_TEST_IO_THREADS");
   ::unsetenv("EXTSCC_PARSER_TEST_PLACEMENT");
   ::unsetenv("EXTSCC_PARSER_TEST_SORT_THREADS");
   ::unsetenv("EXTSCC_PARSER_TEST_SCRATCH_DIRS");
+  ::unsetenv("EXTSCC_PARSER_TEST_DEVICE_MODEL");
 
   // The suites' own front end turns that error into a test failure.
   const char* matrix = std::getenv("EXTSCC_TEST_SORT_THREADS");
@@ -371,12 +346,12 @@ TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
 
 TEST(StorageConfigTest, ValidateScratchParentsNamesTheBadEntry) {
   namespace fs = std::filesystem;
-  const std::string good =
-      (fs::temp_directory_path() / "extscc_storage_test_good").string();
+  const testing::ScopedTempPath good_dir("good");
+  const std::string& good = good_dir.path();
   fs::create_directories(good);
   EXPECT_EQ(io::ValidateScratchParents({good}), "");
-  const std::string missing =
-      (fs::temp_directory_path() / "extscc_storage_test_missing").string();
+  const testing::ScopedTempPath missing_dir("missing");
+  const std::string& missing = missing_dir.path();
   const std::string error = io::ValidateScratchParents({good, missing});
   EXPECT_NE(error.find(missing), std::string::npos)
       << "error must name the bad directory: " << error;
@@ -388,112 +363,6 @@ TEST(StorageConfigTest, ValidateScratchParentsNamesTheBadEntry) {
             std::string::npos);
   ASSERT_EQ(io::ParseDeviceModelSpec("mem", &options.device_model), "");
   EXPECT_EQ(io::ValidateMachineOptions(options), "");
-  fs::remove_all(good);
-}
-
-// Regression for the busy-until throttle model: operations on TWO
-// throttled devices issued from two threads must overlap (sustaining
-// ~2x one device's bandwidth), while concurrent operations on ONE
-// device must serialize in simulated time. Wall-clock margins are kept
-// generous so a loaded CI machine cannot flip the verdict: the
-// serialized phase has a hard LOWER bound (sleep_until guarantees it),
-// and the parallel phase is allowed up to ~1.5x its ideal time.
-TEST(ThrottledDeviceTest, DistinctDevicesThrottleIndependently) {
-  constexpr std::uint64_t kLatencyUs = 10'000;  // 10 ms per op
-  constexpr int kOpsPerThread = 8;              // 80 ms per device
-  const auto make_device = [&](const std::string& name) {
-    return std::make_unique<io::ThrottledDevice>(
-        name, std::make_unique<io::MemDevice>(name + "_mem"), kLatencyUs,
-        /*mb_per_sec=*/0);
-  };
-  const auto hammer = [&](io::StorageDevice* device, const std::string& path) {
-    auto file = OpenOrDie(device, path, io::OpenMode::kRead);
-    std::vector<char> buf(512);
-    for (int i = 0; i < kOpsPerThread; ++i) {
-      ASSERT_TRUE(file->ReadAt(0, buf.data(), 512).ok());
-    }
-  };
-  const auto prepare = [&](io::StorageDevice* device, const std::string& path) {
-    std::vector<char> bytes(512, 'x');
-    ASSERT_TRUE(OpenOrDie(device, path, io::OpenMode::kTruncateWrite)
-                    ->WriteAt(0, bytes.data(), bytes.size())
-                    .ok());
-  };
-
-  // Phase 1: two threads on ONE device — ops serialize in simulated
-  // time, so the wall is bounded below by (2 * kOpsPerThread) ops.
-  auto same = make_device("same");
-  prepare(same.get(), "f");
-  util::Timer same_timer;
-  {
-    std::thread a([&] { hammer(same.get(), "f"); });
-    std::thread b([&] { hammer(same.get(), "f"); });
-    a.join();
-    b.join();
-  }
-  const double same_wall = same_timer.ElapsedSeconds();
-  const double total_cost =
-      2.0 * kOpsPerThread * static_cast<double>(kLatencyUs) / 1e6;
-  EXPECT_GE(same_wall, 0.9 * total_cost)
-      << "one device must serialize concurrent ops";
-
-  // Phase 2: two threads, each on its OWN device — the sleeps overlap,
-  // so two devices sustain ~2x one device's bandwidth. The bound is
-  // against the MEASURED serialized wall (same machine, same load) and
-  // the phase retries, so a CPU-starved CI runner cannot flip the
-  // verdict: a genuine shared-lock serialization bug makes every
-  // attempt take ~same_wall, never below the threshold.
-  double distinct_wall = same_wall;
-  for (int attempt = 0; attempt < 3 && distinct_wall >= 0.75 * same_wall;
-       ++attempt) {
-    auto dev_a = make_device("a");
-    auto dev_b = make_device("b");
-    prepare(dev_a.get(), "f");
-    prepare(dev_b.get(), "f");
-    util::Timer distinct_timer;
-    {
-      std::thread a([&] { hammer(dev_a.get(), "f"); });
-      std::thread b([&] { hammer(dev_b.get(), "f"); });
-      a.join();
-      b.join();
-    }
-    distinct_wall = distinct_timer.ElapsedSeconds();
-  }
-  EXPECT_LT(distinct_wall, 0.75 * same_wall)
-      << "distinct devices must throttle independently (got "
-      << distinct_wall << "s vs " << same_wall
-      << "s serialized; sleeping under a shared lock would serialize them)";
-}
-
-// A consumer that computes longer than the per-op cost between ops must
-// still experience the configured rate: sub-quantum costs are deferred,
-// not forgiven, across idle re-anchors of the device timeline.
-TEST(ThrottledDeviceTest, SlowConsumerStillPaysSubQuantumCosts) {
-  constexpr std::uint64_t kLatencyUs = 800;  // < 1 ms sleep chunk
-  constexpr int kOps = 6;
-  constexpr auto kThinkTime = std::chrono::milliseconds(2);
-  auto device = std::make_unique<io::ThrottledDevice>(
-      "slow", std::make_unique<io::MemDevice>("slow_mem"), kLatencyUs,
-      /*mb_per_sec=*/0);
-  {
-    std::vector<char> bytes(64, 'x');
-    ASSERT_TRUE(OpenOrDie(device.get(), "f", io::OpenMode::kTruncateWrite)
-                    ->WriteAt(0, bytes.data(), bytes.size())
-                    .ok());
-  }
-  auto file = OpenOrDie(device.get(), "f", io::OpenMode::kRead);
-  std::vector<char> buf(64);
-  util::Timer timer;
-  for (int i = 0; i < kOps; ++i) {
-    ASSERT_TRUE(file->ReadAt(0, buf.data(), 64).ok());
-    std::this_thread::sleep_for(kThinkTime);  // consumer "compute"
-  }
-  const double wall = timer.ElapsedSeconds();
-  const double floor =
-      kOps * (kLatencyUs / 1e6) +
-      kOps * std::chrono::duration<double>(kThinkTime).count();
-  EXPECT_GE(wall, 0.9 * floor)
-      << "sub-quantum op costs were forgiven instead of deferred";
 }
 
 }  // namespace

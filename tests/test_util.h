@@ -22,10 +22,9 @@ namespace extscc::testing {
 //    by design).
 //  - EXTSCC_TEST_SCRATCH_DIRS=a,b: one scratch device per entry, new
 //    scratch files round-robin across them.
-//  - EXTSCC_TEST_DEVICE_MODEL=posix|mem|throttled[:lat_us[:mb_per_s]]
-//    |faulty[:seed=S,rate=R,...]: scratch device backing (the
-//    multidevice CI job sets throttled; the chaos job sets faulty with
-//    a transient-only rate, so every suite solves through injected
+//  - EXTSCC_TEST_DEVICE_MODEL=posix|mem|faulty[:seed=S,rate=R,...]:
+//    scratch device backing (the chaos job sets faulty with a
+//    transient-only rate, so every suite solves through injected
 //    EIO + retries).
 // Suites that build IoContextOptions by hand call this so the CI matrix
 // reaches them too.
@@ -42,7 +41,7 @@ std::unique_ptr<io::IoContext> MakeTestContext(
 // record_sink, radix_sort, run_pipeline) run on RAM-backed devices —
 // faster and tmpfs-independent, with block accounting identical to
 // posix byte for byte. The environment overrides still win, so the
-// multidevice CI job drives these suites through its simulated disks.
+// chaos CI job drives these suites through its faulty devices.
 std::unique_ptr<io::IoContext> MakeMemTestContext(
     std::uint64_t memory_bytes = 1 << 20, std::size_t block_size = 4096);
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "test_util.h"
 #include "util/csv.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -213,9 +214,8 @@ TEST(TableTest, AlignedRenderingContainsCells) {
 TEST(TableTest, WriteCsvFile) {
   util::Table table({"h"});
   table.AddRow({"v"});
-  const std::string path = ::testing::TempDir() + "/extscc_table_test.csv";
-  ASSERT_TRUE(table.WriteCsvFile(path));
-  std::remove(path.c_str());
+  const testing::ScopedTempPath path("table.csv");
+  ASSERT_TRUE(table.WriteCsvFile(path.path()));
 }
 
 TEST(FormatTest, FormatDouble) {
