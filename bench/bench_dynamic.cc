@@ -71,7 +71,7 @@ Point RunPoint(io::IoContext* ctx, const std::vector<graph::Edge>& base,
 
   const auto base_g = graph::MakeDiskGraph(ctx, base);
   const std::string artifact = ctx->NewTempPath("dyn_base_artifact");
-  auto built = serve::BuildArtifact(ctx, base_g, artifact, {});
+  auto built = serve::BuildArtifact(ctx, base_g, artifact);
   if (!built.ok()) {
     std::fprintf(stderr, "build-index (base) failed: %s\n",
                  built.status().ToString().c_str());
@@ -103,7 +103,7 @@ Point RunPoint(io::IoContext* ctx, const std::vector<graph::Edge>& base,
   const auto union_g = graph::MakeDiskGraph(ctx, union_edges);
   const std::string rebuilt_path = ctx->NewTempPath("dyn_rebuild_artifact");
   const io::IoStats before = ctx->stats();
-  auto rebuilt = serve::BuildArtifact(ctx, union_g, rebuilt_path, {});
+  auto rebuilt = serve::BuildArtifact(ctx, union_g, rebuilt_path);
   if (!rebuilt.ok()) {
     std::fprintf(stderr, "build-index (union) failed: %s\n",
                  rebuilt.status().ToString().c_str());

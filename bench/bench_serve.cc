@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     // The artifact lives on the scratch device, so every sweep block
     // is read through it, like production reads would be.
     const std::string artifact_path = ctx->NewTempPath("artifact");
-    auto built = serve::BuildArtifact(ctx.get(), g, artifact_path, {});
+    auto built = serve::BuildArtifact(ctx.get(), g, artifact_path);
     if (!built.ok()) {
       std::fprintf(stderr, "build-index failed: %s\n",
                    built.status().ToString().c_str());

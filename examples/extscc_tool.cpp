@@ -10,8 +10,7 @@
 //               <edges.txt> <out_labels.txt> [memory_bytes] [basic]
 //   extscc_tool verify <edges.txt> <labels.txt>
 //   extscc_tool condense <edges.txt> <dag_out.txt> [memory_bytes]
-//   extscc_tool build-index [--labels=N] [--seed=S] [--no-bowtie]
-//               <edges.txt> <artifact> [memory_bytes]
+//   extscc_tool build-index <edges.txt> <artifact> [memory_bytes]
 //   extscc_tool query [--batch-size=N] [--threads=N]
 //               <artifact> <batch.txt>
 //   extscc_tool serve [--batch-size=N] [--threads=N] <artifact>
@@ -19,8 +18,9 @@
 //   extscc_tool fsck [--checkpoint-dir=D] [--dry-run] <artifact>
 //
 // The serving commands share the artifact + line protocol documented in
-// docs/serving.md: build-index solves the graph once and writes a
-// versioned, checksummed artifact; query answers a batch file (one
+// docs/serving.md: build-index solves the graph once and publishes a
+// versioned, checksummed artifact (3 interval-label rounds, the bow-tie
+// split always included); query answers a batch file (one
 // query per line — `same u v`, `reach u v`, `stat u`; blank line = batch
 // boundary) with answers on stdout and batch stats on stderr; serve
 // runs the same protocol as a stdin loop, flushing a batch every
@@ -43,9 +43,11 @@
 // several devices, `solve` prints the per-device I/O breakdown and the
 // critical-path (busiest-device) count.
 //
-// Numeric arguments (memory_bytes, num_nodes, seed, --labels, --seed,
-// --batch-size, --threads) are whole-string decimals: "4M", "1e5" or
-// "x" exit 2 with a message naming the argument.
+// Every command rejects positional arguments beyond its usage line and
+// flags the line does not list: both exit 2 with the usage text.
+// Numeric arguments (memory_bytes, num_nodes, seed, --batch-size,
+// --threads) are whole-string decimals: "4M", "1e5" or "x" exit 2 with
+// a message naming the argument.
 //
 // Crash-safety knobs: `solve --checkpoint-dir=D` durably checkpoints
 // every completed phase into D so a killed solve restarts from the last
@@ -117,8 +119,7 @@ int Usage() {
       "  extscc_tool verify <edges.txt> <labels.txt>\n"
       "  extscc_tool condense <edges.txt> <dag_out.txt> "
       "[memory_bytes]\n"
-      "  extscc_tool build-index [--labels=N] [--seed=S] [--no-bowtie] "
-      "<edges.txt> <artifact> [memory_bytes]\n"
+      "  extscc_tool build-index <edges.txt> <artifact> [memory_bytes]\n"
       "  extscc_tool query [--batch-size=N] [--threads=N] "
       "<artifact> <batch.txt>\n"
       "  extscc_tool serve [--batch-size=N] [--threads=N] <artifact>\n"
@@ -234,6 +235,14 @@ CommandArgs SplitCommandArgs(int argc, char** argv) {
   return out;
 }
 
+// The whole grammar of a command without flags of its own: no flags and
+// `min`..`max` positional arguments.
+bool PositionalOnly(const CommandArgs& args, std::size_t min,
+                    std::size_t max) {
+  return args.flags.empty() && args.positional.size() >= min &&
+         args.positional.size() <= max;
+}
+
 bool FlagStringValue(const std::string& flag, const char* name,
                      std::string* value) {
   const std::size_t len = std::strlen(name);
@@ -272,17 +281,20 @@ bool ParseMemoryArg(const std::vector<std::string>& positional,
 }
 
 int CmdGenerate(int argc, char** argv) {
-  if (argc < 5) return Usage();
-  const std::string kind = argv[2];
+  const CommandArgs args = SplitCommandArgs(argc, argv);
+  if (!PositionalOnly(args, 3, 4)) return Usage();
+  const std::string& kind = args.positional[0];
   // Node ids are 32-bit with 0xffffffff reserved; every generator needs
   // two nodes.
   std::uint64_t n = 0;
-  if (!ParseNumberArg("num_nodes", argv[3], 2, graph::kInvalidNode, &n)) {
+  if (!ParseNumberArg("num_nodes", args.positional[1], 2, graph::kInvalidNode,
+                      &n)) {
     return 2;
   }
-  const std::string out_path = argv[4];
+  const std::string& out_path = args.positional[2];
   std::uint64_t seed = 1;
-  if (argc > 5 && !ParseNumberArg("seed", argv[5], 0, kAnyU64, &seed)) {
+  if (args.positional.size() > 3 &&
+      !ParseNumberArg("seed", args.positional[3], 0, kAnyU64, &seed)) {
     return 2;
   }
   auto context = MakeContext(64 << 20);
@@ -420,14 +432,15 @@ int CmdSolve(int argc, char** argv) {
 }
 
 int CmdVerify(int argc, char** argv) {
-  if (argc < 4) return Usage();
+  const CommandArgs args = SplitCommandArgs(argc, argv);
+  if (!PositionalOnly(args, 2, 2)) return Usage();
   auto context = MakeContext(256 << 20);
-  auto loaded = graph::LoadTextEdgeList(&context, argv[2]);
+  auto loaded = graph::LoadTextEdgeList(&context, args.positional[0]);
   if (!loaded.ok()) return StatusExit(loaded.status());
   // Parse the label file into an on-disk SCC file.
   const std::string scc_path = context.NewTempPath("labels");
   {
-    graph::TextPairReader in(argv[3], context.block_size());
+    graph::TextPairReader in(args.positional[1], context.block_size());
     const std::string staging = context.NewTempPath("labels_raw");
     io::RecordWriter<graph::SccEntry> writer(&context, staging);
     graph::SccEntry entry;
@@ -446,14 +459,12 @@ int CmdVerify(int argc, char** argv) {
 }
 
 int CmdCondense(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  std::uint64_t memory = 4u << 20;
-  if (argc > 4 &&
-      !ParseNumberArg("memory_bytes", argv[4], 0, kAnyU64, &memory)) {
-    return 2;
-  }
+  const CommandArgs args = SplitCommandArgs(argc, argv);
+  if (!PositionalOnly(args, 2, 3)) return Usage();
+  std::uint64_t memory = 0;
+  if (!ParseMemoryArg(args.positional, 2, 4u << 20, &memory)) return 2;
   auto context = MakeContext(memory);
-  auto loaded = graph::LoadTextEdgeList(&context, argv[2]);
+  auto loaded = graph::LoadTextEdgeList(&context, args.positional[0]);
   if (!loaded.ok()) return StatusExit(loaded.status());
   const std::string scc_path = context.NewTempPath("scc");
   auto result = core::RunExtScc(&context, loaded.value(), scc_path,
@@ -462,7 +473,7 @@ int CmdCondense(int argc, char** argv) {
   const auto cond = scc::BuildCondensation(&context, loaded.value(),
                                            scc_path);
   const auto status =
-      graph::SaveTextEdgeList(&context, cond.dag, argv[3]);
+      graph::SaveTextEdgeList(&context, cond.dag, args.positional[1]);
   if (!status.ok()) return StatusExit(status);
   std::printf("condensation: %s (from %s)\n", cond.dag.Describe().c_str(),
               loaded.value().Describe().c_str());
@@ -471,35 +482,14 @@ int CmdCondense(int argc, char** argv) {
 
 int CmdBuildIndex(int argc, char** argv) {
   const CommandArgs args = SplitCommandArgs(argc, argv);
-  serve::BuildArtifactOptions options;
-  for (const std::string& flag : args.flags) {
-    std::string text;
-    if (FlagStringValue(flag, "--labels", &text)) {
-      std::uint64_t labels = 0;
-      if (!ParseNumberArg("--labels", text, 0, 0xffffffffu, &labels)) {
-        return 2;
-      }
-      options.num_labels = static_cast<std::uint32_t>(labels);
-    } else if (FlagStringValue(flag, "--seed", &text)) {
-      if (!ParseNumberArg("--seed", text, 0, kAnyU64, &options.label_seed)) {
-        return 2;
-      }
-    } else if (flag == "--no-bowtie") {
-      options.include_bowtie = false;
-    } else {
-      return Usage();
-    }
-  }
-  if (args.positional.size() < 2 || args.positional.size() > 3) {
-    return Usage();
-  }
+  if (!PositionalOnly(args, 2, 3)) return Usage();
   std::uint64_t memory = 0;
   if (!ParseMemoryArg(args.positional, 2, 64u << 20, &memory)) return 2;
   auto context = MakeContext(memory);
   auto loaded = graph::LoadTextEdgeList(&context, args.positional[0]);
   if (!loaded.ok()) return StatusExit(loaded.status());
-  auto built = serve::BuildArtifact(&context, loaded.value(),
-                                    args.positional[1], options);
+  auto built =
+      serve::BuildArtifact(&context, loaded.value(), args.positional[1]);
   if (!built.ok()) return StatusExit(built.status());
   const serve::ArtifactSummary& s = built.value().summary;
   std::printf(
@@ -512,13 +502,11 @@ int CmdBuildIndex(int argc, char** argv) {
       static_cast<unsigned long long>(s.dag_edges),
       s.num_label_rounds,
       static_cast<unsigned long long>(built.value().solve_stats.total_ios));
-  if (s.bowtie_computed != 0) {
-    std::printf("bow-tie: core=%llu in=%llu out=%llu other=%llu\n",
-                static_cast<unsigned long long>(s.core_size),
-                static_cast<unsigned long long>(s.in_size),
-                static_cast<unsigned long long>(s.out_size),
-                static_cast<unsigned long long>(s.other_size));
-  }
+  std::printf("bow-tie: core=%llu in=%llu out=%llu other=%llu\n",
+              static_cast<unsigned long long>(s.core_size),
+              static_cast<unsigned long long>(s.in_size),
+              static_cast<unsigned long long>(s.out_size),
+              static_cast<unsigned long long>(s.other_size));
   return 0;
 }
 

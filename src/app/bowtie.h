@@ -12,6 +12,9 @@
 // for IN). Everything is sorts and scans; passes are bounded by the
 // graph's unweighted eccentricity from the core, which is small for
 // web-like graphs (their effective diameter is logarithmic).
+//
+// BowtieDecompose labels every node (examples/web_analysis.cpp); the
+// serve artifact stores only the sizes, from BowtieSizesFromDag below.
 #ifndef EXTSCC_APP_BOWTIE_H_
 #define EXTSCC_APP_BOWTIE_H_
 
@@ -62,8 +65,7 @@ util::Result<BowtieResult> BowtieDecompose(io::IoContext* context,
 // `dag` (excluding it), OUT the total it reaches, OTHER the rest. A
 // node reaches the core iff its SCC does, so this matches
 // BowtieDecompose's sizes exactly — at two in-memory BFS traversals
-// instead of multi-pass edge scans. The incremental updater's path:
-// its resident state is exactly the DAG plus per-SCC sizes.
+// instead of multi-pass edge scans (bowtie_test pins the agreement).
 // `core_index` is the dense index of the core SCC in `dag`, and
 // `scc_sizes[i]` the size of the SCC at dense index i.
 struct DagBowtieSizes {

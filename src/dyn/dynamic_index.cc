@@ -6,16 +6,12 @@
 #include <utility>
 #include <vector>
 
-#include "app/bowtie.h"
-#include "app/interval_labels.h"
 #include "dyn/delta_log.h"
-#include "extsort/external_sorter.h"
-#include "extsort/record_sink.h"
 #include "extsort/record_traits.h"
 #include "graph/digraph.h"
-#include "io/durability.h"
 #include "scc/tarjan.h"
 #include "serve/artifact_format.h"
+#include "serve/index_builder.h"
 #include "serve/query_engine.h"
 #include "util/logging.h"
 
@@ -75,39 +71,33 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
   if (batch.empty()) return stats;
   const io::IoStats before = context_->stats();
 
-  // 1. Translate endpoints to SCC ids — the query engine's sort-sweep:
-  // probes sorted by node, resolved against ONE sequential sweep of the
-  // node-sorted map section.
-  std::vector<SccId> resolved(2 * batch.size(), graph::kInvalidScc);
+  // 1. Translate endpoints to SCC ids: one same-SCC query per edge, so
+  // the query engine's sort-sweep resolves both endpoints (probe slots
+  // 2i and 2i + 1) against ONE sequential sweep of the node-sorted map.
+  std::vector<serve::Query> queries(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    queries[i] = {serve::QueryType::kSameScc, batch[i].src, batch[i].dst};
+  }
+  std::vector<serve::QueryAnswer> resolved(batch.size());
   {
-    extsort::SortingWriter<serve::NodeProbe, serve::NodeProbeByNode> sorter(
-        context_, serve::NodeProbeByNode{});
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      sorter.Add({batch[i].src, static_cast<std::uint32_t>(2 * i)});
-      sorter.Add({batch[i].dst, static_cast<std::uint32_t>(2 * i + 1)});
-    }
-    serve::SccMapScanner scanner = reader_->OpenNodeSccScan();
-    SccEntry cur{};
-    bool have = scanner.Next(&cur);
-    auto sink = extsort::MakeCallbackSink<serve::NodeProbe>(
-        [&](const serve::NodeProbe& probe) {
-          while (have && cur.node < probe.node) have = scanner.Next(&cur);
-          if (have && cur.node == probe.node) resolved[probe.slot] = cur.scc;
-        });
-    const auto sort_info = sorter.FinishInto(sink);
-    RETURN_IF_ERROR(sort_info.status);
-    RETURN_IF_ERROR(scanner.status());
-    stats.swept_blocks = scanner.blocks_read();
+    serve::QueryBatchStats query_stats;
+    RETURN_IF_ERROR(serve::QueryEngine(&*reader_).RunBatch(
+        context_, queries.data(), queries.size(), resolved.data(),
+        &query_stats));
+    stats.swept_blocks = query_stats.swept_blocks;
   }
 
   // 2. Unseen endpoints become provisional singleton SCCs, ids
   // S_old + rank in sorted node order.
   const SccId old_sccs = static_cast<SccId>(reader_->num_sccs());
   std::vector<NodeId> new_nodes;
-  for (std::size_t slot = 0; slot < resolved.size(); ++slot) {
-    if (resolved[slot] != graph::kInvalidScc) continue;
-    const Edge& e = batch[slot / 2];
-    new_nodes.push_back(slot % 2 == 0 ? e.src : e.dst);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (resolved[i].scc_u == graph::kInvalidScc) {
+      new_nodes.push_back(batch[i].src);
+    }
+    if (resolved[i].scc_v == graph::kInvalidScc) {
+      new_nodes.push_back(batch[i].dst);
+    }
   }
   std::sort(new_nodes.begin(), new_nodes.end());
   new_nodes.erase(std::unique(new_nodes.begin(), new_nodes.end()),
@@ -132,11 +122,11 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
   }
   std::vector<Edge> new_inter;  // over provisional SCC ids
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const SccId su = resolved[2 * i] != graph::kInvalidScc
-                         ? resolved[2 * i]
+    const SccId su = resolved[i].scc_u != graph::kInvalidScc
+                         ? resolved[i].scc_u
                          : provisional_of(batch[i].src);
-    const SccId sv = resolved[2 * i + 1] != graph::kInvalidScc
-                         ? resolved[2 * i + 1]
+    const SccId sv = resolved[i].scc_v != graph::kInvalidScc
+                         ? resolved[i].scc_v
                          : provisional_of(batch[i].dst);
     if (su == sv) {
       ++stats.intra_scc;
@@ -193,22 +183,21 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
     }
   }
 
-  // 6. Rewrite every artifact section from the merged condensation,
-  // into "<path>.tmp" with a bumped data version. Canonical labels are
-  // assigned by first occurrence in node order during the single
-  // merge-scan of the old map + sorted new nodes — exactly what
-  // build-index writes for the union graph, byte for byte.
+  // 6. Rewrite the node→SCC map into "<path>.tmp" with a bumped data
+  // version. Canonical labels are assigned by first occurrence in node
+  // order during the single merge-scan of the old map + sorted new
+  // nodes — exactly what build-index writes for the union graph, byte
+  // for byte — and every derived section comes from the same
+  // serve::WriteDerivedSections build-index calls.
   const std::uint64_t new_version = reader_->data_version() + 1;
   const std::string tmp_path = path_ + ".tmp";
   const ArtifactSummary& old_summary = reader_->summary();
-  std::vector<SccId> canon(num_comps, graph::kInvalidScc);
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(num_comps);
-
   const util::Status written = [&]() -> util::Status {
     serve::ArtifactWriter writer(context_, tmp_path, new_version);
     RETURN_IF_ERROR(writer.status());
-    SccId next_canon = 0;
+    std::vector<SccId> canon(num_comps, graph::kInvalidScc);
+    std::vector<std::uint64_t> sizes;
+    sizes.reserve(num_comps);
     {
       auto sink = writer.BeginSection<SccEntry>(SectionId::kNodeSccMap);
       serve::SccMapScanner scanner = reader_->OpenNodeSccScan();
@@ -226,10 +215,9 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
                            static_cast<SccId>(old_sccs + new_at)};
           ++new_at;
         }
-        const SccId c = comp[entry.scc];
-        SccId& mapped = canon[c];
+        SccId& mapped = canon[comp[entry.scc]];
         if (mapped == graph::kInvalidScc) {
-          mapped = next_canon++;
+          mapped = static_cast<SccId>(sizes.size());
           sizes.push_back(0);
         }
         ++sizes[mapped];
@@ -240,139 +228,44 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
     }
     // Every component holds at least one node, so the scan assigned
     // every canonical label.
-    CHECK_EQ(next_canon, num_comps);
+    CHECK_EQ(sizes.size(), num_comps);
 
-    // Condensation edges over canonical labels: sorted by packed
-    // (src, dst), loops dropped, dedupped — BuildCondensation's exact
-    // byte layout.
-    std::vector<std::uint64_t> edge_keys;
-    edge_keys.reserve(h_edges.size());
+    // Condensation edges over canonical labels: sorted by (src, dst),
+    // loops dropped, dedupped — BuildCondensation's exact byte layout.
+    std::vector<Edge> dag_edges;
+    dag_edges.reserve(h_edges.size());
     for (const Edge& e : h_edges) {
       const SccId a = canon[comp[e.src]];
       const SccId b = canon[comp[e.dst]];
-      if (a != b) edge_keys.push_back(extsort::PackKey64(a, b));
+      if (a != b) dag_edges.push_back(Edge{a, b});
     }
-    std::sort(edge_keys.begin(), edge_keys.end());
-    edge_keys.erase(std::unique(edge_keys.begin(), edge_keys.end()),
-                    edge_keys.end());
-    std::vector<Edge> dag_edges;
-    dag_edges.reserve(edge_keys.size());
-    for (const std::uint64_t key : edge_keys) {
-      dag_edges.push_back(Edge{static_cast<NodeId>(key >> 32),
-                               static_cast<NodeId>(key & 0xffffffffu)});
-    }
-    std::vector<NodeId> dag_nodes(num_comps);
-    std::iota(dag_nodes.begin(), dag_nodes.end(), 0);
-
-    const app::IntervalLabels labels = app::IntervalLabels::Build(
-        graph::Digraph(dag_nodes, dag_edges), old_summary.num_label_rounds,
-        old_summary.label_seed);
-    const std::size_t dag_n = labels.dag().num_nodes();
-
-    ArtifactSummary summary{};
-    summary.graph_nodes = old_summary.graph_nodes + new_nodes.size();
+    std::sort(dag_edges.begin(), dag_edges.end(), graph::EdgeBySrc{});
+    dag_edges.erase(std::unique(dag_edges.begin(), dag_edges.end()),
+                    dag_edges.end());
     // Raw (pre-dedup) union edge count: the folded delta log plus this
     // batch, matching DiskGraph::num_edges of the union edge file.
-    summary.graph_edges =
-        old_summary.graph_edges + delta_edges_.size() + batch.size();
-    summary.num_sccs = num_comps;
-    summary.dag_nodes = num_comps;
-    summary.dag_edges = dag_edges.size();
-    summary.num_label_rounds = old_summary.num_label_rounds;
-    summary.label_seed = old_summary.label_seed;
-    summary.largest_scc = graph::kInvalidScc;
-    summary.core_scc = graph::kInvalidScc;
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-      if (sizes[s] > summary.largest_scc_size) {
-        summary.largest_scc_size = sizes[s];
-        summary.largest_scc = static_cast<SccId>(s);
-      }
-      if (sizes[s] == 1) ++summary.num_singletons;
-    }
-    if (old_summary.bowtie_computed != 0) {
-      const app::DagBowtieSizes bowtie = app::BowtieSizesFromDag(
-          labels.dag(), sizes, summary.largest_scc);
-      summary.bowtie_computed = 1;
-      summary.core_scc = summary.largest_scc;
-      summary.core_size = bowtie.core_size;
-      summary.in_size = bowtie.in_size;
-      summary.out_size = bowtie.out_size;
-      summary.other_size = bowtie.other_size;
-    }
-
-    {
-      auto sink = writer.BeginSection<NodeId>(SectionId::kDagNodes);
-      sink.AppendBatch(dag_nodes.data(), dag_nodes.size());
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<Edge>(SectionId::kDagEdges);
-      sink.AppendBatch(dag_edges.data(), dag_edges.size());
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<std::uint32_t>(SectionId::kLabelRanks);
-      for (std::uint32_t r = 0; r < summary.num_label_rounds; ++r) {
-        sink.AppendBatch(labels.ranks(r).data(), dag_n);
-      }
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<std::uint32_t>(SectionId::kLabelMins);
-      for (std::uint32_t r = 0; r < summary.num_label_rounds; ++r) {
-        sink.AppendBatch(labels.mins(r).data(), dag_n);
-      }
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<std::uint64_t>(SectionId::kSccSizes);
-      sink.AppendBatch(sizes.data(), sizes.size());
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<ArtifactSummary>(SectionId::kSummary);
-      sink.Append(summary);
-      writer.EndSection();
-    }
+    serve::WriteDerivedSections(
+        &writer, dag_edges, sizes,
+        old_summary.graph_edges + delta_edges_.size() + batch.size(),
+        old_summary.num_label_rounds, old_summary.label_seed);
     return writer.Finish();
   }();
+  if (!written.ok()) {
+    (void)context_->ResolveDevice(tmp_path)->Delete(tmp_path);
+    return written;
+  }
 
-  // 7. Validate the candidate end to end BEFORE it can become the live
-  // version: a full reader open (resident sections, CRCs, geometry,
-  // cross-section consistency) plus a sweep of the one section Open
-  // does not touch. A version is only ever published after it proved
-  // readable — a faulted write can cost this batch, never the index.
-  util::Status publishable = written;
-  if (publishable.ok()) {
-    auto check = serve::ArtifactReader::Open(context_, tmp_path);
-    publishable = check.status();
-    if (publishable.ok()) {
-      serve::SccMapScanner scan = check.value().OpenNodeSccScan();
-      SccEntry entry;
-      while (scan.Next(&entry)) {
-      }
-      publishable = scan.status();
-    }
-  }
-  io::StorageDevice* device = context_->ResolveDevice(path_);
-  if (publishable.ok()) {
-    // Durable publish: Finish() already fsynced the candidate's bytes;
-    // the rename + parent-directory fsync make the swap itself survive
-    // power loss (both halves are crash-point sites).
-    publishable = io::DurableRename(context_, tmp_path, path_);
-  }
-  if (!publishable.ok()) {
-    (void)device->Delete(tmp_path);
-    return publishable;
-  }
+  // 7. Validate the candidate end to end and durably rename it over the
+  // live version. A version is only ever published after it proved
+  // readable, and the validated reader is the one served from here on:
+  // nothing after the rename can fail the batch.
+  auto published = serve::ArtifactReader::Publish(context_, tmp_path, path_);
+  RETURN_IF_ERROR(published.status());
 
   // 8. Published. The delta log's edges are folded into the new
-  // version; drop it (stale-by-version even if the delete fails) and
-  // serve from the fresh artifact.
+  // version; drop it (stale-by-version even if the delete fails).
   RemoveDeltaLog(context_, DeltaLogPathFor(path_));
-  auto reopened = serve::ArtifactReader::Open(context_, path_);
-  RETURN_IF_ERROR(reopened.status());
-  reader_.emplace(std::move(reopened).value());
+  reader_.emplace(std::move(published).value());
   delta_edges_.clear();
 
   stats.rewrote_artifact = true;

@@ -5,9 +5,10 @@
 // edge log (delta_log.h). Inserts can only MERGE SCCs — the merge-only
 // direction of dynamic SCC — so a batch is maintained as:
 //
-//   1. translate endpoints to SCC ids with the query engine's
-//      sort-sweep: one sorted probe pass + ONE sequential sweep of the
-//      node→SCC map section (the only I/O proportional to |V|);
+//   1. translate endpoints to SCC ids with one same-SCC query per edge
+//      through serve::QueryEngine::RunBatch: one sorted probe pass +
+//      ONE sequential sweep of the node→SCC map section (the only I/O
+//      proportional to |V|);
 //   2. classify each edge: intra-SCC or duplicating an existing
 //      condensation edge → no structural change; otherwise it is a new
 //      condensation edge (a "backward" one closes a cycle);
@@ -16,28 +17,31 @@
 //   4. otherwise run the localized merge pass IN MEMORY on the
 //      condensation DAG (resident by construction: the artifact loads
 //      it on open): Tarjan over old-DAG ∪ new edges finds the merged
-//      components, a single merge-scan of the old map (+ sorted new
-//      nodes) rewrites the node→SCC map with canonical
-//      first-occurrence labels, and every derived section (DAG,
-//      interval labels, sizes, summary, bow-tie) is recomputed from
-//      the new condensation;
-//   5. publish: the new artifact is written to "<path>.tmp" with a
-//      bumped data version and fresh CRCs, validated by a full
-//      reader open + map sweep, then swapped in with one atomic
-//      StorageDevice::Rename — a crash or fault at ANY point leaves
-//      the old version live, never a torn artifact.
+//      components, and a single merge-scan of the old map (+ sorted
+//      new nodes) writes the new node→SCC map with canonical
+//      first-occurrence labels into "<path>.tmp" under a bumped data
+//      version; serve::WriteDerivedSections, the same call build-index
+//      makes, writes every derived section (DAG, interval labels,
+//      sizes, summary, bow-tie) from the new condensation;
+//   5. publish through serve::ArtifactReader::Publish: a full reader
+//      open + map sweep of the candidate, then one durable rename over
+//      the old version. A crash or fault before the rename leaves the
+//      old version live, never a torn artifact; the validated reader
+//      becomes the live one, so nothing after the rename can fail the
+//      batch.
 //
 // Because build-index writes canonical labels (core/canonical_labels.h)
 // and every derived section is a deterministic function of the graph,
 // the artifact after a rewrite is BYTE-IDENTICAL to build-index over
 // the union graph — the oracle the tests pin.
 //
-// Cost per batch (b edges, map of m blocks): the translate sweep is
-// <= m sequential block reads; a delta-log-only batch adds O(b/B)
-// writes; a structural rewrite re-streams the artifact once,
-// ~2m + O(resident sections) I/Os — still far below a full re-solve,
-// which pays the multi-pass contraction/expansion hierarchy on the
-// EDGE file (edges >> nodes on web-like graphs).
+// Cost per batch (b edges, map of m blocks, r blocks of resident
+// sections): the translate sweep is <= m sequential block reads; a
+// delta-log-only batch adds O(b/B) writes; a structural rewrite adds
+// the merge-scan (m reads), the new artifact (m + r writes) and its
+// validation (m + r reads) — still far below a full re-solve, which
+// pays the multi-pass contraction/expansion hierarchy on the EDGE file
+// (edges >> nodes on web-like graphs).
 #ifndef EXTSCC_DYN_DYNAMIC_INDEX_H_
 #define EXTSCC_DYN_DYNAMIC_INDEX_H_
 
@@ -86,7 +90,8 @@ class DynamicSccIndex {
   util::Result<UpdateBatchStats> ApplyBatch(
       const std::vector<graph::Edge>& batch);
 
-  // The live artifact reader (reopened after every published rewrite).
+  // The live artifact reader (the validated candidate of the last
+  // published rewrite).
   const serve::ArtifactReader& reader() const { return *reader_; }
   std::uint64_t data_version() const { return reader_->data_version(); }
   // Edges applied but not yet folded into the artifact (delta log).

@@ -6,6 +6,7 @@
 
 #include "io/checksum.h"
 #include "io/crash_point.h"
+#include "io/durability.h"
 #include "util/logging.h"
 
 namespace extscc::serve {
@@ -522,6 +523,30 @@ util::Result<ArtifactReader> ArtifactReader::Open(io::IoContext* context,
   reader.path_ = path;
   reader.data_version_ = preamble.data_version;
   RETURN_IF_ERROR(file.Close());
+  return reader;
+}
+
+util::Result<ArtifactReader> ArtifactReader::Publish(
+    io::IoContext* context, const std::string& tmp_path,
+    const std::string& path) {
+  auto candidate = Open(context, tmp_path);
+  util::Status status = candidate.status();
+  if (status.ok()) {
+    SccMapScanner scan = candidate.value().OpenNodeSccScan();
+    graph::SccEntry entry;
+    while (scan.Next(&entry)) {
+    }
+    status = scan.status();
+  }
+  // Finish() already fsynced the candidate's bytes; the rename and the
+  // parent-directory fsync make the swap itself survive power loss.
+  if (status.ok()) status = io::DurableRename(context, tmp_path, path);
+  if (!status.ok()) {
+    (void)context->ResolveDevice(tmp_path)->Delete(tmp_path);
+    return status;
+  }
+  ArtifactReader reader = std::move(candidate).value();
+  reader.path_ = path;
   return reader;
 }
 

@@ -151,6 +151,15 @@ class ArtifactReader {
   static util::Result<ArtifactReader> Open(io::IoContext* context,
                                            const std::string& path);
 
+  // The one publish step for a finished candidate at `tmp_path`: a full
+  // Open plus a CRC sweep of the node→SCC map, then io::DurableRename
+  // over `path`. Only a candidate that proved readable can become the
+  // live version. Returns the validated reader, re-pointed at `path`;
+  // on any failure removes `tmp_path` and leaves `path` untouched.
+  static util::Result<ArtifactReader> Publish(io::IoContext* context,
+                                              const std::string& tmp_path,
+                                              const std::string& path);
+
   ArtifactReader(ArtifactReader&&) = default;
   ArtifactReader& operator=(ArtifactReader&&) = default;
 

@@ -56,8 +56,7 @@ struct ArtifactPreamble {
   // bumped by one on every published incremental update (src/dyn/).
   // Distinct from format_version (the layout revision): a serving
   // process polls this one cheap block-0 read to learn that an update
-  // republished the artifact. Was a reserved (always-zero) field before
-  // the dynamic subsystem, so pre-existing artifacts read as version 0.
+  // republished the artifact.
   std::uint64_t data_version;
   std::uint32_t reserved1;
   std::uint32_t crc;  // Crc32 over the preceding 28 bytes
@@ -99,7 +98,8 @@ struct ArtifactSummary {
   std::uint64_t largest_scc_size;
   std::uint64_t num_singletons;
   std::uint64_t label_seed;  // interval-label RNG seed used at build
-  // Bow-tie split (Broder): valid when bowtie_computed != 0.
+  // Bow-tie split (Broder) around largest_scc; writers set
+  // bowtie_computed = 1 (0 = the fields were never computed).
   std::uint64_t core_size;
   std::uint64_t in_size;
   std::uint64_t out_size;

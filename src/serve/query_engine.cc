@@ -4,9 +4,30 @@
 
 #include "extsort/external_sorter.h"
 #include "extsort/record_sink.h"
+#include "extsort/record_traits.h"
 #include "util/logging.h"
 
 namespace extscc::serve {
+
+namespace {
+
+// One endpoint occurrence of a batch: sorted by node for the sweep,
+// slot routes the resolved label back to its query.
+struct NodeProbe {
+  graph::NodeId node = 0;
+  std::uint32_t slot = 0;  // query_index * 2 + (0 for u, 1 for v)
+};
+
+struct NodeProbeByNode {
+  static std::uint64_t KeyOf(const NodeProbe& p) {
+    return extsort::PackKey64(p.node, p.slot);
+  }
+  bool operator()(const NodeProbe& a, const NodeProbe& b) const {
+    return KeyOf(a) < KeyOf(b);
+  }
+};
+
+}  // namespace
 
 QueryBatchStats& QueryBatchStats::operator+=(const QueryBatchStats& other) {
   queries += other.queries;

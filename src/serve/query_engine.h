@@ -25,7 +25,6 @@
 #include <cstdint>
 
 #include "app/interval_labels.h"
-#include "extsort/record_traits.h"
 #include "graph/graph_types.h"
 #include "io/io_context.h"
 #include "serve/artifact.h"
@@ -65,22 +64,6 @@ struct QueryBatchStats {
   app::IntervalLabelCounters labels;   // reachability breakdown
 
   QueryBatchStats& operator+=(const QueryBatchStats& other);
-};
-
-// One endpoint occurrence of a batch: sorted by node for the sweep,
-// slot routes the resolved label back to its query.
-struct NodeProbe {
-  graph::NodeId node = 0;
-  std::uint32_t slot = 0;  // query_index * 2 + (0 for u, 1 for v)
-};
-
-struct NodeProbeByNode {
-  static std::uint64_t KeyOf(const NodeProbe& p) {
-    return extsort::PackKey64(p.node, p.slot);
-  }
-  bool operator()(const NodeProbe& a, const NodeProbe& b) const {
-    return KeyOf(a) < KeyOf(b);
-  }
 };
 
 class QueryEngine {

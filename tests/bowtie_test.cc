@@ -2,16 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
 
 #include "core/ext_scc.h"
 #include "gen/classic_graphs.h"
+#include "gen/rmat_generator.h"
 #include "gen/webgraph_generator.h"
 #include "graph/digraph.h"
 #include "graph/disk_graph.h"
 #include "io/record_stream.h"
+#include "scc/condensation.h"
 #include "test_util.h"
 
 namespace extscc {
@@ -24,7 +27,37 @@ using graph::Edge;
 using graph::NodeId;
 using testing::MakeTestContext;
 
-// Runs Ext-SCC then the decomposition; returns (result, node -> region).
+// The serve artifact's bow-tie (serve::WriteDerivedSections) is
+// BowtieSizesFromDag over the condensation, around the lowest-labelled
+// largest SCC. BowtieDecompose, which scans the edge file, is its
+// reference: the core SCC and all four region sizes must agree exactly.
+void ExpectDagSizesMatchReference(io::IoContext* ctx,
+                                  const graph::DiskGraph& g,
+                                  const std::string& scc_path,
+                                  const BowtieResult& reference) {
+  const auto condensation = scc::BuildCondensation(ctx, g, scc_path);
+  const graph::Digraph dag(
+      io::ReadAllRecords<NodeId>(ctx, condensation.dag.node_path),
+      io::ReadAllRecords<Edge>(ctx, condensation.dag.edge_path));
+  std::vector<std::uint64_t> sizes(dag.num_nodes(), 0);
+  for (const graph::SccEntry& entry :
+       io::ReadAllRecords<graph::SccEntry>(ctx, scc_path)) {
+    ++sizes[dag.index_of(entry.scc)];
+  }
+  // max_element returns the first maximum: the lowest label on a tie.
+  const std::size_t core =
+      std::max_element(sizes.begin(), sizes.end()) - sizes.begin();
+  const app::DagBowtieSizes from_dag =
+      app::BowtieSizesFromDag(dag, sizes, core);
+  EXPECT_EQ(dag.id_of(core), reference.core_scc);
+  EXPECT_EQ(from_dag.core_size, reference.core_size);
+  EXPECT_EQ(from_dag.in_size, reference.in_size);
+  EXPECT_EQ(from_dag.out_size, reference.out_size);
+  EXPECT_EQ(from_dag.other_size, reference.other_size);
+}
+
+// Runs Ext-SCC then the decomposition, cross-checks the DAG sizes
+// against it; returns (result, node -> region).
 std::pair<BowtieResult, std::map<NodeId, BowtieRegion>> DecomposeGraph(
     io::IoContext* ctx, const graph::DiskGraph& g) {
   const std::string scc_path = ctx->NewTempPath("scc");
@@ -33,6 +66,7 @@ std::pair<BowtieResult, std::map<NodeId, BowtieRegion>> DecomposeGraph(
                   .ok());
   auto result = BowtieDecompose(ctx, g, scc_path);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
+  ExpectDagSizesMatchReference(ctx, g, scc_path, result.value());
   std::map<NodeId, BowtieRegion> regions;
   io::RecordReader<graph::SccEntry> reader(ctx, result.value().region_path);
   graph::SccEntry entry;
@@ -118,6 +152,35 @@ TEST(BowtieTest, WebGraphHasBowtieStructure) {
   EXPECT_GT(result.core_size, g.num_nodes / 10) << "giant core expected";
   EXPECT_GT(result.in_size + result.out_size + result.other_size, 0u)
       << "periphery expected";
+  EXPECT_EQ(result.core_size + result.in_size + result.out_size +
+                result.other_size,
+            g.num_nodes);
+}
+
+TEST(BowtieTest, RmatGraphHasEveryRegion) {
+  // A 20K-node R-MAT graph (`extscc_tool generate rmat 20000 .. 1`):
+  // unlike the web generator's, its bow-tie has non-empty OUT and OTHER
+  // regions, so every size the DAG path computes is checked.
+  auto ctx = MakeTestContext(/*memory_bytes=*/8 << 20);
+  gen::RmatParams params;
+  params.num_nodes = 20000;
+  params.num_edges = 4 * params.num_nodes;
+  params.seed = 1;
+  const auto g = gen::GenerateRmat(ctx.get(), params);
+  const auto [result, regions] = DecomposeGraph(ctx.get(), g);
+  EXPECT_GT(result.in_size, 0u);
+  EXPECT_GT(result.out_size, 0u);
+  EXPECT_GT(result.other_size, 0u);
+}
+
+TEST(BowtieTest, DagCoreIsLowestLabelledSingleton) {
+  // Every SCC of a DAG is a singleton, so the largest SCC is a tie
+  // among all of them; both paths must break it the same way.
+  auto ctx = MakeTestContext(/*memory_bytes=*/8 << 20);
+  const auto g =
+      graph::MakeDiskGraph(ctx.get(), gen::RandomDagEdges(2000, 6000, 1));
+  const auto [result, regions] = DecomposeGraph(ctx.get(), g);
+  EXPECT_EQ(result.core_size, 1u);
   EXPECT_EQ(result.core_size + result.in_size + result.out_size +
                 result.other_size,
             g.num_nodes);

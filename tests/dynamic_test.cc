@@ -11,6 +11,9 @@
 //    correct labels or fails with a documented status code — and a
 //    failed update NEVER publishes a torn artifact: the previous
 //    version stays live, readable, and identical.
+//  - The verdict matches what is live: wherever a dying device stops a
+//    structural batch, a failed ApplyBatch leaves the old version
+//    published and a successful one the new version.
 //
 // The oracle run drives a randomized insert stream on two round-robin
 // RAM scratch devices.
@@ -31,6 +34,7 @@
 #include "graph/digraph.h"
 #include "graph/disk_graph.h"
 #include "graph/graph_types.h"
+#include "io/fault_injection.h"
 #include "io/io_context.h"
 #include "serve/artifact.h"
 #include "serve/index_builder.h"
@@ -216,7 +220,7 @@ TEST(DynamicTest, IncrementalMatchesFullRebuild) {
   const std::string rebuild_path = dir.PathFor(std::string("re_") + kName);
   {
     const auto g = graph::MakeDiskGraph(context.get(), base);
-    auto built = serve::BuildArtifact(context.get(), g, inc_path, {});
+    auto built = serve::BuildArtifact(context.get(), g, inc_path);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
   }
   auto opened = DynamicSccIndex::Open(context.get(), inc_path);
@@ -248,8 +252,7 @@ TEST(DynamicTest, IncrementalMatchesFullRebuild) {
 
     // Full rebuild over the union graph, same label parameters.
     const auto g = graph::MakeDiskGraph(context.get(), union_edges);
-    auto rebuilt =
-        serve::BuildArtifact(context.get(), g, rebuild_path, {});
+    auto rebuilt = serve::BuildArtifact(context.get(), g, rebuild_path);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
     auto rebuild_reader = ArtifactReader::Open(context.get(), rebuild_path);
     ASSERT_TRUE(rebuild_reader.ok()) << rebuild_reader.status().ToString();
@@ -325,7 +328,7 @@ TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
   const std::string path = dir.PathFor("reopen");
   {
     const auto g = graph::MakeDiskGraph(context.get(), base);
-    ASSERT_TRUE(serve::BuildArtifact(context.get(), g, path, {}).ok());
+    ASSERT_TRUE(serve::BuildArtifact(context.get(), g, path).ok());
   }
   const std::vector<char> before_bytes = ReadFileBytes(path);
 
@@ -432,7 +435,7 @@ TEST(DynamicTest, FaultyDeviceNeverPublishesTornArtifact) {
     const std::string path = context.NewTempPath("dyn_artifact");
     {
       const auto g = graph::MakeDiskGraph(&context, base);
-      auto built = serve::BuildArtifact(&context, g, path, {});
+      auto built = serve::BuildArtifact(&context, g, path);
       if (!built.ok()) continue;  // the device died during the build
     }
     auto opened = DynamicSccIndex::Open(&context, path);
@@ -502,6 +505,110 @@ TEST(DynamicTest, FaultyDeviceNeverPublishesTornArtifact) {
   // The matrix must exercise BOTH outcomes, or it proves nothing.
   EXPECT_GT(total_successes, 0u);
   EXPECT_GT(total_failures, 0u);
+}
+
+// ---- Publish contract: the verdict matches what is live --------------
+
+// The artifact lives on a fault-injecting posix scratch device whose
+// reads die persistently from device op N on (rfail_after=N), and N is
+// swept across every op of opening the index and applying one
+// structural batch. A clean context then reads the artifact path as any
+// serving process would: after a failed ApplyBatch it must find the old
+// version (preamble and map), after a successful one the new version.
+// An update that fails after its rename breaks this in the first
+// direction.
+TEST(DynamicTest, FailedBatchLeavesOldVersionLiveAtEveryReadDeathPoint) {
+  const std::vector<Edge> base = gen::RandomDigraphEdges(800, 3200, 5);
+  util::Rng rng(29);
+  std::uint32_t next_new_node = 800;
+  const std::vector<Edge> batch = MakeBatch(&rng, base, 800, &next_new_node,
+                                            60, /*structural=*/true);
+  const BaseArtifactDir dir;
+  const std::string seed_path = dir.PathFor("seed");
+  auto clean = MakeDynContext();
+  {
+    const auto g = graph::MakeDiskGraph(clean.get(), base);
+    ASSERT_TRUE(serve::BuildArtifact(clean.get(), g, seed_path).ok());
+  }
+  const testing::ScopedTempPath scratch_parent("read_death");
+  fs::create_directories(scratch_parent.path());
+
+  // The live version as a fresh reader sees it.
+  struct LiveVersion {
+    std::uint64_t data_version = ~std::uint64_t{0};
+    std::vector<SccEntry> map;
+  };
+  const auto live_state = [&](const std::string& path) {
+    LiveVersion live;
+    auto version = serve::PeekArtifactVersion(clean.get(), path);
+    EXPECT_TRUE(version.ok()) << version.status().ToString();
+    if (version.ok()) live.data_version = version.value();
+    auto reader = ArtifactReader::Open(clean.get(), path);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    if (reader.ok()) live.map = ScanMap(reader.value());
+    return live;
+  };
+  const LiveVersion old_state = live_state(seed_path);
+  ASSERT_EQ(old_state.data_version, 0u);
+
+  // One sweep point: sets whether the batch applied and returns the
+  // device ops the attempt issued.
+  LiveVersion new_state;
+  const auto run = [&](std::uint64_t rfail_after, bool* applied) {
+    io::IoContextOptions options;
+    options.block_size = 4096;
+    options.memory_bytes = 4 << 20;
+    options.temp_parent_dir = scratch_parent.path();
+    options.device_model.model = io::DeviceModel::kFaulty;
+    options.device_model.fault.fail_reads_after = rfail_after;
+    options.device_model.fault.inner = io::DeviceModel::kPosix;
+    io::IoContext context(options);
+    const std::string path = context.NewTempPath("swept_artifact");
+    fs::copy_file(seed_path, path);
+    *applied = false;
+    auto opened = DynamicSccIndex::Open(&context, path);
+    if (opened.ok()) {
+      DynamicSccIndex index = std::move(opened).value();
+      auto result = index.ApplyBatch(batch);
+      *applied = result.ok();
+      if (result.ok()) {
+        EXPECT_TRUE(result.value().rewrote_artifact);
+        EXPECT_EQ(result.value().published_version, 1u);
+        EXPECT_EQ(index.data_version(), 1u);
+      } else {
+        EXPECT_EQ(result.status().code(), util::StatusCode::kIoError)
+            << result.status().ToString();
+      }
+    }
+    const LiveVersion live = live_state(path);
+    if (rfail_after == 0) new_state = live;
+    const LiveVersion& want = *applied ? new_state : old_state;
+    EXPECT_EQ(live.data_version, want.data_version)
+        << "rfail_after=" << rfail_after << ": the live data version "
+        << "disagrees with ApplyBatch's verdict";
+    EXPECT_TRUE(live.map == want.map)
+        << "rfail_after=" << rfail_after << ": the live map disagrees "
+        << "with ApplyBatch's verdict";
+    EXPECT_FALSE(fs::exists(path + ".tmp")) << "rfail_after=" << rfail_after;
+    const auto* device =
+        dynamic_cast<io::FaultInjectingDevice*>(context.ResolveDevice(path));
+    EXPECT_NE(device, nullptr);
+    return device != nullptr ? device->ops_issued() : 0;
+  };
+
+  bool applied = false;
+  const std::uint64_t clean_ops = run(0, &applied);
+  ASSERT_TRUE(applied);
+  ASSERT_EQ(new_state.data_version, 1u);
+  ASSERT_TRUE(new_state.map != old_state.map);
+  std::uint64_t failures = 0;
+  for (std::uint64_t n = 1; n <= clean_ops + 1; ++n) {
+    run(n, &applied);
+    if (!applied) ++failures;
+  }
+  EXPECT_GT(failures, 0u);
+  // Past the last op the device never dies, so the sweep ends applied.
+  EXPECT_TRUE(applied);
 }
 
 }  // namespace

@@ -75,8 +75,7 @@ BuiltArtifact BuildTestArtifact(std::uint32_t nodes, std::uint64_t num_edges,
   out.dir = std::make_unique<testing::ScopedTempPath>("artifact");
   fs::create_directories(out.dir->path());
   out.path = out.PathFor("graph.art");
-  auto built =
-      serve::BuildArtifact(out.context.get(), g, out.path, {});
+  auto built = serve::BuildArtifact(out.context.get(), g, out.path);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
 
   // Independent reference solve, canonicalized the way build-index does
@@ -169,7 +168,7 @@ TEST(ServeArtifactTest, EmptyAndTinyGraphs) {
   {
     const auto g = graph::MakeDiskGraph(context.get(), {});
     auto built = serve::BuildArtifact(
-        context.get(), g, context->NewTempPath("empty_art"), {});
+        context.get(), g, context->NewTempPath("empty_art"));
     EXPECT_FALSE(built.ok());
     EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
   }
@@ -177,7 +176,7 @@ TEST(ServeArtifactTest, EmptyAndTinyGraphs) {
   {
     const auto g = graph::MakeDiskGraph(context.get(), gen::CycleEdges(2));
     const std::string path = context->NewTempPath("tiny_art");
-    auto built = serve::BuildArtifact(context.get(), g, path, {});
+    auto built = serve::BuildArtifact(context.get(), g, path);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     auto opened = ArtifactReader::Open(context.get(), path);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();

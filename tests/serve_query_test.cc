@@ -70,8 +70,7 @@ ServeFixture MakeFixture(std::uint32_t nodes, std::uint64_t num_edges,
   } else {
     fx.artifact_path = fx.context->NewTempPath("artifact");
   }
-  auto built =
-      serve::BuildArtifact(fx.context.get(), g, fx.artifact_path, {});
+  auto built = serve::BuildArtifact(fx.context.get(), g, fx.artifact_path);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   auto opened = ArtifactReader::Open(fx.context.get(), fx.artifact_path);
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();
