@@ -1,9 +1,12 @@
 // Software CRC32 (reflected, polynomial 0xEDB88320 — the zlib/ethernet
-// CRC) for the optional per-block checksum trailers
-// (IoContextOptions::checksum_blocks). A plain table-driven
-// byte-at-a-time implementation: the checksum path is off by default
-// and guards scratch blocks whose cost is dominated by the device
-// transfer, so portability beats a carry-less-multiply fast path here.
+// CRC). Two kinds of caller: the optional per-block trailers on scratch
+// files (IoContextOptions::checksum_blocks, off by default), and the
+// always-on integrity checks of the durable formats. The serve artifact
+// CRCs every payload block when it is written, opened and published,
+// and on every SccMapScanner sweep a query batch makes; delta-log
+// records and checkpoint manifests carry CRCs too. A plain table-driven
+// byte-at-a-time implementation, so on the serve path its cost is paid
+// per block per query batch.
 #ifndef EXTSCC_IO_CHECKSUM_H_
 #define EXTSCC_IO_CHECKSUM_H_
 

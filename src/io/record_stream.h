@@ -3,7 +3,12 @@
 // readers/writers buffer exactly one block per open stream — the
 // accounting the external-memory analyses in the paper assume. The
 // batch APIs (NextBatch/AppendBatch) move whole block-aligned spans per
-// memcpy instead of one record at a time.
+// memcpy instead of one record at a time. The one-record calls
+// (RecordReader::Next, RecordWriter::Append) are inline: a record that
+// lies wholly inside the current block costs one bounds check and one
+// fixed-size memcpy (PeekableReader::AdvanceInto's shape), and only
+// block-straddling records, refills, flushes and parked errors take the
+// batch loop.
 #ifndef EXTSCC_IO_RECORD_STREAM_H_
 #define EXTSCC_IO_RECORD_STREAM_H_
 
@@ -50,7 +55,18 @@ class RecordWriter {
   RecordWriter(const RecordWriter&) = delete;
   RecordWriter& operator=(const RecordWriter&) = delete;
 
-  void Append(const T& record) { AppendBatch(&record, 1); }
+  // One record: copied straight into the block buffer unless it fills or
+  // straddles the block, which the batch loop flushes.
+  void Append(const T& record) {
+    DCHECK(file_ != nullptr) << "Append after Finish";
+    if (fill_ + sizeof(T) < buffer_.size()) {
+      std::memcpy(buffer_.data() + fill_, &record, sizeof(T));
+      fill_ += sizeof(T);
+      ++count_;
+      return;
+    }
+    AppendBatch(&record, 1);
+  }
 
   // Appends `n` contiguous records with block-sized memcpy spans instead
   // of one copy per record — the fast path for spilling sort runs and
@@ -130,8 +146,16 @@ class RecordReader {
   RecordReader& operator=(const RecordReader&) = delete;
 
   // Reads the next record into *out; returns false at end of stream.
-  // Records may straddle block boundaries (see RecordWriter::Append).
-  bool Next(T* out) { return NextBatch(out, 1) == 1; }
+  // Records may straddle block boundaries (see RecordWriter::Append);
+  // those, refills and errored streams (valid_ == 0) take NextBatch.
+  bool Next(T* out) {
+    if (pos_ + sizeof(T) <= valid_) {
+      std::memcpy(out, buffer_.data() + pos_, sizeof(T));
+      pos_ += sizeof(T);
+      return true;
+    }
+    return NextBatch(out, 1) == 1;
+  }
 
   // Reads up to `max_records` records into `out` with block-sized memcpy
   // spans instead of one copy per record. Returns the number of records

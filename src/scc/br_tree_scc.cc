@@ -77,25 +77,12 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
     return stats;
   }
 
-  auto index_of = [&](NodeId id) {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-    DCHECK(it != ids.end() && *it == id);
-    return static_cast<std::uint32_t>(it - ids.begin());
-  };
-
-  // One-time endpoint translation to dense indices (sequential pass),
-  // mirroring the colouring backend, so the fixpoint scans are
-  // lookup-free.
+  // One-time endpoint translation to dense indices (the routine the
+  // colouring backend uses too), so the fixpoint scans are lookup-free.
+  // Its id->index directory lives in the depth array, set up only after.
+  std::vector<std::uint32_t> depth(n);
   const std::string translated = context->NewTempPath("brt_edges_idx");
-  {
-    io::RecordReader<Edge> reader(context, g.edge_path);
-    io::RecordWriter<Edge> writer(context, translated);
-    Edge e;
-    while (reader.Next(&e)) {
-      writer.Append(Edge{index_of(e.src), index_of(e.dst)});
-    }
-    writer.Finish();
-  }
+  TranslateEdgesToIndices(context, g, ids, depth, translated);
 
   DirectedUnionFind uf(n);
   // Spanning tree: every node starts as a child of the virtual root.
@@ -103,7 +90,7 @@ BrTreeStats BrTreeScc::Run(io::IoContext* context, const graph::DiskGraph& g,
   // (parent -> child), which is what makes tree paths real directed
   // paths and contraction sound.
   std::vector<std::uint32_t> parent(n, kRoot);
-  std::vector<std::uint32_t> depth(n, 1);
+  std::fill(depth.begin(), depth.end(), 1);
   CHECK_LE((ids.capacity() + parent.capacity() + depth.capacity()) *
                    sizeof(std::uint32_t) +
                uf.HeapBytes(),

@@ -20,6 +20,10 @@
 // directed cycle can remain between representatives: each union-find
 // group is exactly one SCC (groups of size one are singleton SCCs).
 //
+// The scans read dense (index, index) edges written once up front by
+// TranslateEdgesToIndices (semi_external_scc.h), the routine the
+// colouring backend uses too.
+//
 // Like SemiExternalScc (the colouring backend) this honours the Semi-SCC
 // contract Ext-SCC relies on — c·|V| bytes of memory plus O(1) blocks,
 // edge access by sequential scans only — so the two backends are
@@ -49,7 +53,8 @@ class BrTreeScc {
  public:
   // Exact heap of the per-node state Run holds for `num_nodes` nodes: a
   // 4-byte id, union-find cell, tree parent and depth (the depth array
-  // holds the SCC labels once the fixpoint is reached). Run reserves
+  // holds TranslateEdgesToIndices' id->index directory before the scans
+  // and the SCC labels once the fixpoint is reached). Run reserves
   // exactly this much.
   static constexpr std::uint64_t StateBytes(std::uint64_t num_nodes) {
     return 16 * num_nodes;

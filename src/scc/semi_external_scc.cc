@@ -5,6 +5,7 @@
 
 #include "io/record_stream.h"
 #include "util/logging.h"
+#include "util/status.h"
 
 namespace extscc::scc {
 
@@ -15,6 +16,62 @@ using graph::NodeId;
 using graph::SccId;
 
 }  // namespace
+
+void TranslateEdgesToIndices(io::IoContext* context, const graph::DiskGraph& g,
+                             const std::vector<NodeId>& ids,
+                             std::span<std::uint32_t> directory,
+                             const std::string& output_path) {
+  const std::size_t n = ids.size();
+  CHECK_EQ(directory.size(), n);
+  const NodeId lo = n > 0 ? ids.front() : 0;
+  const std::uint32_t extent = n > 0 ? ids.back() - lo : 0;
+  // The smallest shift with (extent >> shift) + 1 <= n buckets. The
+  // looser ((extent + 1) >> shift) <= n admits n + 1 of them: ids {0, 4}
+  // at shift 1 make 3 buckets for 2 words.
+  unsigned shift = 0;
+  while (n > 0 && (extent >> shift) + std::size_t{1} > n) ++shift;
+  const std::size_t buckets = n > 0 ? (extent >> shift) + std::size_t{1} : 0;
+  DCHECK_LE(buckets, n);
+  for (std::size_t i = 0, b = 0; i < n; ++i) {
+    const std::size_t bucket = (ids[i] - lo) >> shift;
+    while (b <= bucket) directory[b++] = static_cast<std::uint32_t>(i);
+  }
+
+  // Sets *index to the position of `id` in ids; false if it is absent.
+  auto index_of = [&](NodeId id, NodeId* index) {
+    const std::uint32_t offset = id - lo;  // ids below lo wrap past extent
+    if (buckets == 0 || offset > extent) return false;
+    const std::size_t b = offset >> shift;
+    const auto first = ids.begin() + directory[b];
+    const auto last =
+        b + 1 < buckets ? ids.begin() + directory[b + 1] : ids.end();
+    const auto it = std::lower_bound(first, last, id);
+    if (it == last || *it != id) return false;
+    *index = static_cast<NodeId>(it - ids.begin());
+    return true;
+  };
+
+  io::RecordReader<Edge> reader(context, g.edge_path);
+  io::RecordWriter<Edge> writer(context, output_path);
+  std::uint64_t dropped = 0;
+  NodeId first_missing = 0;
+  Edge e;
+  while (reader.Next(&e)) {
+    Edge dense;
+    if (index_of(e.src, &dense.src) && index_of(e.dst, &dense.dst)) {
+      writer.Append(dense);
+    } else if (dropped++ == 0) {
+      first_missing = index_of(e.src, &dense.src) ? e.dst : e.src;
+    }
+  }
+  writer.Finish();
+  if (dropped > 0) {
+    context->RecordIoError(util::Status::Corruption(
+        "edge endpoint " + std::to_string(first_missing) + " in " +
+        g.edge_path + " is not in node file " + g.node_path + " (" +
+        std::to_string(dropped) + " edges dropped)"));
+  }
+}
 
 bool SemiExternalScc::Fits(std::uint64_t num_nodes,
                            const io::MemoryBudget& memory) {
@@ -50,23 +107,10 @@ SemiSccStats SemiExternalScc::Run(io::IoContext* context,
   std::uint64_t live = n;
 
   // One-time endpoint translation to dense indices so the fixpoint scans
-  // below are lookup-free. Costs one extra sequential pass; the id->index
-  // map is the node array we already hold (within the O(|V|) contract).
+  // below are lookup-free. Costs one extra sequential pass; its id->index
+  // directory lives in `word`, which no step reads before trim writes it.
   const std::string translated = context->NewTempPath("semi_edges_idx");
-  {
-    auto index_of = [&](NodeId id) {
-      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-      DCHECK(it != ids.end() && *it == id);
-      return static_cast<NodeId>(it - ids.begin());
-    };
-    io::RecordReader<Edge> reader(context, g.edge_path);
-    io::RecordWriter<Edge> writer(context, translated);
-    Edge e;
-    while (reader.Next(&e)) {
-      writer.Append(Edge{index_of(e.src), index_of(e.dst)});
-    }
-    writer.Finish();
-  }
+  TranslateEdgesToIndices(context, g, ids, word, translated);
 
   auto scan_edges = [&](auto&& per_edge) {
     ++stats.edge_scans;

@@ -17,11 +17,17 @@
 //   3. Mark: within each colour class, propagate backward reachability to
 //      the root; the marked set of class r is exactly SCC(r).
 //   4. Retire all marked nodes, repeat from 1 until no node is live.
+//
+// Before step 1, TranslateEdgesToIndices (below, shared with the BR-tree
+// backend) rewrites the edge file once as dense (index, index) pairs, so
+// every scan indexes the per-node state directly.
 #ifndef EXTSCC_SCC_SEMI_EXTERNAL_SCC_H_
 #define EXTSCC_SCC_SEMI_EXTERNAL_SCC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "graph/disk_graph.h"
 #include "graph/graph_types.h"
@@ -39,8 +45,9 @@ struct SemiSccStats {
 class SemiExternalScc {
  public:
   // Exact heap of the per-node state Run holds for `num_nodes` nodes: a
-  // 4-byte id, one 4-byte word (the colour while the node is alive, its
-  // SCC label once retired), and four bitsets (alive, marked, has a live
+  // 4-byte id, one 4-byte word (the id->index directory during endpoint
+  // translation, then the colour while the node is alive and its SCC
+  // label once retired), and four bitsets (alive, marked, has a live
   // in-edge, has a live out-edge). Run reserves exactly this much.
   static constexpr std::uint64_t StateBytes(std::uint64_t num_nodes) {
     return 8 * num_nodes + 4 * 8 * ((num_nodes + 63) / 64);
@@ -59,6 +66,24 @@ class SemiExternalScc {
                           const std::string& scc_output,
                           graph::SccId* next_scc_id);
 };
+
+// The one-time endpoint translation both semi-external backends share:
+// streams g's edge file once and writes every edge to `output_path` as
+// (index, index) into `ids`, g's sorted node array. Each endpoint costs
+// O(1): bucket b of the directory covers ids ids[0] + [b·2^s, (b+1)·2^s)
+// for the smallest shift s with at most ids.size() buckets, and
+// directory[b] is the first index whose id lies in bucket b or later, so
+// a lookup is one directory load and a binary search confined to one
+// bucket (one id per bucket on dense ids). `directory` must hold
+// ids.size() words; it is scratch, overwritten here and meaningless
+// afterwards, so a backend lends it an array it does not read until the
+// translation is done. An endpoint missing from the node file latches
+// kCorruption on the context (IoContext::RecordIoError) and its edge is
+// dropped; the driver's next latch poll returns the error.
+void TranslateEdgesToIndices(io::IoContext* context, const graph::DiskGraph& g,
+                             const std::vector<graph::NodeId>& ids,
+                             std::span<std::uint32_t> directory,
+                             const std::string& output_path);
 
 }  // namespace extscc::scc
 

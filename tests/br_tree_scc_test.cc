@@ -49,6 +49,12 @@ TEST(BrTreeSccTest, IsolatedNodesOnly) {
   EXPECT_EQ(stats.contractions, 0u);
 }
 
+TEST(BrTreeSccTest, SingleNodeUnderEveryIdLayout) {
+  for (const auto layout : testing::kAllIdLayouts) {
+    RunAndVerify(testing::MapIds({{5, 5}}, layout));
+  }
+}
+
 TEST(BrTreeSccTest, Fig1) {
   // Paper Fig. 1: 13 nodes, SCC1 = {b..g} (6 nodes), SCC2 = {i,j,k,l},
   // plus singletons a, h, m.
@@ -202,19 +208,23 @@ TEST(SemiSccBackendTest, ReservationCoversHeapAtTightestBudget) {
 // ---- property sweep: BR-tree == coloring == oracle on random graphs ----
 
 class BrTreeSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, testing::IdLayout>> {};
 
 TEST_P(BrTreeSweep, MatchesOracle) {
-  const auto [nodes, edges, seed] = GetParam();
-  RunAndVerify(gen::RandomDigraphEdges(nodes, edges, seed,
-                                       /*allow_degenerate=*/seed % 2 == 0));
+  const auto [nodes, edges, seed, layout] = GetParam();
+  RunAndVerify(testing::MapIds(
+      gen::RandomDigraphEdges(nodes, edges, seed,
+                              /*allow_degenerate=*/seed % 2 == 0),
+      layout));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RandomGraphs, BrTreeSweep,
     ::testing::Combine(::testing::Values(20, 100, 400),
                        ::testing::Values(30, 200, 1200),
-                       ::testing::Values(1, 2, 3)));
+                       ::testing::Values(1, 2, 3),
+                       ::testing::ValuesIn(testing::kAllIdLayouts)));
 
 }  // namespace
 }  // namespace extscc

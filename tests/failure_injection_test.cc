@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baseline/dfs_scc.h"
@@ -18,6 +19,7 @@
 #include "io/record_stream.h"
 #include "io/storage.h"
 #include "io/temp_file_manager.h"
+#include "scc/br_tree_scc.h"
 #include "scc/semi_external_scc.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -289,6 +291,33 @@ TEST(FaultInjectionTest, LatchedInputErrorStopsBeforeBaseCase) {
                                 ExtSccOptions::Optimized());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
+}
+
+TEST(FaultInjectionTest, EdgeEndpointMissingFromNodeFileIsCorruption) {
+  // Node 0 is an edge endpoint but not in the node file. The base case's
+  // endpoint translation must report it, not map it to a neighbouring
+  // node or one past the per-node state, under both backends.
+  for (const auto backend :
+       {scc::SemiSccBackend::kColoring, scc::SemiSccBackend::kBrTree}) {
+    const char* name = scc::SemiSccBackendName(backend);
+    auto ctx = MakeCleanMemContext(1);
+    graph::DiskGraph g;
+    g.node_path = ctx->NewTempPath("nodes");
+    g.edge_path = ctx->NewTempPath("edges");
+    io::WriteAllRecords<graph::NodeId>(ctx.get(), g.node_path, {1, 2});
+    io::WriteAllRecords<Edge>(ctx.get(), g.edge_path, {{1, 2}, {2, 0}});
+    g.num_nodes = 2;
+    g.num_edges = 2;
+    ExtSccOptions options = ExtSccOptions::Optimized();
+    options.semi_backend = backend;
+    auto result =
+        core::RunExtScc(ctx.get(), g, ctx->NewTempPath("out"), options);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption) << name;
+    EXPECT_NE(result.status().ToString().find("endpoint 0"),
+              std::string::npos)
+        << name << ": " << result.status().ToString();
+  }
 }
 
 TEST(FaultInjectionTest, RetryableErrnoClassification) {

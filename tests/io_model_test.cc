@@ -54,7 +54,13 @@ TEST(IoModelTest, ScanCostsExactlyFileBlocks) {
 
 TEST(IoModelTest, SortIoScalesNearLinearlyAtFixedFanIn) {
   // With M and B fixed, doubling n at the same number of merge passes
-  // should roughly double the I/O count.
+  // should roughly double the I/O count. The sizes keep both sorts at one
+  // pass with serial and with overlapped run formation (sort_threads=1
+  // halves the run buffers, doubling the run count).
+  struct Sorted {
+    std::uint64_t ios;
+    std::uint64_t merge_passes;
+  };
   auto run = [](std::uint64_t n) {
     auto ctx = MakeTestContext(/*memory_bytes=*/64 << 10,
                                /*block_size=*/4096);
@@ -66,13 +72,16 @@ TEST(IoModelTest, SortIoScalesNearLinearlyAtFixedFanIn) {
     }
     const auto before = ctx->stats();
     const std::string out = ctx->NewTempPath("out");
-    extsort::SortFile<std::uint64_t, U64Less>(ctx.get(), in, out, U64Less());
-    return (ctx->stats() - before).total_ios();
+    const auto info = extsort::SortFile<std::uint64_t, U64Less>(
+        ctx.get(), in, out, U64Less());
+    return Sorted{(ctx->stats() - before).total_ios(), info.merge_passes};
   };
-  const auto small = run(50'000);
-  const auto big = run(100'000);
-  EXPECT_GT(big, small);
-  EXPECT_LT(static_cast<double>(big), 3.0 * static_cast<double>(small))
+  const Sorted small = run(30'000);
+  const Sorted big = run(60'000);
+  ASSERT_EQ(big.merge_passes, small.merge_passes)
+      << "the premise: the same number of merge passes";
+  EXPECT_GT(big.ios, small.ios);
+  EXPECT_LT(static_cast<double>(big.ios), 3.0 * static_cast<double>(small.ios))
       << "sort I/O must not blow up superlinearly at fixed geometry";
 }
 

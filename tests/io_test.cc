@@ -324,6 +324,65 @@ TEST(RecordStreamTest, BatchRoundTripAcrossBlockBoundaries) {
     ASSERT_EQ(got[i].key, values[i].key) << i;
     ASSERT_EQ(got[i].payload, values[i].payload) << i;
   }
+
+  // 12-byte records do not divide a 1 KiB block, so the one-record paths
+  // (Append, Next) also meet records that straddle a block boundary;
+  // interleave them with the batch calls on both sides.
+  struct Triple {
+    std::uint32_t a, b, c;
+  };
+  static_assert(sizeof(Triple) == 12);
+  const std::string triples_path = ctx->NewTempPath("triples");
+  std::vector<Triple> triples(5'000);
+  for (std::uint32_t i = 0; i < triples.size(); ++i) {
+    triples[i] = Triple{i, i * 3 + 1, ~i};
+  }
+  const std::size_t batch_sizes[] = {1, 17, 85, 3, 256};
+  {
+    io::RecordWriter<Triple> writer(ctx.get(), triples_path);
+    std::size_t written = 0;
+    for (std::size_t s = 0; written < triples.size(); ++s) {
+      const std::size_t n =
+          std::min(batch_sizes[s % 5], triples.size() - written);
+      if (s % 2 == 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+          writer.Append(triples[written + i]);
+        }
+      } else {
+        writer.AppendBatch(triples.data() + written, n);
+      }
+      written += n;
+    }
+    EXPECT_EQ(writer.count(), triples.size());
+    writer.Finish();
+  }
+  io::RecordReader<Triple> triple_reader(ctx.get(), triples_path);
+  EXPECT_EQ(triple_reader.num_records(), triples.size());
+  std::vector<Triple> read_back(triples.size() + 1);
+  at = 0;
+  for (std::size_t s = 0;; ++s) {
+    const std::size_t want = batch_sizes[(s + 2) % 5];
+    std::size_t got_now = 0;
+    if (s % 2 == 0) {
+      while (got_now < want && at + got_now < read_back.size() &&
+             triple_reader.Next(&read_back[at + got_now])) {
+        ++got_now;
+      }
+    } else {
+      got_now = triple_reader.NextBatch(
+          read_back.data() + at, std::min(want, read_back.size() - at));
+    }
+    at += got_now;
+    if (got_now < want) break;
+  }
+  ASSERT_EQ(at, triples.size());
+  EXPECT_FALSE(triple_reader.Next(&read_back[at])) << "read past the end";
+  EXPECT_TRUE(triple_reader.status().ok());
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    ASSERT_EQ(read_back[i].a, triples[i].a) << i;
+    ASSERT_EQ(read_back[i].b, triples[i].b) << i;
+    ASSERT_EQ(read_back[i].c, triples[i].c) << i;
+  }
 }
 
 TEST(RecordStreamTest, NextBatchReturnsShortCountAtEof) {

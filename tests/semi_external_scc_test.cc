@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "gen/classic_graphs.h"
@@ -123,21 +124,32 @@ TEST(SemiExternalSccDeathTest, RefusesOverBudgetNodeSets) {
                "contraction phase");
 }
 
-// Property sweep across random graphs.
+TEST(SemiExternalSccTest, SingleNodeUnderEveryIdLayout) {
+  for (const auto layout : testing::kAllIdLayouts) {
+    RunAndVerify(testing::MapIds({{5, 5}}, layout));
+  }
+}
+
+// Property sweep across random graphs, each id layout stressing the
+// endpoint translation's bucket directory differently.
 class SemiSccSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, testing::IdLayout>> {};
 
 TEST_P(SemiSccSweep, MatchesOracle) {
-  const auto [nodes, edges, seed] = GetParam();
-  RunAndVerify(gen::RandomDigraphEdges(nodes, edges, seed,
-                                       /*allow_degenerate=*/seed % 2 == 0));
+  const auto [nodes, edges, seed, layout] = GetParam();
+  RunAndVerify(testing::MapIds(
+      gen::RandomDigraphEdges(nodes, edges, seed,
+                              /*allow_degenerate=*/seed % 2 == 0),
+      layout));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RandomGraphs, SemiSccSweep,
     ::testing::Combine(::testing::Values(20, 100, 400),
                        ::testing::Values(30, 200, 1200),
-                       ::testing::Values(1, 2, 3)));
+                       ::testing::Values(1, 2, 3),
+                       ::testing::ValuesIn(testing::kAllIdLayouts)));
 
 }  // namespace
 }  // namespace extscc

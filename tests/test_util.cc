@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -86,6 +87,45 @@ bool OracleReach(const graph::Digraph& g, graph::NodeId from,
   const std::size_t t = g.index_of(to);
   if (s == g.num_nodes() || t == g.num_nodes()) return from == to;
   return graph::BfsReachable(g, s, t);
+}
+
+std::vector<graph::Edge> MapIds(const std::vector<graph::Edge>& edges,
+                                IdLayout layout) {
+  std::vector<graph::NodeId> ids;
+  for (const graph::Edge& e : edges) {
+    ids.push_back(e.src);
+    ids.push_back(e.dst);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const std::uint64_t n = ids.size();
+  auto map = [&](graph::NodeId id) -> graph::NodeId {
+    const std::uint64_t rank =
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin();
+    const bool last = rank + 1 == n;
+    switch (layout) {
+      case IdLayout::kIdentity:
+        return id;
+      case IdLayout::kStride:
+        EXPECT_LT(id, 0xFFFFFFFFu / 4099);
+        return id * 4099;
+      case IdLayout::kExactBuckets:
+        return static_cast<graph::NodeId>(4 * rank + (last ? 3 : 0));
+      case IdLayout::kLooseBucketTrap:
+        return static_cast<graph::NodeId>(last ? 2 * n : 2 * rank);
+      case IdLayout::kTopOfRange:
+        return 0xFFFFFFFEu - id;
+      case IdLayout::kClusterOutliers:
+        return static_cast<graph::NodeId>(
+            rank + 3 < n ? rank : (rank + 4 - n) * 0x40000000u + rank);
+    }
+    ADD_FAILURE() << "unknown IdLayout";
+    return id;
+  };
+  std::vector<graph::Edge> out;
+  out.reserve(edges.size());
+  for (const graph::Edge& e : edges) out.push_back({map(e.src), map(e.dst)});
+  return out;
 }
 
 void ExpectSccFileMatchesOracle(io::IoContext* context,

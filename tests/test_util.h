@@ -79,6 +79,33 @@ scc::SccResult Oracle(const std::vector<graph::Edge>& edges,
 bool OracleReach(const graph::Digraph& g, graph::NodeId from,
                  graph::NodeId to);
 
+// Node-id layouts the semi-external sweeps map generated graphs
+// through. Each stresses the base case's id->index bucket directory
+// (TranslateEdgesToIndices) differently; n is the number of distinct
+// endpoints and s the directory's bucket shift.
+enum class IdLayout {
+  kIdentity,         // ids as generated: near-dense, s = 0 if none unused
+  kStride,           // id * 4099 (odd stride): sparse, s > 0
+  kExactBuckets,     // ((hi - lo) >> s) + 1 == n exactly, s = 2
+  kLooseBucketTrap,  // hi - lo == 2n, where the looser shift test,
+                     // ((hi - lo + 1) >> s) <= n, admits n + 1 buckets
+                     // (n = 2 is ids {0, 4})
+  kTopOfRange,       // 0xFFFFFFFE - id: just below kInvalidNode
+  kClusterOutliers,  // a dense cluster plus three far outliers, so one
+                     // bucket holds almost every id
+};
+
+inline constexpr IdLayout kAllIdLayouts[] = {
+    IdLayout::kIdentity,        IdLayout::kStride,
+    IdLayout::kExactBuckets,    IdLayout::kLooseBucketTrap,
+    IdLayout::kTopOfRange,      IdLayout::kClusterOutliers};
+
+// `edges` with every endpoint mapped through `layout` (one-to-one, so
+// the SCC structure is unchanged). Generated ids must stay below
+// 2^32 / 4099 for kStride.
+std::vector<graph::Edge> MapIds(const std::vector<graph::Edge>& edges,
+                                IdLayout layout);
+
 // Asserts (gtest EXPECT) that `scc_path` matches the oracle of `g`.
 void ExpectSccFileMatchesOracle(io::IoContext* context,
                                 const graph::DiskGraph& g,
