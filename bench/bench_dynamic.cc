@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,7 @@
 #include "io/io_context.h"
 #include "io/record_stream.h"
 #include "serve/index_builder.h"
+#include "util/csv.h"
 #include "util/timer.h"
 
 namespace {
@@ -152,12 +154,40 @@ void WriteJson(const Config& config, std::uint64_t edges,
   std::printf("\n[json written to BENCH_dynamic.json]\n");
 }
 
-std::vector<double> ParseFractionList(const char* text) {
+// --nodes: a whole-string decimal >= 2 (util::ParseDecimal); anything
+// else names the flag and exits 2, as extscc_tool does.
+std::uint64_t ParseNodes(const std::string& text) {
+  std::uint64_t value = 0;
+  if (util::ParseDecimal(text, graph::kInvalidNode, &value) && value >= 2) {
+    return value;
+  }
+  std::fprintf(stderr,
+               "bad --nodes \"%s\" (want a decimal integer 2..%llu)\n",
+               text.c_str(),
+               static_cast<unsigned long long>(graph::kInvalidNode));
+  std::exit(2);
+}
+
+// --fractions: a non-empty comma-separated list of whole-string decimals
+// (std::from_chars) strictly between 0 and 1; anything else exits 2.
+std::vector<double> ParseFractionList(const std::string& text) {
   std::vector<double> out;
-  for (const char* p = text; *p != '\0';) {
-    out.push_back(std::strtod(p, nullptr));
-    while (*p != '\0' && *p != ',') ++p;
-    if (*p == ',') ++p;
+  for (const std::string& item : util::SplitCommaList(text)) {
+    double value = 0;
+    const char* end = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), end, value);
+    if (ec != std::errc() || ptr != end || !(value > 0 && value < 1)) {
+      out.clear();
+      break;
+    }
+    out.push_back(value);
+  }
+  if (out.empty()) {
+    std::fprintf(stderr,
+                 "bad --fractions \"%s\" (want decimals strictly between 0 "
+                 "and 1, comma-separated)\n",
+                 text.c_str());
+    std::exit(2);
   }
   return out;
 }
@@ -168,7 +198,7 @@ int main(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      config.nodes = std::strtoull(argv[i] + 8, nullptr, 10);
+      config.nodes = ParseNodes(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--fractions=", 12) == 0) {
       config.fractions = ParseFractionList(argv[i] + 12);
     } else {

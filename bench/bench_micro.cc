@@ -138,8 +138,10 @@ struct SccByNodeNoKey {
   }
 };
 
-// Run-formation throughput in isolation (no merge): FormRuns over an
-// input several times the budget, so the loop is exactly the
+// Run-formation throughput in isolation (no merge): a SortingWriter told
+// the input size, as SortFile builds it, fed an input several times the
+// budget in block-sized batches and abandoned before FinishInto (its
+// destructor removes the runs), so the loop is exactly the
 // fill → sort → spill stage every external sort starts with.
 // `sort_threads` 0/1 selects serial vs overlapped sort→spill.
 template <typename T, typename Less, typename Gen>
@@ -157,17 +159,26 @@ void RunFormationBench(benchmark::State& state, Less less, Gen gen,
     io::RecordWriter<T> writer(ctx.get(), in);
     for (std::uint64_t i = 0; i < kCount; ++i) writer.Append(gen(rng));
   }
-  std::uint64_t num_runs = 0;
+  const std::size_t batch = io::RecordsPerBlock<T>(ctx.get());
+  std::vector<T> chunk(batch);
+  std::uint64_t spilled_runs = 0;
   for (auto _ : state) {
-    extsort::SortRunInfo info;
-    auto formed =
-        extsort::internal::FormRuns<T>(ctx.get(), in, less, false, &info);
-    num_runs = info.num_runs;
-    for (const auto& run : formed.runs) ctx->temp_files().Remove(run);
+    // Read only while no writer is live: a threaded spill worker counts
+    // its writes concurrently.
+    const std::uint64_t files_before = ctx->stats().files_created;
+    {
+      extsort::SortingWriter<T, Less> writer(ctx.get(), less, false, kCount);
+      io::RecordReader<T> reader(ctx.get(), in);
+      std::size_t got;
+      while ((got = reader.NextBatch(chunk.data(), batch)) > 0) {
+        writer.AppendBatch(chunk.data(), got);
+      }
+    }
+    spilled_runs = ctx->stats().files_created - files_before;
   }
   state.SetItemsProcessed(state.iterations() * kCount);
   state.SetBytesProcessed(state.iterations() * kCount * sizeof(T));
-  state.counters["runs"] = static_cast<double>(num_runs);
+  state.counters["spilled_runs"] = static_cast<double>(spilled_runs);
 }
 
 graph::Edge RandomEdge(util::Rng& rng) {

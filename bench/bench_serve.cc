@@ -32,6 +32,7 @@
 #include "serve/index_builder.h"
 #include "serve/query_engine.h"
 #include "serve/service.h"
+#include "util/csv.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -59,6 +60,7 @@ struct Point {
 };
 
 constexpr std::size_t kBlockSize = 4096;  // many-block map section
+constexpr std::uint64_t kAnyCount = ~std::uint64_t{0};
 
 std::unique_ptr<io::IoContext> MakeMachine(const std::string& model,
                                            const std::string& parent) {
@@ -155,12 +157,30 @@ void WriteJson(const Config& config, std::uint64_t num_sccs,
   std::printf("\n[json written to BENCH_serve.json]\n");
 }
 
-std::vector<std::size_t> ParseSizeList(const char* text) {
+// A whole-string decimal in [min, max] (util::ParseDecimal); anything
+// else names the flag and exits 2, as extscc_tool does.
+std::uint64_t ParseCount(const char* flag, const std::string& text,
+                         std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  if (util::ParseDecimal(text, max, &value) && value >= min) return value;
+  std::fprintf(stderr, "bad %s \"%s\" (want a decimal integer %llu..%llu)\n",
+               flag, text.c_str(), static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max));
+  std::exit(2);
+}
+
+// A non-empty comma-separated list of ParseCount values.
+std::vector<std::size_t> ParseCountList(const char* flag,
+                                        const std::string& text,
+                                        std::uint64_t min, std::uint64_t max) {
   std::vector<std::size_t> out;
-  for (const char* p = text; *p != '\0';) {
-    out.push_back(std::strtoull(p, nullptr, 10));
-    while (*p != '\0' && *p != ',') ++p;
-    if (*p == ',') ++p;
+  for (const std::string& item : util::SplitCommaList(text)) {
+    out.push_back(static_cast<std::size_t>(ParseCount(flag, item, min, max)));
+  }
+  if (out.empty()) {
+    std::fprintf(stderr, "bad %s \"%s\" (want a comma-separated list)\n",
+                 flag, text.c_str());
+    std::exit(2);
   }
   return out;
 }
@@ -171,13 +191,16 @@ int main(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      config.nodes = std::strtoull(argv[i] + 8, nullptr, 10);
+      config.nodes =
+          ParseCount("--nodes", argv[i] + 8, 2, graph::kInvalidNode);
     } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      config.queries = std::strtoull(argv[i] + 10, nullptr, 10);
+      config.queries = static_cast<std::size_t>(
+          ParseCount("--queries", argv[i] + 10, 1, kAnyCount));
     } else if (std::strncmp(argv[i], "--batch-sizes=", 14) == 0) {
-      config.batch_sizes = ParseSizeList(argv[i] + 14);
+      config.batch_sizes =
+          ParseCountList("--batch-sizes", argv[i] + 14, 1, kAnyCount);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      config.threads = ParseSizeList(argv[i] + 10);
+      config.threads = ParseCountList("--threads", argv[i] + 10, 0, 1024);
     } else {
       std::fprintf(stderr,
                    "usage: bench_serve [--nodes=N] [--queries=Q] "

@@ -48,7 +48,7 @@ ContractionResult ContractEdges(io::IoContext* context,
     extsort::SortingWriter<Edge, EdgeByDst> by_head(context, EdgeByDst());
     SplitByMembership(
         context, eout_path, cover_path, [](const Edge& e) { return e.src; },
-        [&](const Edge& e) { by_head.Add(e); }, [](const Edge&) {});
+        [&](const Edge& e) { by_head.Append(e); }, [](const Edge&) {});
     io::RecordWriter<Edge> epre(context, epre_path);
     io::RecordWriter<Edge> edel_in(context, edel_in_path);
     MembershipSplitSink head_split(
@@ -70,7 +70,7 @@ ContractionResult ContractEdges(io::IoContext* context,
     extsort::SortingWriter<Edge, EdgeBySrc> by_tail(context, EdgeBySrc());
     SplitByMembership(
         context, ein_path, cover_path, [](const Edge& e) { return e.dst; },
-        [&](const Edge& e) { by_tail.Add(e); }, [](const Edge&) {});
+        [&](const Edge& e) { by_tail.Append(e); }, [](const Edge&) {});
     io::RecordWriter<Edge> edel_out(context, edel_out_path);
     MembershipSplitSink tail_split(
         context, cover_path, [](const Edge& e) { return e.src; },

@@ -55,7 +55,7 @@ std::string AugmentDirection(io::IoContext* context,
         labels.Pop();
       }
       if (labels.has_value() && labels.Peek().node == neighbor) {
-        labeled.Add(SccEntry{removed, labels.Peek().scc});
+        labeled.Append(SccEntry{removed, labels.Peek().scc});
       }
     });
     // Steps 1+2: keep only edges whose removed-side endpoint is NOT in
@@ -68,14 +68,14 @@ std::string AugmentDirection(io::IoContext* context,
                                                           EdgeBySrc());
       SplitByMembership(context, edge_path, cover_path, removed_key,
                         [](const Edge&) {},
-                        [&](const Edge& e) { by_neighbor.Add(e); });
+                        [&](const Edge& e) { by_neighbor.Append(e); });
       by_neighbor.FinishInto(attach);
     } else {
       extsort::SortingWriter<Edge, EdgeByDst> by_neighbor(context,
                                                           EdgeByDst());
       SplitByMembership(context, edge_path, cover_path, removed_key,
                         [](const Edge&) {},
-                        [&](const Edge& e) { by_neighbor.Add(e); });
+                        [&](const Edge& e) { by_neighbor.Append(e); });
       by_neighbor.FinishInto(attach);
     }
   }

@@ -147,7 +147,7 @@ CoverResult ComputeVertexCover(io::IoContext* context,
         const DegreeEntry u_deg = vd.Peek();
         while (eout.has_value() && eout.Peek().src == u) {
           const Edge e = eout.Pop();
-          ed_by_head.Add(HalfDegEdge{u, u_deg.deg_in, u_deg.deg_out, e.dst});
+          ed_by_head.Append(HalfDegEdge{u, u_deg.deg_in, u_deg.deg_out, e.dst});
         }
       }
     }
@@ -178,7 +178,7 @@ CoverResult ComputeVertexCover(io::IoContext* context,
             ++result.type2_skips;
             return;
           }
-          cover_writer.Add(winner.id);
+          cover_writer.Append(winner.id);
           if (cache != nullptr) cache->Insert(winner);
         });
     ed_by_head.FinishInto(select);

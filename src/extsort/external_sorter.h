@@ -1,13 +1,12 @@
 // External merge sort in the Aggarwal-Vitter model.
 //
-// Run formation fills an in-memory buffer of at most
-// memory.MaxRecordsInMemory(sizeof(T)) records with batched block reads,
-// sorts it and spills a run; merging uses a tournament loser tree whose
-// fan-in is memory.MergeFanIn(B) (one block buffer per run + one output
-// buffer), with as many merge passes as the fan-in requires. Total cost
-// is the model's sort(n) = Θ(n/B · log_{M/B}(n/B)) — the paper's
-// Algorithms 3–5 are built exclusively from these sorts plus sequential
-// scans.
+// Run formation fills an in-memory buffer sized from the MemoryBudget
+// (at most memory.MaxRecordsInMemory(sizeof(T)) records), sorts it and
+// spills a run; merging uses a tournament loser tree whose fan-in is
+// memory.MergeFanIn(B) (one block buffer per run + one output buffer),
+// with as many merge passes as the fan-in requires. Total cost is the
+// model's sort(n) = Θ(n/B · log_{M/B}(n/B)) — the paper's Algorithms 3–5
+// are built exclusively from these sorts plus sequential scans.
 //
 // Run formation is stable, but the merge breaks key ties in arbitrary
 // run order: the callers never rely on stability, and the comparators
@@ -22,16 +21,20 @@
 // merge level (the lazy parallel-edge elimination of §VII benefits most:
 // contracted levels produce heavy duplication).
 //
-// One entry point runs the machinery, and one adapter materializes it:
-//  - SortInto(input, sink): the final merge pass (or the single
-//    in-memory run) drains straight into a RecordSink (record_sink.h),
-//    fusing "sort, then one sequential scan" stages into one pipeline
-//    and deleting the write+read of the would-be intermediate file.
+// One engine forms every run, and two adapters feed it a file:
+//  - SortingWriter: Append()/AppendBatch() records (it is a batch
+//    RecordSink); runs spill straight from the append buffer, with no
+//    staging file, and FinishInto() drains the final merge pass — or
+//    the lone in-memory run — into a RecordSink (record_sink.h) or,
+//    through an io::RecordWriter, a path.
+//  - SortInto(input, sink): a SortingWriter told the input size and fed
+//    the file in block-sized batches — the fused "sort, then one
+//    sequential scan" stage, with no write+read of a sorted file.
 //  - SortFile(input, output): SortInto with an io::RecordWriter on the
 //    output as the sink.
-// SortingWriter is the accumulating variant: Add() buffers records and
-// spills sorted runs directly from the add buffer (no staging file);
-// FinishInto() targets a sink or, through a RecordWriter, a path.
+// Every multi-run merge is internal::MergeRuns, and every scratch run —
+// spilled or merged — is written through WriteRunWithFailover
+// (run_pipeline.h).
 #ifndef EXTSCC_EXTSORT_EXTERNAL_SORTER_H_
 #define EXTSCC_EXTSORT_EXTERNAL_SORTER_H_
 
@@ -41,6 +44,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -114,6 +118,14 @@ class LoserTree {
     wkey_ = lkey[w];
     widx_ = lidx[w];
     wdead_ = ldead[w] != 0;
+  }
+
+  // First error among the inputs (OK when every run read cleanly). A
+  // dead input looks exhausted to the tree (error-as-EOF), so a drained
+  // merge checks this before trusting its output.
+  util::Status status() const {
+    for (const auto& input : inputs_) RETURN_IF_ERROR(input->status());
+    return util::Status::Ok();
   }
 
   // Returns false when all inputs are exhausted.
@@ -248,83 +260,6 @@ void DrainMerge(LoserTree<T, Less>* tree, S* sink, Less less, bool dedup) {
   }
 }
 
-// Run formation over a file. When the entire input fits one run buffer,
-// the sorted records stay resident instead of being spilled — SortInto
-// then feeds the sink from memory (zero extra I/O beyond the input
-// scan) and SortFile writes them once, directly to its output.
-template <typename T>
-struct RunFormation {
-  std::vector<std::string> runs;  // spilled run files, formation order
-  std::vector<T> resident;        // the lone in-memory run, iff in_memory
-  std::size_t resident_count = 0;
-  bool in_memory = false;
-};
-
-template <typename T, typename Less>
-RunFormation<T> FormRuns(io::IoContext* context,
-                         const std::string& input_path, Less less, bool dedup,
-                         SortRunInfo* info) {
-  RunFormation<T> out;
-  const std::uint64_t full_capacity =
-      context->memory().MaxRecordsInMemory(sizeof(T));
-  io::RecordReader<T> reader(context, input_path);
-  info->num_records = reader.num_records();
-
-  // In-memory fast path: the whole input fits one run buffer, sorts
-  // resident, and never spills — nothing to overlap, and bit-identical
-  // to the serial engine regardless of sort_threads.
-  if (info->num_records <= full_capacity) {
-    const std::size_t capacity = static_cast<std::size_t>(info->num_records);
-    std::vector<T> buffer(capacity);
-    std::size_t got;
-    if (capacity > 0 && (got = reader.NextBatch(buffer.data(), capacity)) > 0) {
-      out.resident_count = SortDedupPrefix(buffer, got, less, dedup);
-      out.resident = std::move(buffer);
-      out.in_memory = true;
-    }
-    info->num_runs = out.in_memory ? 1 : 0;
-    // A short read here (error-as-EOF) means the resident "run" is a
-    // truncated view of the input — carry the reader's failure so the
-    // caller does not pass it off as sorted data.
-    info->status = reader.status();
-    return out;
-  }
-
-  // Spilling path. With sort_threads the budget-sized run buffer is
-  // split into a double-buffered pair of half-size buffers — the
-  // producer fills one while the worker sorts and spills the other —
-  // both Reserve()d for the formation's lifetime (the halves always
-  // fit: full_capacity was derived from the same availability). Run
-  // geometry at sort_threads=0 is exactly the serial engine's.
-  const bool overlap = context->sort_threads() > 0 && full_capacity >= 4;
-  const std::size_t capacity = static_cast<std::size_t>(
-      overlap ? full_capacity / 2 : full_capacity);
-  std::optional<io::ScopedReservation> active_hold;
-  if (overlap) {
-    active_hold.emplace(&context->memory(),
-                        static_cast<std::uint64_t>(capacity) * sizeof(T),
-                        /*clamp=*/true);
-  }
-  RunSpillPipeline<T, Less> pipeline(context, less, dedup,
-                                     overlap ? capacity : 0);
-  std::vector<T> buffer(capacity);
-  std::size_t got;
-  while ((got = reader.NextBatch(buffer.data(), capacity)) > 0) {
-    buffer = pipeline.SubmitAndAcquire(std::move(buffer), got);
-    // Recycled buffers keep their size (contents stale, about to be
-    // overwritten); only the pipeline's pristine second buffer arrives
-    // empty, so this value-initializes at most once per sort.
-    if (buffer.size() < capacity) buffer.resize(capacity);
-  }
-  out.runs = pipeline.Finish();
-  info->num_runs = out.runs.size();
-  // Input truncation outranks a spill failure: a sort fed bad bytes is
-  // wrong even if every run it did form spilled cleanly.
-  info->status = reader.status();
-  if (info->status.ok()) info->status = pipeline.status();
-  return out;
-}
-
 // Reserves `blocks` block buffers from the budget for the duration of
 // a merge, clamped to what is actually available (fan-in was computed
 // from availability, so the clamp only engages when another component
@@ -338,109 +273,70 @@ inline io::ScopedReservation ReserveMergeBlocks(io::IoContext* context,
       /*clamp=*/true);
 }
 
-// Merges runs[begin, end) into a fresh scratch file with output
-// failover: a persistent output failure (transients were already
-// retried inside BlockFile) removes the partial output, quarantines its
-// device, and replays the whole group merge to a fresh placement. The
-// input runs are deliberately not consumed here — they are the replay
-// source, and the caller releases them only after this returns OK — so
-// a lost merge output costs one extra group merge, never lost data. On
-// recovery the triggering error is absorbed from the context's latch
-// (mirroring SpillRun); input-side read failures are not recoverable by
-// any output placement (the run's bytes live on the failed device) and
-// propagate as-is.
-template <typename T, typename Less>
-util::Status MergeGroupToFile(io::IoContext* context,
-                              const std::vector<std::string>& runs,
-                              std::size_t begin, std::size_t end, Less less,
-                              bool dedup, std::string* out_path) {
-  io::TempFileManager& temp = context->temp_files();
-  const std::size_t max_attempts = temp.devices().size();
-  util::Status first_failure;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    std::vector<std::unique_ptr<io::PeekableReader<T>>> inputs;
-    // Borrowed views for post-drain status checks: the unique_ptrs move
-    // into the tree, which stays in scope until after the checks.
-    std::vector<io::PeekableReader<T>*> readers;
-    inputs.reserve(end - begin);
-    readers.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      inputs.push_back(
-          std::make_unique<io::PeekableReader<T>>(context, runs[i]));
-      readers.push_back(inputs.back().get());
-    }
-    // One block per input run plus the output writer's block.
-    const auto blocks = ReserveMergeBlocks(context, end - begin + 1);
-    const io::ScratchFile out = temp.NewFile("mergerun");
-    LoserTree<T, Less> tree(std::move(inputs), less);
-    io::RecordWriter<T> writer(context, out.path);
-    DrainMerge(&tree, &writer, less, dedup);
-    writer.Finish();
-    for (io::PeekableReader<T>* reader : readers) {
-      if (!reader->status().ok()) {
-        // A dead input looks exhausted to the tree (error-as-EOF), so
-        // the output just written is silently truncated — discard it
-        // and fail the merge rather than pass truncation off as data.
-        temp.Remove(out.path);
-        return reader->status();
-      }
-    }
-    const util::Status status = writer.status();
-    if (status.ok()) {
-      if (!first_failure.ok()) {
-        LOG_WARNING << "merge: recovered group output " << out.path
-                    << " on a healthy device after: "
-                    << first_failure.ToString();
-        context->AbsorbIoError(first_failure);
-      }
-      *out_path = out.path;
-      return status;
-    }
-    // The latch keeps the FIRST error (first-wins), so the absorb above
-    // targets first_failure no matter how many devices failed since.
-    if (first_failure.ok()) first_failure = status;
-    temp.Remove(out.path);
-    temp.Quarantine(out.device);
+// The one k-way merge: every intermediate pass group and the final
+// sink-draining pass. Opens a reader per run, holds one reserved block
+// per input for the merge's duration (so a fused sink that sizes its
+// own structures mid-drain — a downstream SortingWriter — sees the
+// honest remainder), drains the loser tree into `sink` and returns the
+// first reader error. A dead input looks exhausted to the tree
+// (error-as-EOF), so on error the sink has received a truncated merge
+// and the caller must discard it. The runs are not consumed.
+template <typename T, typename Less, RecordSinkFor<T> S>
+util::Status MergeRuns(io::IoContext* context,
+                       std::span<const std::string> runs, S& sink, Less less,
+                       bool dedup) {
+  std::vector<std::unique_ptr<io::PeekableReader<T>>> inputs;
+  inputs.reserve(runs.size());
+  for (const auto& run : runs) {
+    inputs.push_back(std::make_unique<io::PeekableReader<T>>(context, run));
   }
-  return first_failure;
+  const auto blocks = ReserveMergeBlocks(context, runs.size());
+  LoserTree<T, Less> tree(std::move(inputs), less);
+  DrainMerge(&tree, &sink, less, dedup);
+  return tree.status();
 }
 
 // Merges `runs` (consuming the files) into `sink`. Intermediate passes
-// write temp files as before; the final pass — the only one whose
-// output the caller sees — drains into the sink, so a fused consumer
-// never pays for a materialized result. A lone run is streamed into the
-// sink: that read is the fused stage's one scan of its sorted data.
-// Every merge holds a budget reservation for its block buffers, so a
-// fused sink that sizes its own structures mid-drain (a downstream
-// SortingWriter) sees the honest remainder.
+// merge groups of MergeFanIn runs into scratch files; the final pass —
+// the only one whose output the caller sees — drains into the sink, so
+// a fused consumer never pays for a materialized result. A lone run is
+// streamed into the sink: that read is the fused stage's one scan of its
+// sorted data (a one-leaf tree would reserve a block and copy per
+// record).
 //
-// Errors: intermediate-pass output failures fail over per group (see
-// MergeGroupToFile); an unrecoverable failure returns early with the
-// surviving runs left to TempFileManager session cleanup. The final
-// pass cannot replay — the sink has already consumed records — so an
-// input failure there propagates; sink-side write failures are the
-// caller's to check (io::RecordWriter::status()).
+// Errors: an intermediate group writes through WriteRunWithFailover, so
+// a persistent output failure replays the group on the next device; its
+// input runs are released only once the output is safe. An
+// unrecoverable failure returns early with the surviving runs left to
+// TempFileManager session cleanup. The final pass cannot replay — the
+// sink has already consumed records — so an input failure there
+// propagates; sink-side write failures are the caller's to check
+// (io::RecordWriter::status()).
 template <typename T, typename Less, RecordSinkFor<T> S>
 util::Status MergeRunsInto(io::IoContext* context,
                            std::vector<std::string> runs, S& sink, Less less,
                            bool dedup, SortRunInfo* info) {
   if (runs.empty()) return util::Status::Ok();
+  io::TempFileManager& temp = context->temp_files();
   const std::size_t fan_in = static_cast<std::size_t>(
       context->memory().MergeFanIn(context->block_size()));
   while (runs.size() > fan_in) {
     ++info->merge_passes;
     std::vector<std::string> next_runs;
     for (std::size_t group = 0; group < runs.size(); group += fan_in) {
-      const std::size_t end = std::min(runs.size(), group + fan_in);
+      const std::span<const std::string> inputs(
+          runs.data() + group, std::min(fan_in, runs.size() - group));
       std::string out_path;
-      RETURN_IF_ERROR(MergeGroupToFile<T>(context, runs, group, end, less,
-                                          dedup, &out_path));
+      RETURN_IF_ERROR(WriteRunWithFailover<T>(
+          context, "mergerun",
+          [&](io::RecordWriter<T>& writer) {
+            // Fan-in f costs f + 1 blocks: the inputs and this writer.
+            const auto out_block = ReserveMergeBlocks(context, 1);
+            return MergeRuns<T>(context, inputs, writer, less, dedup);
+          },
+          &out_path));
       next_runs.push_back(std::move(out_path));
-      // Released only after the group's output is safely on a healthy
-      // device — until then these are the failover's replay source.
-      for (std::size_t i = group; i < end; ++i) {
-        context->temp_files().Remove(runs[i]);
-      }
+      for (const auto& run : inputs) temp.Remove(run);
     }
     runs = std::move(next_runs);
   }
@@ -450,113 +346,59 @@ util::Status MergeRunsInto(io::IoContext* context,
     util::Status streamed;
     SinkAppendAllRecords<T>(context, runs[0], sink, &streamed);
     RETURN_IF_ERROR(streamed);
-    context->temp_files().Remove(runs[0]);
-    return util::Status::Ok();
+  } else {
+    ++info->merge_passes;
+    RETURN_IF_ERROR(MergeRuns<T>(context, runs, sink, less, dedup));
   }
-  ++info->merge_passes;
-  std::vector<std::unique_ptr<io::PeekableReader<T>>> inputs;
-  std::vector<io::PeekableReader<T>*> readers;
-  inputs.reserve(runs.size());
-  readers.reserve(runs.size());
-  for (const auto& run : runs) {
-    inputs.push_back(std::make_unique<io::PeekableReader<T>>(context, run));
-    readers.push_back(inputs.back().get());
-  }
-  // Reserved after the readers open — see the intermediate-pass note.
-  const auto blocks = ReserveMergeBlocks(context, runs.size());
-  LoserTree<T, Less> tree(std::move(inputs), less);
-  DrainMerge(&tree, &sink, less, dedup);
-  for (io::PeekableReader<T>* reader : readers) {
-    RETURN_IF_ERROR(reader->status());
-  }
-  for (const auto& run : runs) context->temp_files().Remove(run);
+  for (const auto& run : runs) temp.Remove(run);
   return util::Status::Ok();
 }
 
 }  // namespace internal
 
-// Fused external sort: sorts `input_path` and drains the result into
-// `sink` instead of a file. The consumer sees the records in sorted
-// order exactly once, during the final merge pass (or straight from the
-// run buffer when the input fits in memory), so the stage costs
-// sort(n) minus a full write+read of the output versus SortFile + scan.
-// If `dedup` is true, records equal under Less (neither compares before
-// the other) are collapsed to one.
-template <typename T, typename Less, RecordSinkFor<T> S>
-SortRunInfo SortInto(io::IoContext* context, const std::string& input_path,
-                     S& sink, Less less, bool dedup = false) {
-  SortRunInfo info;
-  auto formed = internal::FormRuns<T>(context, input_path, less, dedup, &info);
-  if (!info.status.ok()) {
-    // Dead formation: the runs on disk are an incomplete view of the
-    // input, so drop them instead of merging truncation into a result.
-    for (const auto& run : formed.runs) context->temp_files().Remove(run);
-    return info;
-  }
-  if (formed.in_memory) {
-    // Hold the resident run's bytes as a reservation while the sink
-    // consumes it, so a downstream structure that sizes itself
-    // mid-drain (a chained SortingWriter) sees the honest remainder.
-    io::ScopedReservation resident_hold(&context->memory(),
-                                        formed.resident.size() * sizeof(T),
-                                        /*clamp=*/true);
-    SinkAppendBatch<T>(sink, formed.resident.data(), formed.resident_count);
-    return info;
-  }
-  info.status = internal::MergeRunsInto<T>(context, std::move(formed.runs),
-                                           sink, less, dedup, &info);
-  return info;
-}
-
-// One-shot external sort of `input_path` into `output_path`: SortInto
-// drained into a RecordWriter. An input that fits in memory is written
-// once, directly to the output, with no run file or re-scan.
-// If `dedup` is true, records equal under Less (neither compares before
-// the other) are collapsed to one — used for V_{i+1} dedup (Alg. 3 l.10)
-// and the Op-mode lazy parallel-edge elimination (§VII).
-template <typename T, typename Less>
-SortRunInfo SortFile(io::IoContext* context, const std::string& input_path,
-                     const std::string& output_path, Less less,
-                     bool dedup = false) {
-  io::RecordWriter<T> writer(context, output_path);
-  SortRunInfo info = SortInto<T>(context, input_path, writer, less, dedup);
-  writer.Finish();
-  // The output is the caller's named file, not relocatable scratch —
-  // a writer failure propagates instead of failing over.
-  if (info.status.ok()) info.status = writer.status();
-  return info;
-}
-
-// Accumulating variant: Add() records, then FinishInto() sorts them into
-// a sink or a file. Records buffer in memory up to a budget-derived run
-// capacity and spill as sorted (optionally deduped) runs straight from
-// the add buffer — there is no staging file, so an input that never
-// overflows the buffer reaches a sink with zero I/O and a file with a
-// single output write.
+// The run-formation engine: Append() records, then FinishInto() sorts
+// them into a sink or a file. Records buffer in memory up to a
+// budget-derived run capacity and spill as sorted (optionally deduped)
+// runs straight from the append buffer — there is no staging file, so an
+// input that never overflows the buffer reaches a sink with zero I/O and
+// a file with a single output write. SortInto and SortFile are this
+// writer fed from a file. SortingWriter is itself a batch RecordSink, so
+// a fused stage can drain straight into it.
 //
-// Budget discipline: fused pipelines routinely keep two SortingWriters
-// alive at once (an upstream sort draining into a consumer that feeds a
-// downstream sort), so the add buffer is sized lazily — at the first
-// Add(), from *half* of the budget still available — and actually
-// Reserve()d from the MemoryBudget until FinishInto releases it (just
-// before the final merge, whose fan-in then sees the freed budget).
-// Reservations therefore serialize across pipeline stages: a downstream
-// writer whose first record arrives while an upstream buffer is live
-// sizes itself from the honest remainder, and the stacking that would
-// oversubscribe M is bounded by the halving instead of hidden.
+// Buffer sizing, at the first Append:
+//  - Streamed records (`input_records` unknown): half of the budget
+//    still available, floored at two blocks' worth of records. Fused
+//    pipelines routinely keep two SortingWriters alive at once (an
+//    upstream sort draining into a consumer that feeds a downstream
+//    sort), so the halving bounds the stacking that would oversubscribe
+//    M, and reservations serialize across stages: a downstream writer
+//    whose first record arrives while an upstream buffer is live sizes
+//    itself from the honest remainder.
+//  - A known-size input of n records (a file sort): min(n, all that is
+//    available), so an input that fits sorts resident; with sort_threads
+//    it is halved once the input will spill (and at least 4 records
+//    fit), leaving room for the spill worker's twin.
+// Either way the buffer is Reserve()d from the MemoryBudget (clamped to
+// what is actually left) until FinishInto releases it, just before the
+// final merge, whose fan-in then sees the freed budget.
 //
-// With IoContextOptions::sort_threads > 0 the writer double-buffers:
-// spills trade the full add buffer to a RunSpillPipeline worker (which
-// sorts and spills it off-thread) for an equal-capacity empty buffer,
-// so Add() keeps streaming while the previous run writes. The second
-// buffer is reserved by the pipeline for the writer's lifetime, clamped
-// — when the remaining budget cannot cover it the writer degrades to
-// the serial spill with identical run geometry.
+// With IoContextOptions::sort_threads > 0 the writer double-buffers
+// from its first spill on: spills trade the full buffer to a
+// RunSpillPipeline worker (which sorts and spills it off-thread) for an
+// equal-capacity empty buffer, so Append() keeps streaming while the
+// previous run writes. The pipeline reserves that second buffer, clamped
+// — when the remaining budget cannot cover it the writer degrades to the
+// serial spill with identical run geometry. A writer that never spills
+// builds no pipeline: no worker thread, no second buffer.
 template <typename T, typename Less>
 class SortingWriter {
  public:
-  SortingWriter(io::IoContext* context, Less less, bool dedup = false)
-      : context_(context), less_(less), dedup_(dedup) {}
+  SortingWriter(io::IoContext* context, Less less, bool dedup = false,
+                std::optional<std::uint64_t> input_records = std::nullopt)
+      : context_(context),
+        less_(less),
+        dedup_(dedup),
+        input_records_(input_records) {}
 
   ~SortingWriter() {
     ReleaseBuffer();
@@ -573,31 +415,45 @@ class SortingWriter {
   SortingWriter(const SortingWriter&) = delete;
   SortingWriter& operator=(const SortingWriter&) = delete;
 
-  void Add(const T& record) {
-    DCHECK(!finished_) << "Add after FinishInto";
+  void Append(const T& record) {
+    DCHECK(!finished_) << "Append after FinishInto";
     if (capacity_ == 0) ReserveBuffer();
-    // Spill lazily, on the overflowing Add: an input of exactly one
+    // Spill lazily, on the overflowing Append: an input of exactly one
     // buffer stays resident and never touches disk.
     if (buffer_.size() >= capacity_) Spill();
     buffer_.push_back(record);
     ++num_added_;
   }
 
-  // Sorts everything added into `sink`. The final merge (or the
-  // still-resident buffer) drains straight into the consumer.
+  void AppendBatch(const T* records, std::size_t n) {
+    DCHECK(!finished_) << "Append after FinishInto";
+    if (n == 0) return;
+    if (capacity_ == 0) ReserveBuffer();
+    num_added_ += n;
+    while (n > 0) {
+      if (buffer_.size() >= capacity_) Spill();
+      const std::size_t take = std::min(n, capacity_ - buffer_.size());
+      buffer_.insert(buffer_.end(), records, records + take);
+      records += take;
+      n -= take;
+    }
+  }
+
+  // Sorts everything appended into `sink`. The final merge (or the
+  // still-resident buffer, whose reservation is held while the sink
+  // consumes it) drains straight into the consumer.
   template <RecordSinkFor<T> S>
   SortRunInfo FinishInto(S& sink) {
     DCHECK(!finished_) << "FinishInto called twice";
     finished_ = true;
     SortRunInfo info;
     info.num_records = num_added_;
-    if (!spilled_) {
+    if (pipeline_ == nullptr) {
       const std::size_t n =
           internal::SortDedupPrefix(buffer_, buffer_.size(), less_, dedup_);
       info.num_runs = buffer_.empty() ? 0 : 1;
       SinkAppendBatch<T>(sink, buffer_.data(), n);
       ReleaseBuffer();
-      pipeline_.reset();
       return info;
     }
     if (!buffer_.empty()) Spill();
@@ -608,7 +464,7 @@ class SortingWriter {
     info.num_runs = runs.size();
     if (!spilled.ok()) {
       // An unrecovered spill lost records: the formed runs are an
-      // incomplete view of what was Add()ed, so merging them would
+      // incomplete view of what was appended, so merging them would
       // launder truncation into a sorted result.
       for (const auto& run : runs) context_->temp_files().Remove(run);
       info.status = spilled;
@@ -631,33 +487,44 @@ class SortingWriter {
 
  private:
   void ReserveBuffer() {
-    // Half of the remaining budget, floored at two blocks' worth of
-    // records: block granularity is the model's minimum useful unit
-    // (the M >= 2B regime grants every active stream a block, and the
-    // io layer's per-stream block buffers are likewise unreserved), and
-    // without the floor a tight budget mostly claimed by a sibling
-    // (Type-2 dictionary, merge blocks) would collapse this writer into
-    // few-record runs that each cost a whole block write. The
-    // reservation is clamped to what is actually left, so any overshoot
-    // is bounded by ~2 blocks per live writer — never a CHECK-abort.
-    capacity_ = static_cast<std::size_t>(std::max<std::uint64_t>(
-        2 * io::RecordsPerBlock<T>(context_),
-        context_->memory().MaxRecordsInMemory(sizeof(T)) / 2));
+    const std::uint64_t available =
+        context_->memory().MaxRecordsInMemory(sizeof(T));
+    if (input_records_.has_value()) {
+      // At least the record being appended, should the size undercount.
+      const std::uint64_t n = std::max<std::uint64_t>(*input_records_, 1);
+      const bool halve =
+          context_->sort_threads() > 0 && n > available && available >= 4;
+      capacity_ = static_cast<std::size_t>(
+          std::min(n, halve ? available / 2 : available));
+    } else {
+      // The two-block floor: block granularity is the model's minimum
+      // useful unit (the M >= 2B regime grants every active stream a
+      // block, and the io layer's per-stream block buffers are likewise
+      // unreserved), and without it a tight budget mostly claimed by a
+      // sibling (Type-2 dictionary, merge blocks) would collapse this
+      // writer into few-record runs that each cost a whole block write.
+      // The clamped reservation bounds any overshoot by ~2 blocks per
+      // live writer — never a CHECK-abort.
+      capacity_ = static_cast<std::size_t>(std::max<std::uint64_t>(
+          2 * io::RecordsPerBlock<T>(context_), available / 2));
+    }
     reserved_bytes_ = context_->memory().ReserveUpTo(
         static_cast<std::uint64_t>(capacity_) * sizeof(T));
     // Allocate up front: push_back's geometric growth would otherwise
     // overshoot the reserved bytes by up to 2x.
     buffer_.reserve(capacity_);
-    // The spill stage: serial inline at sort_threads=0; otherwise a
-    // worker plus a second `capacity_` buffer the pipeline reserves
-    // (clamped — a budget that cannot cover it degrades this writer to
-    // the serial spill, with the same run geometry either way).
-    pipeline_ = std::make_unique<internal::RunSpillPipeline<T, Less>>(
-        context_, less_, dedup_, capacity_);
   }
 
   void Spill() {
-    spilled_ = true;
+    // The spill stage starts here, at the first spill: serial inline at
+    // sort_threads=0; otherwise a worker plus a second `capacity_`
+    // buffer the pipeline reserves (clamped — a budget that cannot
+    // cover it degrades this writer to the serial spill, with the same
+    // run geometry either way).
+    if (pipeline_ == nullptr) {
+      pipeline_ = std::make_unique<internal::RunSpillPipeline<T, Less>>(
+          context_, less_, dedup_, capacity_);
+    }
     // Hoisted: as arguments, size() and the move-construction of the
     // by-value parameter would be indeterminately sequenced.
     const std::size_t n = buffer_.size();
@@ -676,14 +543,66 @@ class SortingWriter {
   io::IoContext* context_;
   Less less_;
   bool dedup_;
-  std::size_t capacity_ = 0;  // sized (and reserved) at the first Add
+  std::optional<std::uint64_t> input_records_;  // known input size, if any
+  std::size_t capacity_ = 0;  // sized (and reserved) at the first Append
   std::uint64_t reserved_bytes_ = 0;
   std::vector<T> buffer_;
+  // Built at the first spill; null while every record is resident.
   std::unique_ptr<internal::RunSpillPipeline<T, Less>> pipeline_;
   std::uint64_t num_added_ = 0;
-  bool spilled_ = false;  // any run left the add buffer
   bool finished_ = false;
 };
+
+// Fused external sort: sorts `input_path` and drains the result into
+// `sink` instead of a file — a SortingWriter told the input size, fed
+// from an io::RecordReader in block-sized batches. The consumer sees the
+// records in sorted order exactly once, during the final merge pass (or
+// straight from the run buffer when the input fits in memory), so the
+// stage costs sort(n) minus a full write+read of the output versus
+// SortFile + scan. If `dedup` is true, records equal under Less (neither
+// compares before the other) are collapsed to one.
+template <typename T, typename Less, RecordSinkFor<T> S>
+SortRunInfo SortInto(io::IoContext* context, const std::string& input_path,
+                     S& sink, Less less, bool dedup = false) {
+  // The size comes from the reader, not io::NumRecordsInFile: a torn
+  // file then reads nothing and reports kCorruption instead of aborting.
+  io::RecordReader<T> reader(context, input_path);
+  SortingWriter<T, Less> writer(context, less, dedup, reader.num_records());
+  const std::size_t batch = io::RecordsPerBlock<T>(context);
+  std::vector<T> chunk(batch);
+  std::size_t got;
+  while ((got = reader.NextBatch(chunk.data(), batch)) > 0) {
+    writer.AppendBatch(chunk.data(), got);
+  }
+  if (!reader.status().ok()) {
+    // A short read (error-as-EOF) left the writer with a truncated view
+    // of the input: report it instead of sorting it; the writer's
+    // destructor drops any runs it spilled.
+    SortRunInfo info;
+    info.status = reader.status();
+    return info;
+  }
+  return writer.FinishInto(sink);
+}
+
+// One-shot external sort of `input_path` into `output_path`: SortInto
+// drained into a RecordWriter. An input that fits in memory is written
+// once, directly to the output, with no run file or re-scan.
+// If `dedup` is true, records equal under Less (neither compares before
+// the other) are collapsed to one — used for V_{i+1} dedup (Alg. 3 l.10)
+// and the Op-mode lazy parallel-edge elimination (§VII).
+template <typename T, typename Less>
+SortRunInfo SortFile(io::IoContext* context, const std::string& input_path,
+                     const std::string& output_path, Less less,
+                     bool dedup = false) {
+  io::RecordWriter<T> writer(context, output_path);
+  SortRunInfo info = SortInto<T>(context, input_path, writer, less, dedup);
+  writer.Finish();
+  // The output is the caller's named file, not relocatable scratch —
+  // a writer failure propagates instead of failing over.
+  if (info.status.ok()) info.status = writer.status();
+  return info;
+}
 
 // Returns true iff `path` is sorted (and strictly sorted when
 // `strictly` — i.e. no duplicates under the order). Test helper.

@@ -1,5 +1,5 @@
-// Run-formation internals: buffer sort, run spill, and the overlapped
-// sort→spill pipeline.
+// Run-formation internals: buffer sort, the scratch-run failover loop,
+// and the overlapped sort→spill pipeline behind SortingWriter.
 //
 // Serial run formation alternates fill → sort → spill on one thread, so
 // the CPU sits idle during spill writes and the disk sits idle during
@@ -16,7 +16,7 @@
 //   FILLING   (producer)  — records accumulate in the active buffer;
 //   QUEUED    (hand-off)  — SubmitAndAcquire parked it in the pending
 //                           slot and returned the recycled twin;
-//   SORT+SPILL (worker)   — SortDedupPrefix + SpillRun off-thread;
+//   SORT+SPILL (worker)   — SortAndSpill off-thread;
 //   RECYCLED  (hand-off)  — the emptied buffer becomes the next
 //                           acquire's return value.
 // At most two buffers exist; SubmitAndAcquire blocks while the worker
@@ -26,10 +26,11 @@
 // Budget: the second buffer is Reserve()d from the MemoryBudget for the
 // pipeline's lifetime, clamped by availability — when the budget cannot
 // cover a second buffer the pipeline silently degrades to the serial
-// fill → sort → spill loop (threaded() == false), preserving the
+// fill → sort → spill loop (no worker thread), preserving the
 // serial path's exact geometry. sort_threads == 0 never constructs a
 // worker at all, so the default engine is bit-identical to the
-// single-threaded one.
+// single-threaded one. SortingWriter builds its pipeline at its first
+// spill, so a writer that never spills has no worker and no twin.
 #ifndef EXTSCC_EXTSORT_RUN_PIPELINE_H_
 #define EXTSCC_EXTSORT_RUN_PIPELINE_H_
 
@@ -88,32 +89,41 @@ std::size_t SortDedupPrefix(std::vector<T>& buffer, std::size_t n, Less less,
   return SortDedupPrefix(buffer, n, less, dedup, scratch);
 }
 
-// Writes records[0, n) (already sorted/deduped) as a run file on the
-// next scratch device in round-robin order (TempFileManager::NewFile).
-//
-// Scratch failover: a persistent write failure (transient faults were
-// already retried inside BlockFile) quarantines the failing device,
-// removes the partial run, and re-spills the SAME records on the next
-// healthy device — the records are still resident in `buffer`, so a
-// lost spill costs one extra run write, not a re-sort. On recovery the
-// triggering error is absorbed from the context's latch (it was
-// handled, the solve must not fail on it); an unrelated latched error
-// is left alone. Returns the first failure when every device refuses.
-template <typename T>
-util::Status SpillRun(io::IoContext* context, const T* records,
-                      std::size_t n, std::string* out_path) {
+// Writes one scratch run through `fill`, with device failover — the one
+// failover loop behind run spills ("sortrun") and merge passes
+// ("mergerun"); fault specs select either by that tag. Each attempt
+// places a fresh file (TempFileManager::NewFile, round-robin), opens a
+// RecordWriter on it and calls fill(writer), which returns the status of
+// its *input*. An input failure is returned at once and the partial file
+// removed: no output placement can recover bytes the input lost. A
+// persistent write failure (transients were already retried inside
+// BlockFile) removes the partial file, quarantines its device and
+// replays the fill on the next placement — callers keep their input (the
+// resident run buffer, the merge group's run files) until this returns
+// OK, so a lost output costs one more write, never lost data. On
+// recovery the triggering error is absorbed from the context's latch (it
+// was handled, the solve must not fail on it); an unrelated latched
+// error is left alone. Returns the first failure when every device
+// refuses.
+template <typename T, typename Fill>
+util::Status WriteRunWithFailover(io::IoContext* context, const char* tag,
+                                  Fill fill, std::string* out_path) {
   io::TempFileManager& temp = context->temp_files();
   const std::size_t max_attempts = temp.devices().size();
   util::Status first_failure;
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    const io::ScratchFile run = temp.NewFile("sortrun");
+    const io::ScratchFile run = temp.NewFile(tag);
     io::RecordWriter<T> writer(context, run.path);
-    writer.AppendBatch(records, n);
+    const util::Status input = fill(writer);
     writer.Finish();
+    if (!input.ok()) {
+      temp.Remove(run.path);
+      return input;
+    }
     const util::Status status = writer.status();
     if (status.ok()) {
       if (!first_failure.ok()) {
-        LOG_WARNING << "SpillRun: recovered run " << run.path
+        LOG_WARNING << tag << ": recovered " << run.path
                     << " on a healthy device after: "
                     << first_failure.ToString();
         context->AbsorbIoError(first_failure);
@@ -178,28 +188,15 @@ class RunSpillPipeline {
   RunSpillPipeline(const RunSpillPipeline&) = delete;
   RunSpillPipeline& operator=(const RunSpillPipeline&) = delete;
 
-  bool threaded() const { return threaded_; }
-
   // Sorts (+dedups) and spills buffer[0, n) as the next run — inline
   // when serial, on the worker when threaded — and returns a recycled
   // buffer of the same capacity for the producer to refill. The
   // returned buffer's size and contents are unspecified (whatever the
-  // previous spill left): callers overwrite (FormRuns) or clear()
-  // (SortingWriter) rather than paying a value-initializing resize of
-  // up to a whole run buffer per spill.
+  // previous spill left): SortingWriter clear()s it rather than paying a
+  // value-initializing resize of up to a whole run buffer per spill.
   std::vector<T> SubmitAndAcquire(std::vector<T> buffer, std::size_t n) {
     if (!threaded_) {
-      if (!status_.ok()) return buffer;  // sort already failed: drop
-      const std::size_t kept =
-          SortDedupPrefix(buffer, n, less_, dedup_, serial_scratch_);
-      std::string path;
-      const util::Status spilled =
-          SpillRun(context_, buffer.data(), kept, &path);
-      if (spilled.ok()) {
-        runs_.push_back(std::move(path));
-      } else {
-        status_ = spilled;
-      }
+      SortAndSpill(buffer, n, serial_scratch_);
       return buffer;
     }
     std::unique_lock<std::mutex> lock(mu_);
@@ -234,6 +231,31 @@ class RunSpillPipeline {
   }
 
  private:
+  // The sort-and-spill body of both the inline path and the worker:
+  // sorts (+dedups) buffer[0, n), spills it as the next run and files
+  // the run path, or parks the first failure. A failed pipeline still
+  // recycles buffers (the producer must not deadlock on a dead worker)
+  // but sorts and spills nothing further. Called without mu_ held.
+  void SortAndSpill(std::vector<T>& buffer, std::size_t n,
+                    std::vector<T>& scratch) {
+    if (!status().ok()) return;
+    const std::size_t kept = SortDedupPrefix(buffer, n, less_, dedup_, scratch);
+    std::string path;
+    const util::Status spilled = WriteRunWithFailover<T>(
+        context_, "sortrun",
+        [&](io::RecordWriter<T>& writer) {
+          writer.AppendBatch(buffer.data(), kept);
+          return util::Status::Ok();
+        },
+        &path);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (spilled.ok()) {
+      runs_.push_back(std::move(path));
+    } else if (status_.ok()) {
+      status_ = spilled;
+    }
+  }
+
   void WorkerLoop() {
     // Worker-local radix scratch, persistent across all runs of the
     // sort (the producer-side serial path keeps its own).
@@ -246,26 +268,10 @@ class RunSpillPipeline {
       const std::size_t n = pending_n_;
       has_pending_ = false;
       busy_ = true;
-      const bool dead = !status_.ok();
       lock.unlock();
       cv_.notify_all();
-      std::string path;
-      util::Status spilled;
-      if (!dead) {
-        // A failed pipeline still recycles buffers (the producer must
-        // not deadlock on a dead worker) but spills nothing further.
-        const std::size_t kept =
-            SortDedupPrefix(buffer, n, less_, dedup_, scratch);
-        spilled = SpillRun(context_, buffer.data(), kept, &path);
-      }
+      SortAndSpill(buffer, n, scratch);
       lock.lock();
-      if (!dead) {
-        if (spilled.ok()) {
-          runs_.push_back(std::move(path));
-        } else if (status_.ok()) {
-          status_ = spilled;
-        }
-      }
       free_buffer_ = std::move(buffer);
       has_free_ = true;
       busy_ = false;

@@ -32,7 +32,7 @@ void SortEdgesDropSelfLoops(io::IoContext* context, const std::string& input,
                             bool dedup) {
   extsort::SortingWriter<Edge, Less> sorter(context, less, dedup);
   io::ForEachRecord<Edge>(context, input, [&](const Edge& e) {
-    if (e.src != e.dst) sorter.Add(e);
+    if (e.src != e.dst) sorter.Append(e);
   });
   sorter.FinishInto(output);
 }

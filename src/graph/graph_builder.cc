@@ -16,14 +16,14 @@ GraphBuilder::GraphBuilder(io::IoContext* context)
 void GraphBuilder::AddEdge(NodeId src, NodeId dst) {
   DCHECK(!finished_);
   edge_writer_->Append(Edge{src, dst});
-  node_writer_->Add(src);
-  node_writer_->Add(dst);
+  node_writer_->Append(src);
+  node_writer_->Append(dst);
   ++edges_added_;
 }
 
 void GraphBuilder::AddNode(NodeId node) {
   DCHECK(!finished_);
-  node_writer_->Add(node);
+  node_writer_->Append(node);
 }
 
 DiskGraph GraphBuilder::Finish() {
@@ -34,7 +34,7 @@ DiskGraph GraphBuilder::Finish() {
   DiskGraph g;
   g.edge_path = edge_path_;
   g.node_path = context_->NewTempPath("g_nodes");
-  // The endpoint stream sorts/dedups straight out of the add buffer —
+  // The endpoint stream sorts/dedups straight out of the append buffer —
   // no staging node file to write and re-read.
   node_writer_->FinishInto(g.node_path);
   g.num_nodes = CountNodes(context_, g.node_path);

@@ -43,8 +43,8 @@ void NodesFromEdges(io::IoContext* context, const std::string& edge_path,
   extsort::SortingWriter<NodeId, NodeIdLess> sorter(context, NodeIdLess{},
                                                     /*dedup=*/true);
   io::ForEachRecord<Edge>(context, edge_path, [&](const Edge& e) {
-    sorter.Add(e.src);
-    sorter.Add(e.dst);
+    sorter.Append(e.src);
+    sorter.Append(e.dst);
   });
   sorter.FinishInto(node_output);
 }

@@ -33,15 +33,16 @@ struct IoContextOptions {
   // ResourceExhausted, which benches print as the paper's INF.
   std::uint64_t io_budget = 0;
 
-  // Overlapped run formation: when 1, every run-forming sort (FormRuns
-  // behind SortFile/SortInto, SortingWriter) hands full buffers to one
-  // background worker that sorts and spills them while the producer
-  // fills the other buffer of a double-buffered pair. 0 (the default)
-  // keeps run formation serial, so the Aggarwal-Vitter accounting and
-  // the run geometry are bit-identical to the single-threaded engine.
-  // Stages degrade to the serial path per sort whenever the
-  // MemoryBudget cannot cover a second run buffer. The parser accepts
-  // only 0 and 1.
+  // Overlapped run formation: when 1, every SortingWriter (the run
+  // engine behind SortFile/SortInto too) hands full buffers, from its
+  // first spill on, to one background worker that sorts and spills them
+  // while the producer fills the other buffer of a double-buffered
+  // pair; file sorts halve their buffer to make room for it. 0 (the
+  // default) keeps run formation serial, so the Aggarwal-Vitter
+  // accounting and the run geometry are bit-identical to the
+  // single-threaded engine. Stages degrade to the serial path per sort
+  // whenever the MemoryBudget cannot cover a second run buffer. The
+  // parser accepts only 0 and 1.
   std::size_t sort_threads = 0;
 
   // Scratch directory parent ("" = $TMPDIR or /tmp).

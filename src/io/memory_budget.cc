@@ -50,10 +50,10 @@ std::uint64_t MemoryBudget::MaxRecordsInMemory(std::size_t record_size) const {
 std::uint64_t MemoryBudget::MergeFanIn(std::size_t block_size) const {
   CHECK_GT(block_size, 0u);
   const std::uint64_t buffers = available_bytes() / block_size;
-  // One block buffer per input run (PeekableReader decodes in place)
-  // plus the output writer's block — fan-in f costs f + 1 blocks. At
-  // least a binary merge must be possible (M >= 2B in the model, so
-  // this is the floor).
+  // One block buffer per input run (each PeekableReader reads through
+  // one RecordReader block) plus the output writer's block — fan-in f
+  // costs f + 1 blocks. At least a binary merge must be possible
+  // (M >= 2B in the model, so this is the floor).
   return std::max<std::uint64_t>(2, buffers > 1 ? buffers - 1 : 2);
 }
 

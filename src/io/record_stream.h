@@ -6,9 +6,10 @@
 // memcpy instead of one record at a time. The one-record calls
 // (RecordReader::Next, RecordWriter::Append) are inline: a record that
 // lies wholly inside the current block costs one bounds check and one
-// fixed-size memcpy (PeekableReader::AdvanceInto's shape), and only
-// block-straddling records, refills, flushes and parked errors take the
-// batch loop.
+// fixed-size memcpy, and only block-straddling records, refills, flushes
+// and parked errors take the batch loop. PeekableReader is a one-record
+// lookahead over RecordReader, so every sequential read shares one block
+// decoder.
 #ifndef EXTSCC_IO_RECORD_STREAM_H_
 #define EXTSCC_IO_RECORD_STREAM_H_
 
@@ -205,31 +206,18 @@ class RecordReader {
   util::Status status_;
 };
 
-// Record lookahead over one raw block buffer — the merge joins in
-// Get-V / Get-E / Expansion and the sorter's loser tree are written
-// against Peek()/Pop()/AdvanceInto(). The per-stream footprint is exactly
-// one block (plus the current record): the hot path decodes the next
-// record straight out of the block buffer with a single bounds check
-// and a fixed-size memcpy, and only block refills and boundary-
-// straddling records take the slow path. This keeps the merge fan-in
-// accounting at ~one block per open run, as the external-memory
-// analyses assume.
+// One-record lookahead over a RecordReader — the merge joins in Get-V /
+// Get-E / Expansion and the sorter's loser tree are written against
+// Peek()/Pop()/AdvanceInto(). The per-stream footprint is the reader's
+// one block plus the current record, so merge fan-in accounting stays at
+// one block per open run, as the external-memory analyses assume; every
+// advance is RecordReader::Next's inline bounds check and memcpy.
 template <typename T>
 class PeekableReader {
  public:
-  static_assert(std::is_trivially_copyable_v<T>);
-
   PeekableReader(IoContext* context, const std::string& path)
-      : file_(std::make_unique<BlockFile>(context, path, OpenMode::kRead)),
-        raw_(file_->block_size()) {
-    if (file_->size_bytes() % sizeof(T) != 0) {
-      // Same contract as RecordReader: a torn file yields kCorruption
-      // and an empty stream, never a partial record.
-      status_ = util::Status::Corruption(
-          path + " is not a whole number of records");
-      return;
-    }
-    has_value_ = DecodeSlow();
+      : reader_(context, path) {
+    has_value_ = reader_.Next(&cur_);
   }
 
   bool has_value() const { return has_value_; }
@@ -240,78 +228,28 @@ class PeekableReader {
   T Pop() {
     DCHECK(has_value_);
     T out = cur_;
-    AdvanceInternal();
+    has_value_ = reader_.Next(&cur_);
     return out;
   }
 
-  // Drops the current record and decodes the next one straight into
-  // *out; returns false at end of stream. The streaming fast path for
-  // the sorter's loser tree: one bounds check and one fixed-size memcpy
-  // from the block buffer to the caller's slot, with no intermediate
-  // copy. Takes over the stream — Peek() is not refreshed by this call.
+  // Drops the current record and reads the next one straight into *out;
+  // returns false at end of stream. The loser tree's per-record path:
+  // it keeps each run's head itself, so Peek() is not refreshed.
   bool AdvanceInto(T* out) {
     DCHECK(has_value_);
-    if (pos_ + sizeof(T) <= valid_) {
-      std::memcpy(out, raw_.data() + pos_, sizeof(T));
-      pos_ += sizeof(T);
-      return true;
-    }
-    has_value_ = DecodeSlow();
-    if (!has_value_) return false;
-    *out = cur_;
-    return true;
+    return reader_.Next(out);
   }
 
-  std::uint64_t num_records() const { return file_->size_bytes() / sizeof(T); }
+  std::uint64_t num_records() const { return reader_.num_records(); }
 
-  // Mirrors RecordReader::status(): an errored stream looks exhausted
+  // RecordReader::status(): an errored stream looks exhausted
   // (has_value() false); this distinguishes exhaustion from failure.
-  util::Status status() const {
-    return !status_.ok() ? status_ : file_->status();
-  }
+  util::Status status() const { return reader_.status(); }
 
  private:
-  void AdvanceInternal() {
-    // Hot path: the next record lies fully inside the current block.
-    if (pos_ + sizeof(T) <= valid_) {
-      std::memcpy(&cur_, raw_.data() + pos_, sizeof(T));
-      pos_ += sizeof(T);
-      return;
-    }
-    has_value_ = DecodeSlow();
-  }
-
-  // Assembles the next record across block refills (and block-boundary
-  // straddles); returns false at end of stream.
-  bool DecodeSlow() {
-    char* dst = reinterpret_cast<char*>(&cur_);
-    std::size_t remaining = sizeof(T);
-    while (remaining > 0) {
-      if (pos_ == valid_) {
-        valid_ = file_->ReadBlock(next_block_++, raw_.data());
-        pos_ = 0;
-        if (valid_ == 0) {
-          DCHECK(remaining == sizeof(T) || !status().ok())
-              << "file ends mid-record despite the size check";
-          return false;
-        }
-      }
-      const std::size_t chunk = std::min(valid_ - pos_, remaining);
-      std::memcpy(dst + (sizeof(T) - remaining), raw_.data() + pos_, chunk);
-      pos_ += chunk;
-      remaining -= chunk;
-    }
-    return true;
-  }
-
-  std::unique_ptr<BlockFile> file_;
-  std::vector<char> raw_;
-  std::size_t pos_ = 0;
-  std::size_t valid_ = 0;
-  std::uint64_t next_block_ = 0;
+  RecordReader<T> reader_;
   T cur_{};
   bool has_value_ = false;
-  util::Status status_;
 };
 
 // Random-access reader used only by the DFS baseline (and by nothing in

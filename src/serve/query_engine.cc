@@ -57,10 +57,10 @@ util::Status QueryEngine::RunBatch(io::IoContext* context,
                                                             NodeProbeByNode{});
   for (std::size_t i = 0; i < n; ++i) {
     const Query& q = queries[i];
-    sorter.Add({q.u, static_cast<std::uint32_t>(2 * i)});
+    sorter.Append({q.u, static_cast<std::uint32_t>(2 * i)});
     ++st.probes;
     if (q.type != QueryType::kSccStat) {
-      sorter.Add({q.v, static_cast<std::uint32_t>(2 * i + 1)});
+      sorter.Append({q.v, static_cast<std::uint32_t>(2 * i + 1)});
       ++st.probes;
     }
   }

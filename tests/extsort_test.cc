@@ -84,6 +84,24 @@ TEST(ExternalSortTest, EmptyInput) {
   EXPECT_TRUE(io::ReadAllRecords<std::uint64_t>(ctx.get(), out).empty());
 }
 
+TEST(ExternalSortTest, TornInputIsCorruptionNotAbort) {
+  // 3 u32s = 12 bytes: not a whole number of u64 records. The sort sizes
+  // its run buffer from the input reader, which reports kCorruption and
+  // reads nothing, so the sort returns that status (no CHECK-abort) and
+  // its sink receives nothing.
+  auto ctx = MakeMemTestContext();
+  const std::string in = ctx->NewTempPath("in");
+  io::WriteAllRecords<std::uint32_t>(ctx.get(), in, {3, 1, 2});
+  std::size_t received = 0;
+  auto sink = extsort::MakeCallbackSink<std::uint64_t>(
+      [&](std::uint64_t) { ++received; });
+  const auto info =
+      extsort::SortInto<std::uint64_t>(ctx.get(), in, sink, U64Less());
+  EXPECT_EQ(info.status.code(), util::StatusCode::kCorruption)
+      << info.status.ToString();
+  EXPECT_EQ(received, 0u);
+}
+
 TEST(ExternalSortTest, DedupCollapsesEqualRecords) {
   auto ctx = MakeMemTestContext(/*memory_bytes=*/16 << 10);
   std::vector<std::uint64_t> values;
@@ -137,7 +155,7 @@ TEST(SortingWriterTest, AccumulateAndSort) {
   extsort::SortingWriter<std::uint64_t, U64Less> writer(ctx.get(), U64Less(),
                                                         /*dedup=*/true);
   util::Rng rng(3);
-  for (int i = 0; i < 20'000; ++i) writer.Add(rng.Uniform(500));
+  for (int i = 0; i < 20'000; ++i) writer.Append(rng.Uniform(500));
   const std::string out = ctx->NewTempPath("out");
   writer.FinishInto(out);
   const auto result = io::ReadAllRecords<std::uint64_t>(ctx.get(), out);

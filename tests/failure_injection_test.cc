@@ -4,7 +4,9 @@
 // wrong answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -13,6 +15,7 @@
 #include "baseline/dfs_scc.h"
 #include "baseline/em_scc.h"
 #include "core/ext_scc.h"
+#include "extsort/external_sorter.h"
 #include "gen/classic_graphs.h"
 #include "graph/disk_graph.h"
 #include "graph/graph_io.h"
@@ -194,6 +197,84 @@ TEST(FaultInjectionTest, TwoDevicePersistentFailureWithSpillWorker) {
   EXPECT_FALSE(ctx->has_io_error())
       << ctx->io_error().ToString()
       << " — a recovered failover must absorb its latched error";
+}
+
+// ---- Merge-pass failover: the "mergerun" outputs of a multi-pass sort
+
+struct U64Less {
+  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
+};
+
+// Two RAM scratch devices, the second faulting on merge-pass files only.
+// B = 1 KiB and M = 4 KiB give a 20K-record u64 sort 40 runs of 512
+// records and a fan-in of 3, so four merge passes.
+struct MergeFaultSort {
+  explicit MergeFaultSort(io::FaultSpec fault) {
+    fault.path_tag = "mergerun";
+    fault.device_index = 1;
+    fault.inner = io::DeviceModel::kMem;
+    io::IoContextOptions options;
+    options.block_size = 1024;
+    options.memory_bytes = 4096;
+    options.scratch_dirs.assign(2, "unused-for-mem-backing");
+    options.device_model.model = io::DeviceModel::kFaulty;
+    options.device_model.fault = fault;
+    ctx = std::make_unique<io::IoContext>(options);
+    util::Rng rng(41);
+    values.resize(20'000);
+    for (auto& v : values) v = rng.Next();
+    const std::string in = ctx->NewTempPath("in");
+    io::WriteAllRecords(ctx.get(), in, values);
+    out = ctx->NewTempPath("out");
+    info = extsort::SortFile<std::uint64_t, U64Less>(ctx.get(), in, out,
+                                                     U64Less());
+  }
+
+  std::unique_ptr<io::IoContext> ctx;
+  std::vector<std::uint64_t> values;
+  std::string out;
+  extsort::SortRunInfo info;
+};
+
+TEST(FaultInjectionTest, DeadDeviceDuringMergePassFailsOver) {
+  // Device 1 stops taking merge-pass writes after its first block: the
+  // group that hit it is replayed on device 0 from its still-present
+  // input runs, and the sort finishes with the right answer.
+  io::FaultSpec fault;
+  fault.fail_writes_after = 1;
+  MergeFaultSort sort(fault);
+  ASSERT_TRUE(sort.info.status.ok()) << sort.info.status.ToString();
+  EXPECT_EQ(sort.info.num_runs, 40u);
+  EXPECT_EQ(sort.info.merge_passes, 4u);
+  std::sort(sort.values.begin(), sort.values.end());
+  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(sort.ctx.get(), sort.out),
+            sort.values);
+  const auto devices = sort.ctx->temp_files().devices();
+  ASSERT_EQ(devices.size(), 2u);
+  EXPECT_TRUE(sort.ctx->temp_files().IsQuarantined(devices[1]));
+  EXPECT_FALSE(sort.ctx->temp_files().IsQuarantined(devices[0]));
+  EXPECT_FALSE(sort.ctx->has_io_error())
+      << sort.ctx->io_error().ToString()
+      << " — a recovered failover must absorb its latched error";
+}
+
+TEST(FaultInjectionTest, DeadMergeInputFailsWithoutFailover) {
+  // Device 1 stops serving merge-pass reads: a merge run written there
+  // cannot be read back in the next pass, and no output placement can
+  // recover it. The sort must return the read error and quarantine
+  // nothing.
+  io::FaultSpec fault;
+  fault.fail_reads_after = 3;
+  MergeFaultSort sort(fault);
+  ASSERT_FALSE(sort.info.status.ok());
+  EXPECT_EQ(sort.info.status.code(), util::StatusCode::kIoError);
+  EXPECT_NE(sort.info.status.message().find("injected persistent read"),
+            std::string::npos)
+      << sort.info.status.ToString();
+  for (auto* device : sort.ctx->temp_files().devices()) {
+    EXPECT_FALSE(sort.ctx->temp_files().IsQuarantined(device));
+  }
+  EXPECT_EQ(sort.ctx->temp_files().num_available_devices(), 2u);
 }
 
 // ---- Silent corruption: checksums turn bit flips into kCorruption ----

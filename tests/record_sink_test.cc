@@ -156,7 +156,7 @@ TEST(SortingWriterTest, BufferedInputReachesSinkWithZeroIo) {
   extsort::SortingWriter<std::uint64_t, U64Less> writer(ctx.get(), U64Less(),
                                                         /*dedup=*/true);
   util::Rng rng(3);
-  for (int i = 0; i < 5'000; ++i) writer.Add(rng.Uniform(700));
+  for (int i = 0; i < 5'000; ++i) writer.Append(rng.Uniform(700));
   const auto before = ctx->stats();
   std::vector<std::uint64_t> streamed;
   auto sink = extsort::MakeCallbackSink<std::uint64_t>(
@@ -177,7 +177,7 @@ TEST(SortingWriterTest, SpillingPathMatchesSortFileOracle) {
   auto values = RandomValues(40'000, 15, 1u << 20);
   auto ctx = MakeMemTestContext(/*memory_bytes=*/16 << 10);
   extsort::SortingWriter<std::uint64_t, U64Less> writer(ctx.get(), U64Less());
-  for (const auto v : values) writer.Add(v);
+  for (const auto v : values) writer.Append(v);
   std::vector<std::uint64_t> streamed;
   auto sink = extsort::MakeCallbackSink<std::uint64_t>(
       [&](std::uint64_t v) { streamed.push_back(v); });
@@ -195,7 +195,7 @@ TEST(SortingWriterTest, FileFinishIsSugarOverRecordWriter) {
     auto ctx = MakeMemTestContext(/*memory_bytes=*/16 << 10);
     extsort::SortingWriter<std::uint64_t, U64Less> writer(
         ctx.get(), U64Less(), /*dedup=*/true);
-    for (const auto v : values) writer.Add(v);
+    for (const auto v : values) writer.Append(v);
     const std::string out = ctx->NewTempPath("out");
     if (by_path) {
       writer.FinishInto(out);

@@ -110,7 +110,7 @@ TEST(RunPipelineTest, SortingWriterSerialVsThreadedByteIdentical) {
       auto ctx = MakeContext(memory, block, threads);
       extsort::SortingWriter<Edge, graph::EdgeByDst> writer(
           ctx.get(), graph::EdgeByDst(), dedup);
-      for (const auto& e : edges) writer.Add(e);
+      for (const auto& e : edges) writer.Append(e);
       const std::string out = ctx->NewTempPath("out");
       writer.FinishInto(out);
       return io::ReadAllRecords<Edge>(ctx.get(), out);
@@ -147,14 +147,14 @@ TEST(RunPipelineTest, SortIntoThreadedMatchesSerialSink) {
 }
 
 TEST(RunPipelineTest, TightBudgetDegradesToSerialAndStaysCorrect) {
-  // M = 2 blocks: after the add buffer's reservation nothing is left
+  // M = 2 blocks: after the append buffer's reservation nothing is left
   // for a second buffer, so the writer must fall back to serial spills
   // (same geometry) instead of aborting the Reserve.
   auto ctx = MakeContext(2 << 10, 1024, 1);
   auto values = RandomEdges(20'000, 17, 1u << 8);
   extsort::SortingWriter<Edge, graph::EdgeBySrc> writer(ctx.get(),
                                                         graph::EdgeBySrc());
-  for (const auto& e : values) writer.Add(e);
+  for (const auto& e : values) writer.Append(e);
   const std::string out = ctx->NewTempPath("out");
   writer.FinishInto(out);
   auto result = io::ReadAllRecords<Edge>(ctx.get(), out);
@@ -172,7 +172,7 @@ TEST(RunPipelineTest, AbandonedWriterLeaksNoRuns) {
   {
     extsort::SortingWriter<Edge, graph::EdgeBySrc> writer(
         ctx.get(), graph::EdgeBySrc());
-    for (const auto& e : RandomEdges(20'000, 23, 1u << 8)) writer.Add(e);
+    for (const auto& e : RandomEdges(20'000, 23, 1u << 8)) writer.Append(e);
     // Destroyed without FinishInto: spilled runs must be removed.
   }
   std::size_t files = 0;
@@ -204,12 +204,100 @@ TEST(RunPipelineTest, ThreadedIoCountsMatchSerialForSortingWriter) {
     {
       extsort::SortingWriter<Edge, graph::EdgeBySrc> writer(
           ctx.get(), graph::EdgeBySrc());
-      for (const auto& e : edges) writer.Add(e);
+      for (const auto& e : edges) writer.Append(e);
       writer.FinishInto(out);
     }
     return (ctx->stats() - before).total_ios();
   };
   EXPECT_EQ(io_count(0), io_count(1));
+}
+
+// ---- Budget charges and run geometry of the one run-formation engine
+
+struct U64Less {
+  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
+};
+
+// A key-less u64 order (so run buffers take std::stable_sort) that
+// records the largest MemoryBudget charge seen while it runs — in every
+// run sort and every merge.
+struct ChargeProbeLess {
+  const io::MemoryBudget* budget;
+  std::uint64_t* peak;
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    *peak = std::max(*peak, budget->used_bytes());
+    return a < b;
+  }
+};
+
+constexpr std::uint64_t kProbeMemory = 256 << 10;
+constexpr std::size_t kProbeBlock = 4096;
+constexpr std::size_t kProbeRecords = 200'000;
+
+std::string WriteRandomU64s(io::IoContext* ctx, std::size_t n) {
+  util::Rng rng(808);
+  std::vector<std::uint64_t> values(n);
+  for (auto& v : values) v = rng.Next();
+  const std::string path = ctx->NewTempPath("in");
+  io::WriteAllRecords(ctx, path, values);
+  return path;
+}
+
+TEST(RunPipelineTest, SpillingSortFileChargesItsRunBuffer) {
+  // Serial file sorts form runs in a buffer of the whole available
+  // budget (32,768 u64 records at M = 256 KiB); that buffer is charged
+  // while each run is sorted, not just the final merge's blocks.
+  auto ctx = MakeContext(kProbeMemory, kProbeBlock, 0);
+  const std::string in = WriteRandomU64s(ctx.get(), kProbeRecords);
+  std::uint64_t peak = 0;
+  const auto info = extsort::SortFile<std::uint64_t>(
+      ctx.get(), in, ctx->NewTempPath("out"),
+      ChargeProbeLess{&ctx->memory(), &peak});
+  ASSERT_TRUE(info.status.ok()) << info.status.ToString();
+  EXPECT_EQ(info.num_runs, 7u);
+  EXPECT_EQ(peak, kProbeMemory)
+      << "the run buffer must be reserved while its run is sorted";
+  EXPECT_EQ(ctx->memory().used_bytes(), 0u);
+}
+
+TEST(RunPipelineTest, NeverSpillingWriterHoldsOneBufferAtAnyThreadCount) {
+  // A streaming writer sizes its buffer from half the budget (16,384
+  // u64 records here). An input that fits never spills, so it builds no
+  // spill worker and no twin: during the drain only its own buffer is
+  // charged, at sort_threads=1 exactly as at 0.
+  for (const std::size_t threads : {0u, 1u}) {
+    auto ctx = MakeContext(kProbeMemory, kProbeBlock, threads);
+    extsort::SortingWriter<std::uint64_t, U64Less> writer(ctx.get(),
+                                                          U64Less());
+    util::Rng rng(809);
+    for (int i = 0; i < 10'000; ++i) writer.Append(rng.Next());
+    std::uint64_t peak = 0;
+    auto sink = extsort::MakeCallbackSink<std::uint64_t>([&](std::uint64_t) {
+      peak = std::max(peak, ctx->memory().used_bytes());
+    });
+    const auto info = writer.FinishInto(sink);
+    EXPECT_EQ(info.num_runs, 1u);
+    EXPECT_EQ(peak, kProbeMemory / 2) << "sort_threads=" << threads;
+  }
+}
+
+TEST(RunPipelineTest, SortFileRunGeometryFollowsTheBudget) {
+  // Serial: ceil(n / MaxRecordsInMemory) runs. Threaded: the buffer is
+  // halved once the input will spill, so the worker's twin fits beside
+  // it — twice the runs, byte-identical output.
+  for (const std::size_t threads : {0u, 1u}) {
+    auto ctx = MakeContext(kProbeMemory, kProbeBlock, threads);
+    const std::string in = WriteRandomU64s(ctx.get(), kProbeRecords);
+    const std::uint64_t per_run =
+        ctx->memory().MaxRecordsInMemory(sizeof(std::uint64_t)) /
+        (threads == 0 ? 1 : 2);
+    const auto info = extsort::SortFile<std::uint64_t>(
+        ctx.get(), in, ctx->NewTempPath("out"), U64Less());
+    ASSERT_TRUE(info.status.ok()) << info.status.ToString();
+    EXPECT_EQ(info.num_runs, (kProbeRecords + per_run - 1) / per_run)
+        << "sort_threads=" << threads;
+    EXPECT_EQ(info.num_runs, threads == 0 ? 7u : 13u);
+  }
 }
 
 TEST(RunPipelineTest, ExtSccEndToEndWithSortThreads) {
