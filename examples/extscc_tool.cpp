@@ -53,8 +53,8 @@
 // every completed phase into D so a killed solve restarts from the last
 // phase boundary with `--resume` (labels byte-identical to an unkilled
 // run); `fsck` validates an artifact, its delta log, and optionally a
-// checkpoint directory, repairing what is safely repairable (torn delta
-// tails, orphaned *.tmp publishes, unusable checkpoint manifests); the
+// checkpoint directory, repairing what is safely repairable (stale delta
+// logs, orphaned *.tmp publishes, unusable checkpoint manifests); the
 // global `--crash-at=[tag:]N` arms the seeded crash-point registry
 // (io/crash_point.h) so a harness can kill the process deterministically
 // at the Nth durability-relevant operation — the process dies with exit
@@ -65,11 +65,11 @@
 // codec (grammar and errors in graph/graph_io.h), which streams through
 // read(2)/write(2), so pipes and /dev/stdout work as files.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -593,17 +593,32 @@ int CmdQuery(int argc, char** argv) {
   const serve::ArtifactReader artifact = std::move(opened).value();
   const serve::QueryEngine engine(&artifact);
 
-  std::ifstream in(args.positional[1]);
-  if (!in) {
-    return StatusExit(util::Status::IoError("cannot open " +
-                                            args.positional[1]));
+  // The batch file follows the user-text error map: a file that cannot
+  // be opened is kNotFound, a failed read (a directory) kIoError, never
+  // an empty batch file.
+  const std::string& batch_path = args.positional[1];
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
+      std::fopen(batch_path.c_str(), "r"), &std::fclose);
+  if (in == nullptr) {
+    return StatusExit(util::Status::NotFound(
+        "cannot open " + batch_path + ": " + std::strerror(errno)));
   }
+  // Sets *line to the next line without its '\n'; false at the end of
+  // the file or on a read error (std::ferror tells them apart).
+  const auto next_line = [&in](std::string* line) {
+    line->clear();
+    int c;
+    while ((c = std::getc(in.get())) != EOF && c != '\n') {
+      line->push_back(static_cast<char>(c));
+    }
+    return c != EOF || (!std::ferror(in.get()) && !line->empty());
+  };
   std::vector<serve::Query> batch;
   serve::QueryBatchStats totals;
   std::uint64_t num_batches = 0;
   std::string line;
   std::uint64_t line_number = 0;
-  while (std::getline(in, line)) {
+  while (next_line(&line)) {
     ++line_number;
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       // Blank line: explicit batch boundary.
@@ -615,7 +630,7 @@ int CmdQuery(int argc, char** argv) {
     serve::Query query;
     if (!serve::ParseQueryLine(line, &query)) {
       return StatusExit(util::Status::InvalidArgument(
-          args.positional[1] + ":" + std::to_string(line_number) +
+          batch_path + ":" + std::to_string(line_number) +
           ": malformed query: " + line));
     }
     batch.push_back(query);
@@ -624,6 +639,10 @@ int CmdQuery(int argc, char** argv) {
                                 &totals, &num_batches);
       if (rc != 0) return rc;
     }
+  }
+  if (std::ferror(in.get())) {
+    return StatusExit(util::Status::IoError(
+        "read(" + batch_path + ") failed: " + std::strerror(errno), errno));
   }
   const int rc = FlushBatch(&context, engine, flags.threads, &batch,
                             &totals, &num_batches);
@@ -828,10 +847,10 @@ int CmdUpdate(int argc, char** argv) {
 // artifact. Checks, in order: the artifact itself (full Open — preamble,
 // footer, section checksums — plus a CRC-verified sweep of the node→SCC
 // map), orphaned "*.tmp" publishes beside it (a publisher killed between
-// write and rename), the delta log (torn tails are truncated to the last
-// CRC-valid record, stale logs deleted), and optionally a checkpoint
-// directory (a manifest that is corrupt or references missing files is
-// removed so the next --resume falls back to a fresh run). Exit codes:
+// write and rename), the delta log (a stale one is deleted, a damaged
+// one exits 8), and optionally a checkpoint directory (a manifest that
+// is corrupt or references missing files is removed so the next
+// --resume falls back to a fresh run). Exit codes:
 // 0 everything clean, 10 repairable damage found (repaired unless
 // --dry-run), otherwise the failure's usual status exit (a torn
 // ARTIFACT is unrecoverable by design — rebuild or re-publish — and
@@ -917,15 +936,16 @@ int CmdFsck(int argc, char** argv) {
   reap(artifact_path + ".tmp", "artifact publish");
   reap(dlog_path + ".tmp", "delta log publish");
 
-  // 3. The delta log.
+  // 3. The delta log: a pending-edge count that is only ever replaced
+  // whole, so a damaged one is corruption, never repaired here.
   {
-    auto scan = dyn::ScanDeltaLog(&context, dlog_path,
-                                  artifact.data_version());
-    if (!scan.ok()) return StatusExit(scan.status());
-    if (!scan.value().exists) {
+    auto log = dyn::ReadDeltaLog(&context, dlog_path,
+                                 artifact.data_version());
+    if (!log.ok()) return StatusExit(log.status());
+    if (!log.value().exists) {
       std::printf("fsck: %s: no delta log (nothing pending)\n",
                   dlog_path.c_str());
-    } else if (scan.value().stale) {
+    } else if (log.value().stale) {
       damage = true;
       if (dry_run) {
         std::printf("fsck: %s: stale (edges already folded into the "
@@ -934,25 +954,10 @@ int CmdFsck(int argc, char** argv) {
         dyn::RemoveDeltaLog(&context, dlog_path);
         std::printf("fsck: %s: stale log removed\n", dlog_path.c_str());
       }
-    } else if (scan.value().torn) {
-      damage = true;
-      if (dry_run) {
-        std::printf("fsck: %s: torn tail after %llu intact edges "
-                    "(would truncate)\n", dlog_path.c_str(),
-                    static_cast<unsigned long long>(scan.value().edges.size()));
-      } else {
-        bool recovered = false;
-        auto repaired = dyn::RecoverDeltaLog(&context, dlog_path,
-                                             artifact.data_version(),
-                                             &recovered);
-        if (!repaired.ok()) return StatusExit(repaired.status());
-        std::printf("fsck: %s: torn tail truncated, %llu edges kept\n",
-                    dlog_path.c_str(),
-                    static_cast<unsigned long long>(repaired.value().size()));
-      }
     } else {
       std::printf("fsck: %s: OK (%llu pending edges)\n", dlog_path.c_str(),
-                  static_cast<unsigned long long>(scan.value().edges.size()));
+                  static_cast<unsigned long long>(
+                      log.value().pending_edges));
     }
   }
 

@@ -1,6 +1,7 @@
 #include "core/ext_scc.h"
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,6 +118,28 @@ util::Result<ExtSccStats> RunExtScc(io::IoContext* context,
 
   // ---- Contraction phase (Alg. 2 lines 1-4) ---------------------------
   util::Timer phase_timer;
+  // Durably records that `phase` completed with `new_files` written. A
+  // contraction-phase save also counts the level time so far.
+  const auto save_checkpoint =
+      [&](std::uint32_t phase,
+          const std::vector<std::string>& new_files) -> util::Status {
+    CheckpointSession::ResumeState st;
+    st.phase = phase;
+    st.block_size = context->block_size();
+    st.levels_done = levels.size();
+    st.expand_done = expand_done;
+    st.next_scc_id = next_scc_id;
+    st.semi_nodes = stats.semi_nodes;
+    st.current_num_nodes = current.num_nodes;
+    st.current_num_edges = current.num_edges;
+    st.contraction_seconds = stats.contraction_seconds;
+    if (phase == CheckpointSession::kContracting) {
+      st.contraction_seconds += phase_timer.ElapsedSeconds();
+    }
+    st.semi_seconds = stats.semi_seconds;
+    st.iterations = stats.iterations;
+    return ckpt.Save(st, new_files);
+  };
   if (resume_phase == CheckpointSession::kContracting) {
     while (!scc::SemiSccFits(options.semi_backend, current.num_nodes,
                              context->memory())) {
@@ -207,17 +230,10 @@ util::Result<ExtSccStats> RunExtScc(io::IoContext* context,
       RETURN_IF_ERROR(BudgetCheck(context, "graph contraction"));
 
       if (ckpt.enabled()) {
-        CheckpointSession::ResumeState st;
-        st.phase = CheckpointSession::kContracting;
-        st.block_size = context->block_size();
-        st.levels_done = levels.size();
-        st.current_num_nodes = current.num_nodes;
-        st.current_num_edges = current.num_edges;
-        st.contraction_seconds =
-            stats.contraction_seconds + phase_timer.ElapsedSeconds();
-        st.iterations = stats.iterations;
-        RETURN_IF_ERROR(ckpt.Save(st, {level.ein, level.eout, level.cover,
-                                       level.removed, current.edge_path}));
+        RETURN_IF_ERROR(save_checkpoint(
+            CheckpointSession::kContracting,
+            {level.ein, level.eout, level.cover, level.removed,
+             current.edge_path}));
       }
     }
     stats.contraction_seconds += phase_timer.ElapsedSeconds();
@@ -238,18 +254,8 @@ util::Result<ExtSccStats> RunExtScc(io::IoContext* context,
     RETURN_IF_ERROR(BudgetCheck(context, "semi-external base case"));
 
     if (ckpt.enabled()) {
-      CheckpointSession::ResumeState st;
-      st.phase = CheckpointSession::kSemiDone;
-      st.block_size = context->block_size();
-      st.levels_done = levels.size();
-      st.next_scc_id = next_scc_id;
-      st.semi_nodes = stats.semi_nodes;
-      st.current_num_nodes = current.num_nodes;
-      st.current_num_edges = current.num_edges;
-      st.contraction_seconds = stats.contraction_seconds;
-      st.semi_seconds = stats.semi_seconds;
-      st.iterations = stats.iterations;
-      RETURN_IF_ERROR(ckpt.Save(st, {scc_path}));
+      RETURN_IF_ERROR(
+          save_checkpoint(CheckpointSession::kSemiDone, {scc_path}));
     }
   }
 
@@ -277,19 +283,8 @@ util::Result<ExtSccStats> RunExtScc(io::IoContext* context,
     ++expand_done;
     RETURN_IF_ERROR(BudgetCheck(context, "graph expansion"));
     if (ckpt.enabled() && !outermost) {
-      CheckpointSession::ResumeState st;
-      st.phase = CheckpointSession::kExpanding;
-      st.block_size = context->block_size();
-      st.levels_done = levels.size();
-      st.expand_done = expand_done;
-      st.next_scc_id = next_scc_id;
-      st.semi_nodes = stats.semi_nodes;
-      st.current_num_nodes = current.num_nodes;
-      st.current_num_edges = current.num_edges;
-      st.contraction_seconds = stats.contraction_seconds;
-      st.semi_seconds = stats.semi_seconds;
-      st.iterations = stats.iterations;
-      RETURN_IF_ERROR(ckpt.Save(st, {scc_path}));
+      RETURN_IF_ERROR(
+          save_checkpoint(CheckpointSession::kExpanding, {scc_path}));
     }
   }
   stats.expansion_seconds = phase_timer.ElapsedSeconds();

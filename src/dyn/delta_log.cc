@@ -1,6 +1,5 @@
 #include "dyn/delta_log.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -18,84 +17,29 @@ std::uint32_t HeaderCrc(const DeltaLogHeader& header) {
   return io::Crc32(&header, sizeof(header) - sizeof(std::uint32_t));
 }
 
-std::uint32_t RecordCrc(const DeltaRecordHeader& header) {
-  return io::Crc32(&header, sizeof(header) - sizeof(std::uint32_t));
-}
-
-std::uint32_t PayloadCrc(const graph::Edge* edges, std::uint64_t count) {
-  // data() of an empty vector may be null; CRC of zero bytes is the
-  // same for any valid pointer.
-  static const char kNone = 0;
-  return count == 0 ? io::Crc32(&kNone, 0)
-                    : io::Crc32(edges, count * sizeof(graph::Edge));
-}
-
-// Writes `edges` as one record starting at block `first_block`,
-// zero-padding the final block. Every block write is a crash-point
-// site: a kill between any two of them is exactly the torn tail the
-// recovery path must absorb.
-void WriteRecordBlocks(io::BlockFile* file, std::uint64_t first_block,
-                       const std::vector<graph::Edge>& edges) {
-  const std::size_t bs = file->block_size();
-  DeltaRecordHeader header{};
-  header.magic = kDeltaRecordMagic;
-  header.num_edges = edges.size();
-  header.payload_crc = PayloadCrc(edges.data(), edges.size());
-  header.crc = RecordCrc(header);
-
-  const std::uint64_t payload_bytes = edges.size() * sizeof(graph::Edge);
-  const std::uint64_t record_bytes = sizeof(header) + payload_bytes;
-  const auto* src = reinterpret_cast<const unsigned char*>(edges.data());
-  std::vector<unsigned char> block(bs, 0);
-  std::uint64_t written = 0;
-  for (std::uint64_t b = first_block; written < record_bytes; ++b) {
-    std::memset(block.data(), 0, bs);
-    std::size_t fill = 0;
-    if (written == 0) {
-      std::memcpy(block.data(), &header, sizeof(header));
-      fill = sizeof(header);
-    }
-    const std::uint64_t payload_off = written == 0 ? 0
-                                                   : written - sizeof(header);
-    const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(
-        payload_bytes - payload_off, bs - fill));
-    if (take > 0) std::memcpy(block.data() + fill, src + payload_off, take);
-    io::CrashPointHit("dlog.append.block");
-    file->WriteBlock(b, block.data(), bs);
-    written += fill + take;
-  }
-}
-
-std::uint64_t RecordBlocks(std::uint64_t num_edges, std::size_t bs) {
-  const std::uint64_t bytes =
-      sizeof(DeltaRecordHeader) + num_edges * sizeof(graph::Edge);
-  return (bytes + bs - 1) / bs;
-}
-
 }  // namespace
 
 std::string DeltaLogPathFor(const std::string& artifact_path) {
   return artifact_path + ".dlog";
 }
 
-util::Result<DeltaLogScan> ScanDeltaLog(io::IoContext* context,
-                                        const std::string& path,
-                                        std::uint64_t expected_base_version) {
-  DeltaLogScan scan;
+util::Result<DeltaLogState> ReadDeltaLog(io::IoContext* context,
+                                         const std::string& path,
+                                         std::uint64_t expected_base_version) {
+  DeltaLogState state;
   io::BlockFile file(context, path, io::OpenMode::kRead);
   if (!file.status().ok()) {
     if (file.status().sys_errno() == ENOENT) {
-      // No log means nothing pending — consume the open failure the
+      // No sidecar means nothing pending — consume the open failure the
       // BlockFile latched on the context so later phase-boundary polls
       // don't fail an unrelated solve on it.
       context->AbsorbIoError(file.status());
-      return scan;
+      return state;
     }
     return file.status();
   }
-  scan.exists = true;
-  const std::size_t bs = file.block_size();
-  std::vector<unsigned char> block(bs);
+  state.exists = true;
+  std::vector<unsigned char> block(file.block_size());
   const std::size_t got = file.ReadBlock(0, block.data());
   if (!file.status().ok()) return file.status();
   if (got < sizeof(DeltaLogHeader)) {
@@ -108,122 +52,39 @@ util::Result<DeltaLogScan> ScanDeltaLog(io::IoContext* context,
     return util::Status::Corruption("not an extscc delta log (bad magic): " +
                                     path);
   }
-  if (HeaderCrc(header) != header.crc) {
-    return util::Status::Corruption("delta log header checksum mismatch: " +
-                                    path);
-  }
+  // The version is checked before the CRC: an older format's header has
+  // another layout, so its CRC would not verify here, and it must read
+  // as unsupported rather than damaged.
   if (header.format_version != kDeltaLogFormatVersion) {
     return util::Status::InvalidArgument(
         "unsupported delta log format version " +
         std::to_string(header.format_version));
   }
-  if (header.block_size != bs) {
+  if (HeaderCrc(header) != header.crc) {
+    return util::Status::Corruption("delta log header checksum mismatch: " +
+                                    path);
+  }
+  if (header.block_size != file.block_size()) {
     return util::Status::InvalidArgument(
         "delta log block size " + std::to_string(header.block_size) +
-        " does not match context block size " + std::to_string(bs));
-  }
-  scan.valid_blocks = 1;
-  if (header.base_version != expected_base_version) {
-    // Stale: a structural rewrite published after this log was written
-    // (its edges are folded into the live artifact already), and the
-    // crash window left the log behind. Honest empty, not an error.
-    scan.stale = true;
-    return scan;
-  }
-
-  // Record scan: stop at EOF (clean) or the first record that fails
-  // any check (torn tail — the footprint of a killed appender).
-  std::uint64_t b = 1;
-  while (true) {
-    const std::size_t head_got = file.ReadBlock(b, block.data());
-    if (!file.status().ok()) return file.status();
-    if (head_got == 0) break;  // clean EOF
-    if (head_got < sizeof(DeltaRecordHeader)) {
-      scan.torn = true;
-      break;
-    }
-    DeltaRecordHeader record;
-    std::memcpy(&record, block.data(), sizeof(record));
-    if (record.magic != kDeltaRecordMagic || RecordCrc(record) != record.crc) {
-      scan.torn = true;
-      break;
-    }
-    const std::uint64_t payload_bytes =
-        record.num_edges * sizeof(graph::Edge);
-    std::vector<graph::Edge> edges(
-        static_cast<std::size_t>(record.num_edges));
-    auto* dst = reinterpret_cast<unsigned char*>(edges.data());
-    // First chunk rides in the header block.
-    std::uint64_t off = static_cast<std::uint64_t>(std::min<std::uint64_t>(
-        payload_bytes, head_got - sizeof(DeltaRecordHeader)));
-    if (off > 0) {
-      std::memcpy(dst, block.data() + sizeof(DeltaRecordHeader),
-                  static_cast<std::size_t>(off));
-    }
-    bool short_payload = off < payload_bytes && head_got < bs;
-    std::uint64_t pb = b + 1;
-    while (!short_payload && off < payload_bytes) {
-      const std::size_t payload_got = file.ReadBlock(pb, block.data());
-      if (!file.status().ok()) return file.status();
-      if (payload_got == 0) {
-        short_payload = true;
-        break;
-      }
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(payload_bytes - off, payload_got));
-      std::memcpy(dst + off, block.data(), take);
-      off += take;
-      if (off < payload_bytes && payload_got < bs) short_payload = true;
-      ++pb;
-    }
-    if (short_payload ||
-        PayloadCrc(edges.data(), record.num_edges) != record.payload_crc) {
-      scan.torn = true;
-      break;
-    }
-    scan.edges.insert(scan.edges.end(), edges.begin(), edges.end());
-    b += RecordBlocks(record.num_edges, bs);
-    scan.valid_blocks = b;
+        " does not match context block size " +
+        std::to_string(file.block_size()));
   }
   RETURN_IF_ERROR(file.Close());
-  return scan;
-}
-
-util::Result<std::vector<graph::Edge>> ReadDeltaLog(
-    io::IoContext* context, const std::string& path,
-    std::uint64_t expected_base_version) {
-  auto scan = ScanDeltaLog(context, path, expected_base_version);
-  RETURN_IF_ERROR(scan.status());
-  if (scan.value().torn) {
-    return util::Status::Corruption("delta log " + path +
-                                    ": torn tail after " +
-                                    std::to_string(scan.value().edges.size()) +
-                                    " intact edges (RecoverDeltaLog repairs)");
+  if (header.base_version != expected_base_version) {
+    // Stale: a structural rewrite published after this count was
+    // written (it is folded into the live artifact already), and the
+    // crash window left the sidecar behind. Nothing pending.
+    state.stale = true;
+    return state;
   }
-  return std::move(scan.value().edges);
-}
-
-util::Result<std::vector<graph::Edge>> RecoverDeltaLog(
-    io::IoContext* context, const std::string& path,
-    std::uint64_t expected_base_version, bool* recovered_torn_tail) {
-  if (recovered_torn_tail != nullptr) *recovered_torn_tail = false;
-  auto scan = ScanDeltaLog(context, path, expected_base_version);
-  RETURN_IF_ERROR(scan.status());
-  if (scan.value().torn && !scan.value().stale) {
-    // Truncate to the last CRC-valid record by rewriting the valid
-    // prefix through the durable-publish protocol (the log is small —
-    // bounded by the structural-rewrite threshold — so a rewrite is
-    // cheaper than teaching the block layer to truncate).
-    RETURN_IF_ERROR(WriteDeltaLog(context, path, expected_base_version,
-                                  scan.value().edges));
-    if (recovered_torn_tail != nullptr) *recovered_torn_tail = true;
-  }
-  return std::move(scan.value().edges);
+  state.pending_edges = header.pending_edges;
+  return state;
 }
 
 util::Status WriteDeltaLog(io::IoContext* context, const std::string& path,
                            std::uint64_t base_version,
-                           const std::vector<graph::Edge>& edges) {
+                           std::uint64_t pending_edges) {
   const std::string tmp = path + ".tmp";
   {
     io::BlockFile file(context, tmp, io::OpenMode::kTruncateWrite);
@@ -235,12 +96,12 @@ util::Status WriteDeltaLog(io::IoContext* context, const std::string& path,
     header.format_version = kDeltaLogFormatVersion;
     header.block_size = static_cast<std::uint32_t>(bs);
     header.base_version = base_version;
+    header.pending_edges = pending_edges;
     header.crc = HeaderCrc(header);
 
     std::vector<unsigned char> block(bs, 0);
     std::memcpy(block.data(), &header, sizeof(header));
     file.WriteBlock(0, block.data(), bs);
-    if (!edges.empty()) WriteRecordBlocks(&file, 1, edges);
     io::CrashPointHit("dlog.rewrite.sync");
     RETURN_IF_ERROR(file.Sync());
     RETURN_IF_ERROR(file.Close());
@@ -248,40 +109,10 @@ util::Status WriteDeltaLog(io::IoContext* context, const std::string& path,
   return io::DurableRename(context, tmp, path);
 }
 
-util::Status AppendDeltaLog(io::IoContext* context, const std::string& path,
-                            std::uint64_t base_version,
-                            const std::vector<graph::Edge>& batch) {
-  auto scan = ScanDeltaLog(context, path, base_version);
-  RETURN_IF_ERROR(scan.status());
-  if (!scan.value().exists || scan.value().stale) {
-    // Fresh log (any stale one is replaced wholesale — its edges are
-    // already folded into the live artifact).
-    return WriteDeltaLog(context, path, base_version, batch);
-  }
-  if (scan.value().torn) {
-    // Fold the surviving prefix and the new batch into one rewrite:
-    // repairing in place and then appending would publish the repair
-    // twice for no benefit.
-    std::vector<graph::Edge> all = std::move(scan.value().edges);
-    all.insert(all.end(), batch.begin(), batch.end());
-    return WriteDeltaLog(context, path, base_version, all);
-  }
-  if (batch.empty()) return util::Status::Ok();
-  // Clean log: append one record at the valid end. A crash between
-  // here and the Sync leaves a torn tail that the next scan truncates —
-  // the log never loses previously-synced records.
-  io::BlockFile file(context, path, io::OpenMode::kReadWrite);
-  RETURN_IF_ERROR(file.status());
-  WriteRecordBlocks(&file, scan.value().valid_blocks, batch);
-  io::CrashPointHit("dlog.append.sync");
-  RETURN_IF_ERROR(file.Sync());
-  return file.Close();
-}
-
 void RemoveDeltaLog(io::IoContext* context, const std::string& path) {
   // Delete ignores missing files on every device; a failing delete of a
-  // now-stale log is survivable (readers ignore it by base_version), so
-  // the publish path must not fail on it.
+  // now-stale sidecar is survivable (readers ignore it by base_version),
+  // so the publish path must not fail on it.
   (void)context->ResolveDevice(path)->Delete(path);
 }
 

@@ -1,47 +1,38 @@
-// The delta edge log: the cheap half of incremental SCC maintenance.
-// A batch of inserted edges that provably cannot change the SCC
-// partition (every edge is intra-SCC or duplicates an existing
+// The pending-edge counter: the cheap half of incremental SCC
+// maintenance. A batch of inserted edges that provably cannot change
+// the SCC partition (every edge is intra-SCC or duplicates an existing
 // condensation edge) does not need an artifact rewrite — the updater
-// appends it to a sidecar log beside the artifact and returns. The log
-// exists only so the summary's edge count stays reconstructible:
-// artifact.graph_edges + log edges == edges of the union graph. The
-// next STRUCTURAL batch folds the log into its rewrite and deletes it.
+// adds the batch's size to a sidecar counter beside the artifact and
+// returns. The counter exists only so the summary's edge count stays
+// reconstructible: artifact.graph_edges + pending_edges == edges of the
+// union graph. Nothing reads the endpoints of those edges, so the
+// sidecar stores their number, not the edges. The next STRUCTURAL batch
+// folds the count into its rewrite and deletes the sidecar.
 //
-// Format v2 is append-structured so a cheap update costs one record
-// append (plus an fsync), not a whole-log rewrite, and so a killed
-// appender damages at most the tail (single file, whole blocks at the
-// context block size, written through BlockFile so device routing /
-// fault injection compose):
+// Format v3 is one block at the context block size, written through
+// BlockFile (so device routing and fault injection compose and the
+// write is a model I/O) and zero-padded past the header:
 //
-//   block 0       DeltaLogHeader (magic, version, block size,
-//                 base_version, CRC) — immutable after creation
-//   then records, each starting on a block boundary:
-//                 DeltaRecordHeader (magic, edge count, payload CRC,
-//                 header CRC) + packed graph::Edge payload, zero-padded
-//                 to the block boundary
+//   DeltaLogHeader (magic, version, block size, base_version,
+//                   pending_edges, CRC)
 //
-// A reader scans records until EOF or the first record that fails its
-// CRC/size checks; everything from that record on is a TORN TAIL — the
-// footprint of an appender that died mid-write — and recovery truncates
-// to the last CRC-valid record (RecoverDeltaLog) instead of failing
-// the whole update. Torn tails are the ONLY self-healing damage class:
-// a bad header block is real corruption and always surfaces.
+// Every write replaces the whole block through the durable publish
+// protocol the artifact uses: write "<path>.tmp", fsync, rename, fsync
+// the parent directory. A kill at any instant leaves the old count or
+// the new one, so there is no torn state to recover, and any damage (a
+// short header, a bad magic or CRC) is kCorruption.
 //
-// The header names the artifact data version the log extends
-// (`base_version`). A log whose base_version does not match the live
-// artifact is STALE — a rewrite published and the log's edges are
-// already folded in (the crash window between rename and log delete) —
-// and reads as empty. Creation and rewrite use the same durable
-// publish protocol as the artifact: write "<path>.tmp", fsync, rename,
-// fsync the parent directory.
+// The header names the artifact data version the count extends
+// (`base_version`). A sidecar whose base_version does not match the
+// live artifact is STALE — a rewrite published and already folded the
+// count in, and the crash window between rename and delete left the
+// sidecar behind — and reads as nothing pending.
 #ifndef EXTSCC_DYN_DELTA_LOG_H_
 #define EXTSCC_DYN_DELTA_LOG_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "graph/graph_types.h"
 #include "io/io_context.h"
 #include "util/status.h"
 
@@ -49,88 +40,46 @@ namespace extscc::dyn {
 
 inline constexpr char kDeltaLogMagic[8] = {'E', 'X', 'S', 'C',
                                            'C', 'D', 'L', 'G'};
-inline constexpr std::uint32_t kDeltaLogFormatVersion = 2;
-inline constexpr std::uint32_t kDeltaRecordMagic = 0x52434C44;  // "DLCR"
+inline constexpr std::uint32_t kDeltaLogFormatVersion = 3;
 
 struct DeltaLogHeader {
   char magic[8];  // kDeltaLogMagic
   std::uint32_t format_version;
   std::uint32_t block_size;
-  std::uint64_t base_version;  // artifact data version this log extends
+  std::uint64_t base_version;   // artifact data version the count extends
+  std::uint64_t pending_edges;  // raw edges not yet in the artifact
   std::uint32_t reserved;
-  std::uint32_t crc;  // Crc32 over the preceding 28 bytes
+  std::uint32_t crc;  // Crc32 over the preceding 36 bytes
 };
-static_assert(sizeof(DeltaLogHeader) == 32);
-
-// One appended batch. The payload (num_edges packed graph::Edge)
-// follows the header within the same block and spills into further
-// whole blocks as needed; the next record starts at the next block
-// boundary.
-struct DeltaRecordHeader {
-  std::uint32_t magic;  // kDeltaRecordMagic
-  std::uint32_t reserved;
-  std::uint64_t num_edges;
-  std::uint32_t payload_crc;  // Crc32 over the packed edge payload
-  std::uint32_t crc;          // Crc32 over the preceding 20 bytes
-};
-static_assert(sizeof(DeltaRecordHeader) == 24);
+static_assert(sizeof(DeltaLogHeader) == 40);
 
 // The sidecar path: "<artifact>.dlog".
 std::string DeltaLogPathFor(const std::string& artifact_path);
 
-// A non-destructive structural scan of the log.
-struct DeltaLogScan {
-  bool exists = false;  // false: no log file (edges empty, nothing torn)
-  bool stale = false;   // base_version mismatch (edges empty)
-  bool torn = false;    // an invalid/incomplete tail follows the prefix
-  // Whole blocks of the valid prefix (header block + intact records);
-  // a recovery rewrite keeps exactly this much.
-  std::uint64_t valid_blocks = 0;
-  std::vector<graph::Edge> edges;  // every intact record, in append order
+struct DeltaLogState {
+  bool exists = false;  // false: no sidecar (nothing pending)
+  bool stale = false;   // base_version mismatch (nothing pending)
+  std::uint64_t pending_edges = 0;
 };
 
-// Scans the log at `path`. Torn tails are REPORTED, not errors; a
-// missing file reports exists=false. Errors: bad header magic/CRC is
-// kCorruption (the log's identity is gone — no safe recovery), an
-// unsupported format or block size is kInvalidArgument, and device
-// failures propagate.
-util::Result<DeltaLogScan> ScanDeltaLog(io::IoContext* context,
-                                        const std::string& path,
-                                        std::uint64_t expected_base_version);
+// Reads the sidecar at `path`. A missing file reports exists=false and
+// a stale one stale=true, both with 0 pending edges. Errors: a short
+// header, a bad magic or a bad CRC is kCorruption; an unsupported
+// format version or block size is kInvalidArgument; device failures
+// propagate.
+util::Result<DeltaLogState> ReadDeltaLog(io::IoContext* context,
+                                         const std::string& path,
+                                         std::uint64_t expected_base_version);
 
-// Strict read: like ScanDeltaLog but a torn tail is kCorruption. A
-// missing file and a stale log both yield an empty vector.
-util::Result<std::vector<graph::Edge>> ReadDeltaLog(
-    io::IoContext* context, const std::string& path,
-    std::uint64_t expected_base_version);
-
-// Self-healing read for the update path: scans, and when a torn tail
-// is found rewrites the log to its valid prefix (durable publish)
-// before returning the surviving edges. *recovered_torn_tail (when
-// non-null) reports whether a repair happened.
-util::Result<std::vector<graph::Edge>> RecoverDeltaLog(
-    io::IoContext* context, const std::string& path,
-    std::uint64_t expected_base_version,
-    bool* recovered_torn_tail = nullptr);
-
-// Atomically and durably replaces the log at `path` with one holding
-// `edges` (as a single record) for artifact version `base_version`:
-// write "<path>.tmp", fsync, rename, fsync parent.
+// Atomically and durably replaces the sidecar at `path` with one
+// recording `pending_edges` for artifact version `base_version`: write
+// "<path>.tmp", fsync, rename, fsync the parent directory.
 util::Status WriteDeltaLog(io::IoContext* context, const std::string& path,
                            std::uint64_t base_version,
-                           const std::vector<graph::Edge>& edges);
+                           std::uint64_t pending_edges);
 
-// Appends `batch` as one durable record. Clean existing log with a
-// matching base_version: in-place append + fsync (a crash mid-append
-// leaves a torn tail the next reader truncates). Missing or stale log:
-// fresh durable WriteDeltaLog. Torn log: recovery rewrite folding the
-// valid prefix and the new batch together. Bad header: kCorruption.
-util::Status AppendDeltaLog(io::IoContext* context, const std::string& path,
-                            std::uint64_t base_version,
-                            const std::vector<graph::Edge>& batch);
-
-// Best-effort removal of the log (after a structural rewrite folded it
-// in). A missing log is not an error.
+// Best-effort removal of the sidecar (after a structural rewrite folded
+// it in). A missing sidecar is not an error.
 void RemoveDeltaLog(io::IoContext* context, const std::string& path);
 
 }  // namespace extscc::dyn

@@ -54,12 +54,10 @@ util::Result<DynamicSccIndex> DynamicSccIndex::Open(
           "artifact condensation labels are not dense");
     }
   }
-  // Self-healing read: a log tail torn by a killed appender is
-  // truncated to the last CRC-valid record here, not failed on.
-  auto pending = RecoverDeltaLog(context, DeltaLogPathFor(artifact_path),
-                                 index.reader_->data_version());
+  auto pending = ReadDeltaLog(context, DeltaLogPathFor(artifact_path),
+                              index.reader_->data_version());
   RETURN_IF_ERROR(pending.status());
-  index.delta_edges_ = std::move(pending).value();
+  index.pending_edges_ = pending.value().pending_edges;
   return index;
 }
 
@@ -140,12 +138,14 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
 
   // 4. The cheap path: nothing structural — every edge is intra-SCC or
   // duplicates a condensation edge, so the partition, the DAG, and
-  // every label are already correct. Append to the delta log (keeping
-  // the union edge count reconstructible) and stop.
+  // every label are already correct. Durably replace the pending-edge
+  // count (keeping the union edge count reconstructible) and stop; the
+  // in-memory count moves only once the new one is published.
   if (new_nodes.empty() && new_inter.empty()) {
-    RETURN_IF_ERROR(AppendDeltaLog(context_, DeltaLogPathFor(path_),
-                                   reader_->data_version(), batch));
-    delta_edges_.insert(delta_edges_.end(), batch.begin(), batch.end());
+    const std::uint64_t pending = pending_edges_ + batch.size();
+    RETURN_IF_ERROR(WriteDeltaLog(context_, DeltaLogPathFor(path_),
+                                  reader_->data_version(), pending));
+    pending_edges_ = pending;
     stats.batch_ios = (context_->stats() - before).total_ios();
     return stats;
   }
@@ -242,11 +242,11 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
     std::sort(dag_edges.begin(), dag_edges.end(), graph::EdgeBySrc{});
     dag_edges.erase(std::unique(dag_edges.begin(), dag_edges.end()),
                     dag_edges.end());
-    // Raw (pre-dedup) union edge count: the folded delta log plus this
-    // batch, matching DiskGraph::num_edges of the union edge file.
+    // Raw (pre-dedup) union edge count: the folded pending edges plus
+    // this batch, matching DiskGraph::num_edges of the union edge file.
     serve::WriteDerivedSections(
         &writer, dag_edges, sizes,
-        old_summary.graph_edges + delta_edges_.size() + batch.size(),
+        old_summary.graph_edges + pending_edges_ + batch.size(),
         old_summary.num_label_rounds, old_summary.label_seed);
     return writer.Finish();
   }();
@@ -262,11 +262,11 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
   auto published = serve::ArtifactReader::Publish(context_, tmp_path, path_);
   RETURN_IF_ERROR(published.status());
 
-  // 8. Published. The delta log's edges are folded into the new
-  // version; drop it (stale-by-version even if the delete fails).
+  // 8. Published. The pending edges are folded into the new version;
+  // drop the sidecar (stale-by-version even if the delete fails).
   RemoveDeltaLog(context_, DeltaLogPathFor(path_));
   reader_.emplace(std::move(published).value());
-  delta_edges_.clear();
+  pending_edges_ = 0;
 
   stats.rewrote_artifact = true;
   stats.published_version = new_version;

@@ -1,9 +1,9 @@
 // Incremental SCC maintenance under edge-insert batches (the dynamic
 // subsystem — docs/dynamic.md). The persisted state is exactly the
 // PR 7 serve artifact (node→SCC map on disk; condensation DAG,
-// interval labels, sizes, summary resident) plus the sidecar delta
-// edge log (delta_log.h). Inserts can only MERGE SCCs — the merge-only
-// direction of dynamic SCC — so a batch is maintained as:
+// interval labels, sizes, summary resident) plus the sidecar
+// pending-edge count (delta_log.h). Inserts can only MERGE SCCs — the
+// merge-only direction of dynamic SCC — so a batch is maintained as:
 //
 //   1. translate endpoints to SCC ids with one same-SCC query per edge
 //      through serve::QueryEngine::RunBatch: one sorted probe pass +
@@ -12,8 +12,9 @@
 //   2. classify each edge: intra-SCC or duplicating an existing
 //      condensation edge → no structural change; otherwise it is a new
 //      condensation edge (a "backward" one closes a cycle);
-//   3. a batch with no new nodes and no new condensation edges appends
-//      to the delta log and returns — no artifact rewrite;
+//   3. a batch with no new nodes and no new condensation edges adds its
+//      size to the sidecar's pending-edge count (one durably replaced
+//      block) and returns — no artifact rewrite;
 //   4. otherwise run the localized merge pass IN MEMORY on the
 //      condensation DAG (resident by construction: the artifact loads
 //      it on open): Tarjan over old-DAG ∪ new edges finds the merged
@@ -37,11 +38,11 @@
 //
 // Cost per batch (b edges, map of m blocks, r blocks of resident
 // sections): the translate sweep is <= m sequential block reads; a
-// delta-log-only batch adds O(b/B) writes; a structural rewrite adds
-// the merge-scan (m reads), the new artifact (m + r writes) and its
-// validation (m + r reads) — still far below a full re-solve, which
-// pays the multi-pass contraction/expansion hierarchy on the EDGE file
-// (edges >> nodes on web-like graphs).
+// non-structural batch adds one block write, however many edges are
+// pending; a structural rewrite adds the merge-scan (m reads), the new
+// artifact (m + r writes) and its validation (m + r reads) — still far
+// below a full re-solve, which pays the multi-pass contraction/expansion
+// hierarchy on the EDGE file (edges >> nodes on web-like graphs).
 #ifndef EXTSCC_DYN_DYNAMIC_INDEX_H_
 #define EXTSCC_DYN_DYNAMIC_INDEX_H_
 
@@ -73,9 +74,9 @@ struct UpdateBatchStats {
 
 class DynamicSccIndex {
  public:
-  // Opens the artifact at `artifact_path` plus its delta log (missing
-  // or stale log = nothing pending). The artifact must live on a
-  // device supporting Rename (every device model does).
+  // Opens the artifact at `artifact_path` plus its pending-edge count
+  // (a missing or stale sidecar = nothing pending). The artifact must
+  // live on a device supporting Rename (every device model does).
   static util::Result<DynamicSccIndex> Open(io::IoContext* context,
                                             const std::string& artifact_path);
 
@@ -83,10 +84,11 @@ class DynamicSccIndex {
   DynamicSccIndex& operator=(DynamicSccIndex&&) = default;
 
   // Applies one insert batch (duplicate edges and self-loops welcome).
-  // On success the on-disk state reflects the batch: either the delta
-  // log grew (no structural change) or a bumped artifact version was
-  // published atomically. On error the previously published version is
-  // still live and intact — the failed attempt's temp file is removed.
+  // On success the on-disk state reflects the batch: either the
+  // pending-edge count grew (no structural change) or a bumped artifact
+  // version was published atomically. On error the previously published
+  // version and count are still live and intact — the failed attempt's
+  // temp file is removed.
   util::Result<UpdateBatchStats> ApplyBatch(
       const std::vector<graph::Edge>& batch);
 
@@ -94,10 +96,10 @@ class DynamicSccIndex {
   // published rewrite).
   const serve::ArtifactReader& reader() const { return *reader_; }
   std::uint64_t data_version() const { return reader_->data_version(); }
-  // Edges applied but not yet folded into the artifact (delta log).
-  // Invariant: reader().summary().graph_edges + pending_delta_edges()
-  // == edges of the union graph.
-  std::uint64_t pending_delta_edges() const { return delta_edges_.size(); }
+  // Edges applied but not yet folded into the artifact (the sidecar
+  // count). Invariant: reader().summary().graph_edges +
+  // pending_delta_edges() == edges of the union graph.
+  std::uint64_t pending_delta_edges() const { return pending_edges_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -106,7 +108,7 @@ class DynamicSccIndex {
   io::IoContext* context_ = nullptr;
   std::string path_;
   std::optional<serve::ArtifactReader> reader_;
-  std::vector<graph::Edge> delta_edges_;
+  std::uint64_t pending_edges_ = 0;
 };
 
 }  // namespace extscc::dyn

@@ -9,6 +9,8 @@
 //            nothing or a fully valid artifact; a re-run converges
 //   update   crash anywhere -> fsck repairs the leftovers and a re-run
 //            of the same batch answers queries identically
+//   append   crash an update whose batch changes no SCC -> fsck reports
+//            exactly the old or the new pending-edge count
 //
 // The final test enforces the acceptance floor: at least 50 injected
 // crash runs across the suite (topped up from a SplitMix64 stream so
@@ -96,6 +98,15 @@ class CrashHarness : public ::testing::Test {
       upd << (i * 37) % kNodes << " " << (i * 53 + 11) % kNodes << "\n";
     }
     upd.close();
+
+    // An append batch: edges the artifact already holds, so applying it
+    // changes no SCC and only replaces the pending-edge count.
+    std::ifstream graph(Path("g.txt"));
+    std::ofstream app(Path("app.txt"));
+    std::string line;
+    for (int i = 0; i < kAppendEdges && std::getline(graph, line); ++i) {
+      app << line << "\n";
+    }
   }
 
   static void TearDownTestSuite() {
@@ -153,10 +164,25 @@ class CrashHarness : public ::testing::Test {
                     << " (see " << Path("harness.log") << ")";
   }
 
+  // The pending-edge count fsck reports for `art`: 0 without a delta
+  // log, -1 when its report names no count.
+  static long long PendingEdges(const std::string& art) {
+    const std::string report = Path("pending_fsck.txt");
+    if (ToolCapture("fsck --dry-run " + art, report) != 0) return -1;
+    const std::string text = Slurp(report);
+    if (text.find("no delta log (nothing pending)") != std::string::npos) {
+      return 0;
+    }
+    const std::size_t at = text.find(".dlog: OK (");
+    if (at == std::string::npos) return -1;
+    return std::atoll(text.c_str() + at + 11);
+  }
+
   // Two 64 KiB blocks — the tool's floor — and small enough that kNodes
   // nodes exceed the semi contract, forcing contraction levels.
   static constexpr std::uint64_t kMemory = 131072;
   static constexpr int kNodes = 30000;
+  static constexpr int kAppendEdges = 500;
   static testing::ScopedTempPath* dir_;
 };
 
@@ -303,7 +329,7 @@ TEST_F(CrashHarness, UpdateCrashSweepRecoversWithFsck) {
     if (rc == 0) break;
     ASSERT_EQ(rc, io::kCrashExitCode) << "crash-at=" << k;
     ++g_crash_runs;
-    // fsck removes orphaned publishes / truncates torn delta tails.
+    // fsck removes orphaned publishes and stale delta logs.
     const int fsck = Tool("fsck " + art);
     ASSERT_TRUE(fsck == 0 || fsck == 10)
         << "fsck exit " << fsck << " after update crash-at=" << k;
@@ -320,6 +346,57 @@ TEST_F(CrashHarness, UpdateCrashSweepRecoversWithFsck) {
   }
   ASSERT_LE(k, kMaxSweep) << "update never ran past its crash points";
   EXPECT_GE(k, 3) << "update exposed suspiciously few durability points";
+}
+
+TEST_F(CrashHarness, AppendCrashSweepKeepsOldOrNewCount) {
+  const std::string pristine = Path("app_pristine.art");
+  ASSERT_EQ(Tool("build-index " + Path("g.txt") + " " + pristine), 0);
+  const std::string ref_ans = Path("app_ref_answers.txt");
+  ASSERT_EQ(ToolCapture("query " + pristine + " " + Path("probes.txt"),
+                        ref_ans),
+            0);
+
+  // Kill the append at every crash point, once onto an artifact with no
+  // delta log and once onto one with a batch already pending.
+  const std::string art = Path("app_crash.art");
+  const std::string append = "update --index=" + art + " --edges=" +
+                             Path("app.txt");
+  for (const int preloaded : {0, 1}) {
+    SCOPED_TRACE("batches pending before the crash: " +
+                 std::to_string(preloaded));
+    const long long before = static_cast<long long>(preloaded) * kAppendEdges;
+    int k = 1;
+    for (; k <= kMaxSweep; ++k) {
+      fs::copy_file(pristine, art, fs::copy_options::overwrite_existing);
+      fs::remove(art + ".dlog");
+      fs::remove(art + ".dlog.tmp");
+      for (int i = 0; i < preloaded; ++i) ASSERT_EQ(Tool(append), 0);
+      const int rc = Tool("--crash-at=" + std::to_string(k) + " " + append);
+      if (rc == 0) break;
+      ASSERT_EQ(rc, io::kCrashExitCode) << "crash-at=" << k;
+      ++g_crash_runs;
+      const int fsck = Tool("fsck " + art);
+      ASSERT_TRUE(fsck == 0 || fsck == 10)
+          << "fsck exit " << fsck << " after append crash-at=" << k;
+      ASSERT_EQ(Tool("fsck " + art), 0)
+          << "fsck did not converge after append crash-at=" << k;
+      // The count is the old one or the new one, never anything else.
+      const long long pending = PendingEdges(art);
+      EXPECT_TRUE(pending == before || pending == before + kAppendEdges)
+          << "append crash-at=" << k << " left " << pending
+          << " pending edges";
+      // An append changes no SCC: the answers never move.
+      const std::string ans = Path("app_crash_answers.txt");
+      ASSERT_EQ(ToolCapture("query " + art + " " + Path("probes.txt"), ans),
+                0);
+      ExpectSameBytes(ans, ref_ans, "append crash");
+      ASSERT_EQ(Tool(append), 0) << "re-append after crash-at=" << k;
+      EXPECT_EQ(PendingEdges(art), pending + kAppendEdges)
+          << "re-append after crash-at=" << k;
+    }
+    ASSERT_LE(k, kMaxSweep) << "the append never ran past its crash points";
+    EXPECT_GE(k, 2) << "the append exposed no crash point";
+  }
 }
 
 TEST_F(CrashHarness, CrashMatrixFaultyDeviceTwoScratchDirs) {

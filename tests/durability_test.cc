@@ -1,6 +1,6 @@
-// Crash-safety unit tests: the delta log's torn-tail recovery swept at
-// EVERY byte offset of the last record, the checkpoint manifest's
-// round-trip/validation contract, the durable-rename publish
+// Crash-safety unit tests: the delta-log sidecar read at EVERY
+// truncation and after bit flips in its header, the checkpoint
+// manifest's round-trip/validation contract, the durable-rename publish
 // primitive, crash-spec parsing, orphan scratch-root reaping, and the
 // promise that durability costs live only in the sync/checkpoint
 // counters. The process-kill side of crash safety (spawning
@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "core/ext_scc.h"
 #include "dyn/delta_log.h"
 #include "graph/graph_types.h"
+#include "io/checksum.h"
 #include "io/crash_point.h"
 #include "io/durability.h"
 #include "io/io_context.h"
@@ -33,7 +35,6 @@ namespace extscc {
 namespace {
 
 namespace fs = std::filesystem;
-using graph::Edge;
 
 // Delta-log and checkpoint files live beside artifacts on the REAL
 // filesystem (the posix base device), never on scratch — so these
@@ -60,15 +61,6 @@ class FreshDir {
   testing::ScopedTempPath scoped_;
 };
 
-std::vector<Edge> SomeEdges(std::uint32_t n, std::uint32_t salt) {
-  std::vector<Edge> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    out.push_back(Edge{salt + i, salt + i * 7 + 1});
-  }
-  return out;
-}
-
 std::vector<char> Slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   return std::vector<char>((std::istreambuf_iterator<char>(in)),
@@ -80,139 +72,107 @@ void Spit(const fs::path& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// ---- torn-tail recovery ---------------------------------------------
+// ---- the pending-edge sidecar ----------------------------------------
 
-// The satellite regression test: truncate the log at EVERY byte offset
-// inside the last record and require (a) the scan to report exactly
-// the intact prefix, (b) recovery to rewrite the log into a clean one
-// that strict reads and further appends accept.
-TEST(DurabilityTest, TornTailTruncationSweepEveryByteOffset) {
+// Truncate the sidecar at EVERY byte offset: a cut inside the 40-byte
+// header is kCorruption and never a count, and a cut that only sheds
+// zero padding reads the same count. The only writer replaces the whole
+// block, so a write over any damaged copy publishes a clean one.
+TEST(DurabilityTest, TruncationSweepEveryByteOffset) {
   constexpr std::size_t kBlock = 512;
+  constexpr std::uint64_t kPending = 0x1234567890ull;
   auto context = MakeContext(kBlock);
-  const FreshDir dir("durability_torn_sweep");
+  const FreshDir dir("durability_truncation_sweep");
   const std::string log = (dir / "art.dlog").string();
-
-  const auto first = SomeEdges(30, 1000);    // 264 bytes -> 1 block
-  const auto second = SomeEdges(100, 5000);  // 824 bytes -> 2 blocks
-  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 7, first).ok());
-  ASSERT_TRUE(dyn::AppendDeltaLog(context.get(), log, 7, second).ok());
-
+  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 7, kPending).ok());
   const std::vector<char> pristine = Slurp(log);
-  // header block + 1 record block + 2 record blocks
-  ASSERT_EQ(pristine.size(), 4 * kBlock);
-  const std::size_t last_record_start = 2 * kBlock;
-  // The record's REAL bytes end here; the rest of its last block is
-  // zero padding. A cut that only sheds padding loses nothing — the
-  // record still parses, so the log is clean, not torn.
-  const std::size_t data_end =
-      last_record_start + sizeof(dyn::DeltaRecordHeader) +
-      second.size() * sizeof(Edge);
-  ASSERT_LT(data_end, pristine.size());
+  ASSERT_EQ(pristine.size(), kBlock);
 
-  std::vector<Edge> both = first;
-  both.insert(both.end(), second.begin(), second.end());
-
-  for (std::size_t cut = last_record_start; cut < pristine.size(); ++cut) {
+  for (std::size_t cut = 0; cut <= pristine.size(); ++cut) {
     Spit(log, pristine);
     fs::resize_file(log, cut);
-
-    const bool record_survives = cut >= data_end;
-    // Exactly at the record boundary the file simply ends after the
-    // first record — clean EOF, not a torn tail.
-    const bool expect_torn = !record_survives && cut != last_record_start;
-    const std::vector<Edge>& expect = record_survives ? both : first;
-
-    auto scan = dyn::ScanDeltaLog(context.get(), log, 7);
-    ASSERT_TRUE(scan.ok()) << "cut=" << cut << ": "
-                           << scan.status().ToString();
-    EXPECT_TRUE(scan.value().exists) << "cut=" << cut;
-    EXPECT_FALSE(scan.value().stale) << "cut=" << cut;
-    EXPECT_EQ(scan.value().torn, expect_torn) << "cut=" << cut;
-    ASSERT_EQ(scan.value().edges.size(), expect.size()) << "cut=" << cut;
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      ASSERT_EQ(scan.value().edges[i], expect[i]) << "cut=" << cut;
-    }
-
-    // A full recovery rewrite at every offset would fsync thousands of
-    // times; sample it (plus both boundary cuts) — the scan above is
-    // the per-offset invariant.
-    if (cut % 97 != 0 && cut != last_record_start &&
-        cut != pristine.size() - 1) {
+    auto read = dyn::ReadDeltaLog(context.get(), log, 7);
+    if (cut < sizeof(dyn::DeltaLogHeader)) {
+      ASSERT_FALSE(read.ok()) << "cut=" << cut;
+      EXPECT_EQ(read.status().code(), util::StatusCode::kCorruption)
+          << "cut=" << cut;
       continue;
     }
-    bool recovered = false;
-    auto healed = dyn::RecoverDeltaLog(context.get(), log, 7, &recovered);
-    ASSERT_TRUE(healed.ok()) << "cut=" << cut << ": "
-                             << healed.status().ToString();
-    EXPECT_EQ(recovered, expect_torn) << "cut=" << cut;
-    EXPECT_EQ(healed.value().size(), expect.size()) << "cut=" << cut;
-    // After recovery the strict reader must accept the log...
-    auto strict = dyn::ReadDeltaLog(context.get(), log, 7);
-    ASSERT_TRUE(strict.ok()) << "cut=" << cut << ": "
-                             << strict.status().ToString();
-    // ...and an append must extend the healed prefix.
-    ASSERT_TRUE(dyn::AppendDeltaLog(context.get(), log, 7, second).ok())
-        << "cut=" << cut;
-    auto after = dyn::ReadDeltaLog(context.get(), log, 7);
-    ASSERT_TRUE(after.ok()) << "cut=" << cut;
-    EXPECT_EQ(after.value().size(), expect.size() + second.size())
-        << "cut=" << cut;
+    ASSERT_TRUE(read.ok()) << "cut=" << cut << ": "
+                           << read.status().ToString();
+    EXPECT_TRUE(read.value().exists) << "cut=" << cut;
+    EXPECT_FALSE(read.value().stale) << "cut=" << cut;
+    EXPECT_EQ(read.value().pending_edges, kPending) << "cut=" << cut;
   }
-}
 
-TEST(DurabilityTest, TornTailStrictReadIsCorruption) {
-  constexpr std::size_t kBlock = 512;
-  auto context = MakeContext(kBlock);
-  const FreshDir dir("durability_torn_strict");
-  const std::string log = (dir / "art.dlog").string();
-  ASSERT_TRUE(
-      dyn::WriteDeltaLog(context.get(), log, 3, SomeEdges(200, 1)).ok());
-  // Cut into the payload proper (past the padding) so the record is
-  // genuinely damaged.
-  fs::resize_file(log, fs::file_size(log) - kBlock - 5);
-  auto strict = dyn::ReadDeltaLog(context.get(), log, 3);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), util::StatusCode::kCorruption);
-}
-
-TEST(DurabilityTest, AppendOntoTornLogFoldsValidPrefix) {
-  constexpr std::size_t kBlock = 512;
-  auto context = MakeContext(kBlock);
-  const FreshDir dir("durability_torn_append");
-  const std::string log = (dir / "art.dlog").string();
-  const auto first = SomeEdges(20, 10);
-  const auto lost = SomeEdges(90, 20);
-  const auto batch = SomeEdges(40, 30);
-  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 9, first).ok());
-  ASSERT_TRUE(dyn::AppendDeltaLog(context.get(), log, 9, lost).ok());
-  fs::resize_file(log, fs::file_size(log) - kBlock - 17);  // tear `lost`
-  ASSERT_TRUE(dyn::AppendDeltaLog(context.get(), log, 9, batch).ok());
-  auto edges = dyn::ReadDeltaLog(context.get(), log, 9);
-  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
-  ASSERT_EQ(edges.value().size(), first.size() + batch.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(edges.value()[i], first[i]);
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(edges.value()[first.size() + i], batch[i]);
-  }
+  fs::resize_file(log, sizeof(dyn::DeltaLogHeader) / 2);
+  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 7, kPending + 1).ok());
+  auto rewritten = dyn::ReadDeltaLog(context.get(), log, 7);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_EQ(rewritten.value().pending_edges, kPending + 1);
+  EXPECT_EQ(fs::file_size(log), kBlock);
+  EXPECT_FALSE(fs::exists(log + ".tmp"));
 }
 
 TEST(DurabilityTest, DamagedHeaderIsCorruptionNotSelfHealing) {
   auto context = MakeContext(512);
   const FreshDir dir("durability_bad_header");
   const std::string log = (dir / "art.dlog").string();
-  ASSERT_TRUE(
-      dyn::WriteDeltaLog(context.get(), log, 1, SomeEdges(5, 0)).ok());
-  auto bytes = Slurp(log);
-  bytes[3] ^= 0x40;  // inside the magic
+  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 1, 5).ok());
+  const std::vector<char> pristine = Slurp(log);
+  // One flipped bit in the magic, the block size, the base version, the
+  // count, the reserved word and the CRC itself.
+  for (const std::size_t at : {3, 13, 18, 26, 33, 38}) {
+    std::vector<char> bytes = pristine;
+    bytes[at] ^= 0x40;
+    Spit(log, bytes);
+    auto read = dyn::ReadDeltaLog(context.get(), log, 1);
+    ASSERT_FALSE(read.ok()) << "byte " << at;
+    EXPECT_EQ(read.status().code(), util::StatusCode::kCorruption)
+        << "byte " << at;
+    // Reading repairs nothing: the damaged bytes are still there.
+    EXPECT_EQ(Slurp(log), bytes) << "byte " << at;
+  }
+}
+
+// A sidecar from another format or block size is refused as
+// unsupported, never read as a count.
+TEST(DurabilityTest, OtherFormatOrBlockSizeIsInvalidArgument) {
+  constexpr std::size_t kBlock = 512;
+  auto context = MakeContext(kBlock);
+  const FreshDir dir("durability_other_format");
+  const std::string log = (dir / "art.dlog").string();
+
+  // The format-2 header (the record log's): 32 bytes with the CRC over
+  // the first 28, zero-padded to a block.
+  struct V2Header {
+    char magic[8];
+    std::uint32_t format_version;
+    std::uint32_t block_size;
+    std::uint64_t base_version;
+    std::uint32_t reserved;
+    std::uint32_t crc;
+  };
+  V2Header v2{};
+  std::memcpy(v2.magic, dyn::kDeltaLogMagic, sizeof(v2.magic));
+  v2.format_version = 2;
+  v2.block_size = kBlock;
+  v2.crc = io::Crc32(&v2, sizeof(v2) - sizeof(std::uint32_t));
+  std::vector<char> bytes(kBlock, 0);
+  std::memcpy(bytes.data(), &v2, sizeof(v2));
   Spit(log, bytes);
-  auto scan = dyn::ScanDeltaLog(context.get(), log, 1);
-  ASSERT_FALSE(scan.ok());
-  EXPECT_EQ(scan.status().code(), util::StatusCode::kCorruption);
-  auto healed = dyn::RecoverDeltaLog(context.get(), log, 1);
-  ASSERT_FALSE(healed.ok());
-  EXPECT_EQ(healed.status().code(), util::StatusCode::kCorruption);
+  auto old_format = dyn::ReadDeltaLog(context.get(), log, 0);
+  ASSERT_FALSE(old_format.ok());
+  EXPECT_EQ(old_format.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(old_format.status().ToString().find(
+                "unsupported delta log format version 2"),
+            std::string::npos)
+      << old_format.status().ToString();
+
+  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 0, 9).ok());
+  auto other_block = dyn::ReadDeltaLog(MakeContext(4096).get(), log, 0);
+  ASSERT_FALSE(other_block.ok());
+  EXPECT_EQ(other_block.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---- durability accounting ------------------------------------------
@@ -222,18 +182,18 @@ TEST(DurabilityTest, DeltaLogSyncsAreCountedOutsideModelColumns) {
   const FreshDir dir("durability_sync_counts");
   const std::string log = (dir / "art.dlog").string();
   const auto before = context->stats();
-  ASSERT_TRUE(
-      dyn::WriteDeltaLog(context.get(), log, 2, SomeEdges(100, 4)).ok());
-  ASSERT_TRUE(
-      dyn::AppendDeltaLog(context.get(), log, 2, SomeEdges(50, 9)).ok());
+  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 2, 100).ok());
+  ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), log, 2, 150).ok());
   const auto delta = context->stats() - before;
-  // Durable create (file fsync + dir fsync) plus the append's fsync.
-  EXPECT_GE(delta.sync_calls, 3u);
+  // Each write is a durable publish: a file fsync plus a directory
+  // fsync.
+  EXPECT_EQ(delta.sync_calls, 4u);
   // Syncs are never model I/Os: checkpoint counters untouched, and the
-  // block reads/writes are exactly the log's blocks, not inflated by
-  // the fsyncs.
+  // block writes are exactly the sidecar's one block per write, not
+  // inflated by the fsyncs.
   EXPECT_EQ(delta.checkpoint_writes, 0u);
   EXPECT_EQ(delta.checkpoint_reads, 0u);
+  EXPECT_EQ(delta.total_ios(), 2u);
 }
 
 TEST(DurabilityTest, DurableRenamePublishesAndCountsOneDirSync) {

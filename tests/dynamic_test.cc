@@ -5,8 +5,9 @@
 //    build-index would write for the union graph — byte for byte except
 //    the preamble's data version (and its CRC).
 //  - A batch with no new nodes and no new condensation edges takes the
-//    delta-log path: the artifact file is untouched and a fresh open
-//    recovers the pending edges.
+//    delta-log path: the artifact file is untouched, the batch costs
+//    the map sweep plus one block write, and a fresh open recovers the
+//    pending-edge count.
 //  - Under injected device faults an update either completes with
 //    correct labels or fails with a documented status code — and a
 //    failed update NEVER publishes a torn artifact: the previous
@@ -122,8 +123,9 @@ std::vector<SccEntry> ScanMap(const ArtifactReader& reader) {
 
 // Section-by-section equality of the incremental artifact against a
 // fresh build over the union graph. `pending` is the incremental
-// side's delta log: its edges are not folded into the artifact yet, so
-// only the summary's raw edge count may differ — by exactly that much.
+// side's pending-edge count: those edges are not folded into the
+// artifact yet, so only the summary's raw edge count may differ — by
+// exactly that much.
 void ExpectMatchesRebuild(const ArtifactReader& inc,
                           const ArtifactReader& rebuild,
                           std::uint64_t pending, const char* label) {
@@ -354,7 +356,7 @@ TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
   // The artifact file itself never moved.
   EXPECT_EQ(ReadFileBytes(path), before_bytes);
 
-  // A fresh open recovers the pending edges from the sidecar log...
+  // A fresh open recovers the pending-edge count from the sidecar...
   auto reopened = DynamicSccIndex::Open(context.get(), path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   DynamicSccIndex index = std::move(reopened).value();
@@ -376,22 +378,62 @@ TEST(DynamicTest, StaleDeltaLogReadsEmpty) {
   auto context = MakeDynContext();
   const BaseArtifactDir dir;
   const std::string path = dir.PathFor("stale");
-  // A log claiming base version 7 against an artifact at version 0:
-  // its edges are already folded in — honest empty, not an error.
+  // A count claiming base version 7 against an artifact at version 0:
+  // it is already folded in — nothing pending, not an error.
   ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), dyn::DeltaLogPathFor(path),
-                                 /*base_version=*/7, {Edge{1, 2}})
+                                 /*base_version=*/7, /*pending_edges=*/1)
                   .ok());
   auto read = dyn::ReadDeltaLog(context.get(), dyn::DeltaLogPathFor(path),
                                 /*expected_base_version=*/0);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_TRUE(read.value().empty());
-  // Matching version: edges come back.
+  EXPECT_TRUE(read.value().exists);
+  EXPECT_TRUE(read.value().stale);
+  EXPECT_EQ(read.value().pending_edges, 0u);
+  // Matching version: the count comes back.
   auto match = dyn::ReadDeltaLog(context.get(), dyn::DeltaLogPathFor(path),
                                  /*expected_base_version=*/7);
   ASSERT_TRUE(match.ok()) << match.status().ToString();
-  ASSERT_EQ(match.value().size(), 1u);
-  EXPECT_EQ(match.value()[0].src, 1u);
-  EXPECT_EQ(match.value()[0].dst, 2u);
+  EXPECT_FALSE(match.value().stale);
+  EXPECT_EQ(match.value().pending_edges, 1u);
+}
+
+// A non-structural batch replaces one block however many edges are
+// pending, so its cost is the map sweep plus that write, and it does
+// not grow with the batches before it.
+TEST(DynamicTest, AppendCostDoesNotGrowWithPendingEdges) {
+  auto context = MakeDynContext();
+  const std::vector<Edge> base = gen::RandomDigraphEdges(200, 800, 9);
+  const BaseArtifactDir dir;
+  const std::string path = dir.PathFor("append_cost");
+  {
+    const auto g = graph::MakeDiskGraph(context.get(), base);
+    ASSERT_TRUE(serve::BuildArtifact(context.get(), g, path).ok());
+  }
+  auto opened = DynamicSccIndex::Open(context.get(), path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DynamicSccIndex index = std::move(opened).value();
+
+  constexpr std::size_t kBatches = 6;
+  constexpr std::size_t kBatchEdges = 600;
+  util::Rng rng(23);
+  std::uint32_t unused = 200;
+  std::vector<std::uint64_t> ios;
+  for (std::size_t k = 0; k < kBatches; ++k) {
+    const std::vector<Edge> batch = MakeBatch(&rng, base, 200, &unused,
+                                              kBatchEdges,
+                                              /*structural=*/false);
+    auto applied = index.ApplyBatch(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ASSERT_FALSE(applied.value().rewrote_artifact) << "batch " << k;
+    EXPECT_EQ(applied.value().batch_ios, applied.value().swept_blocks + 1)
+        << "batch " << k;
+    ios.push_back(applied.value().batch_ios);
+  }
+  for (std::size_t k = 1; k < kBatches; ++k) {
+    EXPECT_EQ(ios[k], ios[0]) << "batch " << k;
+  }
+  EXPECT_EQ(index.pending_delta_edges(), kBatches * kBatchEdges);
+  EXPECT_EQ(fs::file_size(dyn::DeltaLogPathFor(path)), 4096u);
 }
 
 // ---- Chaos: faults must not break publication ------------------------
