@@ -6,6 +6,7 @@
 
 #include "bench/harness.h"
 #include "gen/webgraph_generator.h"
+#include "scc/br_tree_scc.h"
 #include "util/csv.h"
 
 namespace bench = extscc::bench;
@@ -43,9 +44,10 @@ void Profile(const char* name, const extscc::core::ExtSccOptions& options) {
               name,
               static_cast<unsigned long long>(bench::DefaultMemory() / 1024),
               table.ToAligned().c_str());
-  std::printf("semi-external base case: %llu nodes, %llu colouring rounds, "
+  std::printf("semi-external base case: %llu nodes, %s, %llu rounds, "
               "%llu edge scans\n",
               static_cast<unsigned long long>(result.value().semi_nodes),
+              extscc::scc::SemiSccBackendName(result.value().semi.backend),
               static_cast<unsigned long long>(result.value().semi.rounds),
               static_cast<unsigned long long>(result.value().semi.edge_scans));
   table.WriteCsvFile(std::string("contraction_profile_") + name + ".csv");

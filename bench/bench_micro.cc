@@ -497,10 +497,10 @@ BENCHMARK(BM_ExtSccEndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // ---- new-module microbenches ---------------------------------------------
 
 // BR-tree vs colouring base case on the same graph (arg: 0 = coloring,
-// 1 = br-tree).
+// 1 = br-tree), each algorithm called directly: RunSemiScc would pick
+// BR-tree for both at this budget.
 void BM_SemiSccBackend(benchmark::State& state) {
-  const auto backend = state.range(0) == 0 ? scc::SemiSccBackend::kColoring
-                                           : scc::SemiSccBackend::kBrTree;
+  const bool br_tree = state.range(0) != 0;
   // Room for 50K nodes on either backend (BR-tree holds the more).
   auto ctx = MakeCtx(scc::BrTreeScc::StateBytes(50'000));
   const auto g = graph::MakeDiskGraph(
@@ -508,7 +508,11 @@ void BM_SemiSccBackend(benchmark::State& state) {
   for (auto _ : state) {
     const std::string out = ctx->NewTempPath("scc");
     graph::SccId next = 0;
-    scc::RunSemiScc(backend, ctx.get(), g, out, &next);
+    if (br_tree) {
+      scc::BrTreeScc::Run(ctx.get(), g, out, &next);
+    } else {
+      scc::SemiExternalScc::Run(ctx.get(), g, out, &next);
+    }
     ctx->temp_files().Remove(out);
   }
   state.SetItemsProcessed(state.iterations() * 20'000);

@@ -24,12 +24,13 @@
 // query per line — `same u v`, `reach u v`, `stat u`; blank line = batch
 // boundary) with answers on stdout and batch stats on stderr; serve
 // runs the same protocol as a stdin loop, flushing a batch every
-// --batch-size lines, on a blank line, and at EOF. update streams an
-// edge-insert file ("u v" per line) through the incremental maintainer
-// (docs/dynamic.md) in --batch-size chunks: each batch either lands in
-// the delta log or atomically publishes a bumped artifact version,
-// which a concurrently running serve picks up at its next batch
-// boundary.
+// --batch-size lines, on a blank line, and at EOF. A failed read of the
+// batch file or of stdin exits 5; neither is taken for the end of the
+// input. update streams an edge-insert file ("u v" per line) through the
+// incremental maintainer (docs/dynamic.md) in --batch-size chunks: each
+// batch either lands in the delta log or atomically publishes a bumped
+// artifact version, which a concurrently running serve picks up at its
+// next batch boundary.
 //
 // Global flags (before the command) apply to every machine the tool
 // builds. All but --checksum-blocks and --crash-at are the shared
@@ -70,7 +71,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -582,6 +582,27 @@ ServeFlags ParseServeFlags(const std::vector<std::string>& flags) {
   return out;
 }
 
+// Sets *line to the next query line of `in` (a batch file or serve's
+// stdin) without its '\n'. False at the end of the input and on a failed
+// read (a directory given as input), which std::getline cannot tell
+// apart; a failed read also sets *error to kIoError naming `name`.
+bool NextQueryLine(std::FILE* in, const std::string& name, std::string* line,
+                   util::Status* error) {
+  line->clear();
+  int c;
+  while ((c = std::getc(in)) != EOF && c != '\n') {
+    line->push_back(static_cast<char>(c));
+  }
+  if (c != EOF) return true;
+  if (std::ferror(in)) {
+    const int err = errno;
+    *error = util::Status::IoError(
+        "read(" + name + ") failed: " + std::strerror(err), err);
+    return false;
+  }
+  return !line->empty();
+}
+
 int CmdQuery(int argc, char** argv) {
   const CommandArgs args = SplitCommandArgs(argc, argv);
   const ServeFlags flags = ParseServeFlags(args.flags);
@@ -603,22 +624,13 @@ int CmdQuery(int argc, char** argv) {
     return StatusExit(util::Status::NotFound(
         "cannot open " + batch_path + ": " + std::strerror(errno)));
   }
-  // Sets *line to the next line without its '\n'; false at the end of
-  // the file or on a read error (std::ferror tells them apart).
-  const auto next_line = [&in](std::string* line) {
-    line->clear();
-    int c;
-    while ((c = std::getc(in.get())) != EOF && c != '\n') {
-      line->push_back(static_cast<char>(c));
-    }
-    return c != EOF || (!std::ferror(in.get()) && !line->empty());
-  };
   std::vector<serve::Query> batch;
   serve::QueryBatchStats totals;
   std::uint64_t num_batches = 0;
   std::string line;
   std::uint64_t line_number = 0;
-  while (next_line(&line)) {
+  util::Status read_error;
+  while (NextQueryLine(in.get(), batch_path, &line, &read_error)) {
     ++line_number;
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       // Blank line: explicit batch boundary.
@@ -640,10 +652,7 @@ int CmdQuery(int argc, char** argv) {
       if (rc != 0) return rc;
     }
   }
-  if (std::ferror(in.get())) {
-    return StatusExit(util::Status::IoError(
-        "read(" + batch_path + ") failed: " + std::strerror(errno), errno));
-  }
+  if (!read_error.ok()) return StatusExit(read_error);
   const int rc = FlushBatch(&context, engine, flags.threads, &batch,
                             &totals, &num_batches);
   if (rc != 0) return rc;
@@ -733,7 +742,8 @@ int CmdServe(int argc, char** argv) {
     return status.ok() ? 0 : StatusExit(status);
   };
   std::string line;
-  while (std::getline(std::cin, line)) {
+  util::Status read_error;
+  while (NextQueryLine(stdin, "stdin", &line, &read_error)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       const int rc = flush();
       if (rc != 0) return rc;
@@ -755,6 +765,7 @@ int CmdServe(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
+  if (!read_error.ok()) return StatusExit(read_error);
   const int rc = flush();
   if (rc != 0) return rc;
   std::fflush(stdout);

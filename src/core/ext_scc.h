@@ -35,12 +35,14 @@ struct ExtSccOptions {
   // Self-loop elimination is unconditional (both modes): a self-loop node
   // could never leave the cover, breaking Lemma 5.2's strict shrinkage.
 
-  // Semi-external base case (Alg. 2 line 5). The contraction stop
-  // condition is the selected backend's own c·|V| <= M
-  // (scc::SemiSccStateBytes), so the iteration structure depends on the
-  // backend: kColoring, this library's forward-backward default at
-  // ~8.5 B/node, never needs more levels than kBrTree, the spanning-tree
-  // family the paper plugs in (1PB-SCC [26]) at 16 B/node.
+  // Semi-external base case (Alg. 2 line 5). The option picks the
+  // contraction stop rule, the named backend's own c·|V| <= M
+  // (scc::SemiSccStateBytes), so the iteration structure depends on it:
+  // kColoring, this library's forward-backward default at ~8.5 B/node,
+  // never needs more levels than kBrTree at 16 B/node. The base case
+  // itself is the spanning-tree family the paper plugs in (1PB-SCC [26],
+  // scc::BrTreeScc) whenever its 16 B/node fits M, and colouring
+  // otherwise (scc::RunSemiScc), so kBrTree always ends in BR-tree.
   scc::SemiSccBackend semi_backend = scc::SemiSccBackend::kColoring;
 
   // Safety valve only — Lemma 5.2 guarantees strict progress, so the

@@ -216,22 +216,24 @@ bool SemiSccFits(SemiSccBackend backend, std::uint64_t num_nodes,
 SemiSccStats RunSemiScc(SemiSccBackend backend, io::IoContext* context,
                         const graph::DiskGraph& g,
                         const std::string& scc_output, SccId* next_scc_id) {
-  switch (backend) {
-    case SemiSccBackend::kColoring:
-      return SemiExternalScc::Run(context, g, scc_output, next_scc_id);
-    case SemiSccBackend::kBrTree: {
-      const BrTreeStats brt = BrTreeScc::Run(context, g, scc_output,
-                                             next_scc_id);
-      SemiSccStats stats;
-      stats.rounds = brt.passes;
-      stats.edge_scans = brt.passes;
-      stats.trimmed = brt.contractions;
-      stats.num_sccs = brt.num_sccs;
-      return stats;
-    }
+  CHECK(SemiSccFits(backend, g.num_nodes, context->memory()))
+      << SemiSccBackendName(backend) << " Semi-SCC invoked on "
+      << g.num_nodes << " nodes with M=" << context->memory().total_bytes()
+      << " — the contraction phase must shrink the node set first";
+  // The stop rule only bounds the node set. Whenever BR-tree's larger
+  // state fits too it runs, for its fewer edge scans (5 against 14–20 on
+  // web-like graphs).
+  if (!BrTreeScc::Fits(g.num_nodes, context->memory())) {
+    return SemiExternalScc::Run(context, g, scc_output, next_scc_id);
   }
-  LOG_FATAL << "unknown SemiSccBackend";
-  return {};
+  const BrTreeStats brt = BrTreeScc::Run(context, g, scc_output, next_scc_id);
+  SemiSccStats stats;
+  stats.backend = SemiSccBackend::kBrTree;
+  stats.rounds = brt.passes;
+  stats.edge_scans = brt.passes;
+  stats.trimmed = brt.contractions;
+  stats.num_sccs = brt.num_sccs;
+  return stats;
 }
 
 }  // namespace extscc::scc

@@ -26,9 +26,9 @@
 //
 // Like SemiExternalScc (the colouring backend) this honours the Semi-SCC
 // contract Ext-SCC relies on — c·|V| bytes of memory plus O(1) blocks,
-// edge access by sequential scans only — so the two backends are
-// interchangeable under ExtSccOptions::semi_backend. Each charges its own
-// c (StateBytes), so the contraction depth depends on the backend.
+// edge access by sequential scans only. It charges 16 B/node against
+// colouring's ~8.5 but scans the edge file about a third as often on
+// web-like graphs, so RunSemiScc (below) runs it whenever it fits M.
 #ifndef EXTSCC_SCC_BR_TREE_SCC_H_
 #define EXTSCC_SCC_BR_TREE_SCC_H_
 
@@ -72,27 +72,32 @@ class BrTreeScc {
 };
 
 // ---- backend selection -----------------------------------------------
-
-// Which semi-external algorithm Ext-SCC uses once the node set fits.
-enum class SemiSccBackend {
-  kColoring,  // forward-backward colouring (SemiExternalScc)
-  kBrTree,    // spanning-tree contraction (BrTreeScc), as in the paper
-};
+//
+// Ext-SCC contracts until SemiSccFits(semi_backend, |V|, M) holds, then
+// calls RunSemiScc, which runs BR-tree whenever BrTreeScc::Fits and
+// colouring otherwise. The backend a caller names (SemiSccBackend, in
+// semi_external_scc.h) therefore picks only the stop rule: kColoring, the
+// default, stops at ~8.5 B/node and still gets BR-tree's fewer scans when
+// the node set fits in M/16; kBrTree stops at 16 B/node, so it always
+// runs BR-tree, after as many more contraction levels as that takes.
 
 const char* SemiSccBackendName(SemiSccBackend backend);
 
-// The selected backend's StateBytes(num_nodes): the colouring backend
+// StateBytes(num_nodes) of the backend's stop rule: the colouring backend
 // holds ~8.5 B/node, BR-tree 16 B/node.
 std::uint64_t SemiSccStateBytes(SemiSccBackend backend,
                                 std::uint64_t num_nodes);
 
-// Stop-condition probe for the selected backend:
+// Stop-condition probe for `backend`:
 // SemiSccStateBytes(backend, num_nodes) <= M.
 bool SemiSccFits(SemiSccBackend backend, std::uint64_t num_nodes,
                  const io::MemoryBudget& memory);
 
-// Runs the selected backend, normalizing its stats into SemiSccStats
-// (rounds <- colour rounds / BR passes, trimmed <- trims / contractions).
+// Ext-SCC's base case under `backend`'s stop rule: CHECK-fails unless
+// SemiSccFits(backend, g.num_nodes, M), then runs BrTreeScc if it fits M
+// and SemiExternalScc otherwise, whichever `backend` names. Normalizes
+// the stats into SemiSccStats (backend <- the algorithm that ran, rounds
+// <- colour rounds / BR passes, trimmed <- trims / contractions).
 SemiSccStats RunSemiScc(SemiSccBackend backend, io::IoContext* context,
                         const graph::DiskGraph& g,
                         const std::string& scc_output,

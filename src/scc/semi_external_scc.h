@@ -1,12 +1,17 @@
 // Semi-SCC: semi-external SCC computation — all nodes in memory
 // (O(|V|) words), edges streamed from disk with sequential scans only.
 //
-// The paper plugs in 1PB-SCC [26] (SIGMOD'13) here. This library
-// substitutes a forward-backward colouring algorithm (Orzan-style) with
-// iterative trimming, which honours the identical contract Ext-SCC relies
-// on: memory c·|V| (StateBytes below, ~8.5 B/node against the paper's
-// c = 8) plus O(1) stream blocks, and edge-file access exclusively via
-// sequential scans.
+// The paper plugs in 1PB-SCC [26] (SIGMOD'13) here. This library runs
+// that spanning-tree algorithm (BrTreeScc, br_tree_scc.h) whenever its
+// 16 B/node fits M, and otherwise the forward-backward colouring
+// algorithm (Orzan-style) with iterative trimming below, which honours
+// the identical contract Ext-SCC relies on: memory c·|V| (StateBytes
+// below, ~8.5 B/node against the paper's c = 8) plus O(1) stream blocks,
+// and edge-file access exclusively via sequential scans. Colouring's
+// smaller footprint is the default contraction stop rule, so Ext-SCC
+// contracts only until colouring fits; it scans the edge file three to
+// four times as often as BR-tree on web-like graphs, so it runs only
+// where BR-tree does not fit (scc::RunSemiScc).
 //
 // Algorithm sketch (each step is a fixpoint of sequential edge scans):
 //   1. Trim: repeatedly give nodes with no live in- or out-edge their
@@ -35,7 +40,16 @@
 
 namespace extscc::scc {
 
+// The two semi-external algorithms. As ExtSccOptions::semi_backend a
+// value names the contraction stop rule (scc::SemiSccFits); in
+// SemiSccStats it names the algorithm that ran.
+enum class SemiSccBackend {
+  kColoring,  // forward-backward colouring (SemiExternalScc), ~8.5 B/node
+  kBrTree,    // spanning-tree contraction (BrTreeScc), 16 B/node
+};
+
 struct SemiSccStats {
+  SemiSccBackend backend = SemiSccBackend::kColoring;  // the one that ran
   std::uint64_t rounds = 0;       // outer colour/mark rounds
   std::uint64_t edge_scans = 0;   // sequential passes over the edge file
   std::uint64_t trimmed = 0;      // nodes retired by trimming

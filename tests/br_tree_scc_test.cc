@@ -158,18 +158,48 @@ TEST(SemiSccBackendTest, Names) {
   EXPECT_STREQ(scc::SemiSccBackendName(SemiSccBackend::kBrTree), "br-tree");
 }
 
-TEST(SemiSccBackendTest, DispatchRunsSelectedBackend) {
-  for (const auto backend :
-       {SemiSccBackend::kColoring, SemiSccBackend::kBrTree}) {
-    auto ctx = MakeTestContext();
+TEST(SemiSccBackendTest, DispatchRunsBrTreeWheneverItFits) {
+  // The backend RunSemiScc is passed names the stop rule only: BR-tree
+  // runs whenever its 16 B/node fits M, colouring when only colouring's
+  // ~8.5 B/node does. Fig. 1's 13 nodes need 208 B and 136 B.
+  constexpr std::uint64_t kNodes = 13;
+  struct Case {
+    SemiSccBackend stop_rule;
+    std::uint64_t memory;
+    std::size_t block_size;
+    SemiSccBackend runs;
+  };
+  for (const Case& c :
+       {Case{SemiSccBackend::kColoring, 1 << 20, 4096, SemiSccBackend::kBrTree},
+        Case{SemiSccBackend::kBrTree, 1 << 20, 4096, SemiSccBackend::kBrTree},
+        Case{SemiSccBackend::kBrTree, BrTreeScc::StateBytes(kNodes), 64,
+             SemiSccBackend::kBrTree},
+        Case{SemiSccBackend::kColoring, BrTreeScc::StateBytes(kNodes) - 1, 64,
+             SemiSccBackend::kColoring}}) {
+    const std::string name = std::string(scc::SemiSccBackendName(c.stop_rule)) +
+                             " stop rule, M=" + std::to_string(c.memory);
+    auto ctx = MakeTestContext(c.memory, c.block_size);
     const auto g = graph::MakeDiskGraph(ctx.get(), gen::Fig1Edges());
+    ASSERT_EQ(g.num_nodes, kNodes);
     const std::string out = ctx->NewTempPath("scc");
     graph::SccId next = 0;
-    const auto stats = scc::RunSemiScc(backend, ctx.get(), g, out, &next);
-    EXPECT_EQ(stats.num_sccs, 5u) << scc::SemiSccBackendName(backend);
-    testing::ExpectSccFileMatchesOracle(ctx.get(), g, out,
-                                        scc::SemiSccBackendName(backend));
+    const auto stats = scc::RunSemiScc(c.stop_rule, ctx.get(), g, out, &next);
+    EXPECT_EQ(stats.backend, c.runs) << name;
+    EXPECT_EQ(stats.num_sccs, 5u) << name;
+    testing::ExpectSccFileMatchesOracle(ctx.get(), g, out, name.c_str());
   }
+}
+
+TEST(SemiSccBackendDeathTest, DispatchChecksTheStopRule) {
+  // Colouring's 136 B fit here, but the kBrTree stop rule asks for
+  // BR-tree's 208 B: the driver should have contracted first.
+  auto ctx = MakeTestContext(BrTreeScc::StateBytes(13) - 1, 64);
+  const auto g = graph::MakeDiskGraph(ctx.get(), gen::Fig1Edges());
+  const std::string out = ctx->NewTempPath("scc");
+  graph::SccId next = 0;
+  EXPECT_DEATH(scc::RunSemiScc(SemiSccBackend::kBrTree, ctx.get(), g, out,
+                               &next),
+               "contraction phase");
 }
 
 TEST(SemiSccBackendTest, ReservationCoversHeapAtTightestBudget) {
@@ -198,7 +228,11 @@ TEST(SemiSccBackendTest, ReservationCoversHeapAtTightestBudget) {
       ASSERT_EQ(g.num_nodes, nodes);
       const std::string out = ctx->NewTempPath("scc");
       graph::SccId next = 0;
-      scc::RunSemiScc(backend, ctx.get(), g, out, &next);
+      // The named backend runs: BR-tree's footprint exceeds colouring's
+      // at these sizes, so M = colouring's leaves BR-tree out.
+      EXPECT_EQ(scc::RunSemiScc(backend, ctx.get(), g, out, &next).backend,
+                backend)
+          << name;
       EXPECT_EQ(ctx->memory().used_bytes(), 0u) << name;
       testing::ExpectSccFileMatchesOracle(ctx.get(), g, out, name);
     }

@@ -112,6 +112,34 @@ TEST(ExtSccTest, EachBackendStopsAtItsOwnContract) {
             run_levels(scc::SemiSccBackend::kBrTree));
 }
 
+TEST(ExtSccTest, BaseCaseRunsBrTreeWheneverItFits) {
+  // 0 levels under the default (colouring) stop rule either way. At
+  // M = BrTreeScc::StateBytes(n) BR-tree runs, and its CHECK-failing
+  // reservation of all of M shows nothing else is reserved when the base
+  // case starts; one byte less, colouring's footprint still fits and
+  // colouring runs instead.
+  constexpr std::uint32_t kNodes = 400;
+  const std::uint64_t br_tree_bytes = scc::BrTreeScc::StateBytes(kNodes);
+  for (const std::uint64_t memory : {br_tree_bytes, br_tree_bytes - 1}) {
+    const auto expected = memory == br_tree_bytes
+                              ? scc::SemiSccBackend::kBrTree
+                              : scc::SemiSccBackend::kColoring;
+    const char* name = scc::SemiSccBackendName(expected);
+    auto ctx = MakeTestContext(memory, /*block_size=*/1024);
+    std::vector<NodeId> all(kNodes);
+    for (std::uint32_t i = 0; i < kNodes; ++i) all[i] = i;
+    const auto g = graph::MakeDiskGraph(
+        ctx.get(), gen::RandomDigraphEdges(kNodes, 1600, 5), all);
+    ASSERT_EQ(g.num_nodes, kNodes);
+    const std::string out = ctx->NewTempPath("scc_out");
+    auto result = RunExtScc(ctx.get(), g, out, ExtSccOptions::Optimized());
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    EXPECT_EQ(result.value().num_levels(), 0u) << name;
+    EXPECT_EQ(result.value().semi.backend, expected) << name;
+    testing::ExpectSccFileMatchesOracle(ctx.get(), g, out, name);
+  }
+}
+
 TEST(ExtSccTest, EmptyGraph) {
   auto ctx = MakeTestContext();
   const auto g = graph::MakeDiskGraph(ctx.get(), {});

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -377,22 +378,26 @@ TEST(FaultInjectionTest, LatchedInputErrorStopsBeforeBaseCase) {
 TEST(FaultInjectionTest, EdgeEndpointMissingFromNodeFileIsCorruption) {
   // Node 0 is an edge endpoint but not in the node file. The base case's
   // endpoint translation must report it, not map it to a neighbouring
-  // node or one past the per-node state, under both backends.
-  for (const auto backend :
-       {scc::SemiSccBackend::kColoring, scc::SemiSccBackend::kBrTree}) {
-    const char* name = scc::SemiSccBackendName(backend);
+  // node or one past the per-node state, under both algorithms: M holds
+  // BR-tree's state for the 2 listed nodes {1, 2}, only colouring's for
+  // 24 ({1, ..., 24}).
+  for (const std::uint32_t listed : {2u, 24u}) {
     auto ctx = MakeCleanMemContext(1);
+    const bool br_tree = scc::BrTreeScc::Fits(listed, ctx->memory());
+    ASSERT_EQ(br_tree, listed == 2);
+    ASSERT_TRUE(scc::SemiExternalScc::Fits(listed, ctx->memory()));
+    const char* name = br_tree ? "br-tree" : "coloring";
+    std::vector<graph::NodeId> nodes(listed);
+    std::iota(nodes.begin(), nodes.end(), 1);
     graph::DiskGraph g;
     g.node_path = ctx->NewTempPath("nodes");
     g.edge_path = ctx->NewTempPath("edges");
-    io::WriteAllRecords<graph::NodeId>(ctx.get(), g.node_path, {1, 2});
+    io::WriteAllRecords<graph::NodeId>(ctx.get(), g.node_path, nodes);
     io::WriteAllRecords<Edge>(ctx.get(), g.edge_path, {{1, 2}, {2, 0}});
-    g.num_nodes = 2;
+    g.num_nodes = listed;
     g.num_edges = 2;
-    ExtSccOptions options = ExtSccOptions::Optimized();
-    options.semi_backend = backend;
-    auto result =
-        core::RunExtScc(ctx.get(), g, ctx->NewTempPath("out"), options);
+    auto result = core::RunExtScc(ctx.get(), g, ctx->NewTempPath("out"),
+                                  ExtSccOptions::Optimized());
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption) << name;
     EXPECT_NE(result.status().ToString().find("endpoint 0"),
