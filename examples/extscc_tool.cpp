@@ -979,10 +979,11 @@ int CmdFsck(int argc, char** argv) {
     reap(ckpt.ManifestPath() + ".tmp", "checkpoint manifest publish");
     auto loaded = ckpt.Load();
     if (loaded.ok()) {
+      const auto& progress = loaded.value().progress;
       std::printf("fsck: %s: OK (phase %u, %llu levels, %llu expansions)\n",
-                  checkpoint_dir.c_str(), loaded.value().phase,
-                  static_cast<unsigned long long>(loaded.value().levels_done),
-                  static_cast<unsigned long long>(loaded.value().expand_done));
+                  checkpoint_dir.c_str(), progress.phase,
+                  static_cast<unsigned long long>(progress.levels.size()),
+                  static_cast<unsigned long long>(progress.expand_done));
     } else if (loaded.status().code() == util::StatusCode::kNotFound) {
       std::printf("fsck: %s: no checkpoint manifest\n",
                   checkpoint_dir.c_str());

@@ -16,6 +16,9 @@ namespace {
 
 constexpr char kManifestMagic[8] = {'E', 'X', 'S', 'C', 'C', 'K', 'P', 'T'};
 constexpr std::uint32_t kManifestVersion = 1;
+static_assert(sizeof(ContractionIterationStats) == 72,
+              "ContractionIterationStats is written raw into checkpoint "
+              "manifests: bump kManifestVersion when its layout changes");
 
 void AppendBytes(std::vector<unsigned char>* out, const void* p,
                  std::size_t n) {
@@ -82,7 +85,8 @@ struct Fnv {
 
 std::uint64_t SolveDataVersion(const graph::DiskGraph& input,
                                const ExtSccOptions& options,
-                               std::size_t block_size) {
+                               std::size_t block_size,
+                               std::uint64_t memory_bytes) {
   // Deliberately NOT the input paths: the driver imports the edge list
   // into per-session scratch, so paths differ between the crashed run
   // and its resume even though the graph is the same. The shape hash
@@ -97,6 +101,7 @@ std::uint64_t SolveDataVersion(const graph::DiskGraph& input,
   f.Pod(static_cast<std::uint8_t>(options.dedup_parallel_edges));
   f.Pod(static_cast<std::uint32_t>(options.semi_backend));
   f.Pod(static_cast<std::uint64_t>(block_size));
+  f.Pod(memory_bytes);
   return f.h;
 }
 
@@ -110,26 +115,34 @@ std::string CheckpointSession::ManifestPath() const {
 
 std::string CheckpointSession::LevelPath(std::size_t level,
                                          const char* kind) const {
+  if (!enabled()) return context_->NewTempPath(kind);
   return dir_ + "/l" + std::to_string(level) + "." + kind;
 }
 
 std::string CheckpointSession::SemiSccPath() const {
+  if (!enabled()) return context_->NewTempPath("scc_semi");
   return dir_ + "/scc_semi";
 }
 
 std::string CheckpointSession::ExpandSccPath(std::size_t k) const {
+  if (!enabled()) return context_->NewTempPath("scc_level");
   return dir_ + "/scc_x" + std::to_string(k);
 }
 
+void CheckpointSession::Discard(const std::string& path) const {
+  if (!enabled()) context_->temp_files().Remove(path);
+}
+
 std::vector<std::string> CheckpointSession::RequiredFiles(
-    const ResumeState& state) const {
+    const Progress& progress) const {
   std::vector<std::string> names;
+  const std::uint64_t levels_done = progress.levels.size();
   // Expansion consumes levels outermost-last: after expand_done
   // expansions, levels [levels_done - expand_done, levels_done) are
   // folded into the labels and their files are no longer needed.
   const std::uint64_t levels_needed =
-      state.phase == kExpanding ? state.levels_done - state.expand_done
-                                : state.levels_done;
+      progress.phase == kExpanding ? levels_done - progress.expand_done
+                                   : levels_done;
   for (std::uint64_t i = 0; i < levels_needed; ++i) {
     const std::string prefix = "l" + std::to_string(i);
     names.push_back(prefix + ".ein");
@@ -137,21 +150,47 @@ std::vector<std::string> CheckpointSession::RequiredFiles(
     names.push_back(prefix + ".cover");
     names.push_back(prefix + ".removed");
   }
-  if (state.phase == kContracting && state.levels_done > 0) {
+  if (progress.phase == kContracting && levels_done > 0) {
     // Contraction (or the base case) still consumes G_L's edges.
-    names.push_back("l" + std::to_string(state.levels_done - 1) + ".enext");
+    names.push_back("l" + std::to_string(levels_done - 1) + ".enext");
   }
-  if (state.phase == kSemiDone) {
+  if (progress.phase == kSemiDone) {
     names.push_back("scc_semi");
-  } else if (state.phase == kExpanding) {
-    names.push_back(state.expand_done == 0
+  } else if (progress.phase == kExpanding) {
+    names.push_back(progress.expand_done == 0
                         ? std::string("scc_semi")
-                        : "scc_x" + std::to_string(state.expand_done - 1));
+                        : "scc_x" + std::to_string(progress.expand_done - 1));
   }
   return names;
 }
 
-util::Result<CheckpointSession::ResumeState> CheckpointSession::Load() {
+util::Result<CheckpointSession::Progress> CheckpointSession::Start(
+    const graph::DiskGraph& input, bool resume) {
+  Progress fresh;
+  fresh.current = input;
+  if (!enabled() || !resume) return fresh;
+  auto loaded = Load();
+  if (!loaded.ok()) {
+    // kNotFound: no checkpoint yet, a fresh run that will create one.
+    // Anything else refuses rather than silently starting over: quietly
+    // discarding the checkpoint hides whatever damaged it, and `fsck
+    // --checkpoint-dir` diagnoses and repairs.
+    if (loaded.status().code() == util::StatusCode::kNotFound) return fresh;
+    return loaded.status();
+  }
+  Manifest& manifest = loaded.value();
+  if (manifest.data_version != data_version_ ||
+      manifest.block_size != context_->block_size()) {
+    return util::Status::FailedPrecondition(
+        "checkpoint in " + dir_ +
+        " was written by a different solve (input shape, options, memory "
+        "or block size changed) — remove the directory or drop --resume");
+  }
+  if (manifest.progress.levels.empty()) manifest.progress.current = input;
+  return std::move(manifest.progress);
+}
+
+util::Result<CheckpointSession::Manifest> CheckpointSession::Load() {
   io::StorageDevice* device = context_->ResolveDevice(ManifestPath());
   std::unique_ptr<io::StorageFile> file;
   util::Status open_status = device->Open(ManifestPath(), io::OpenMode::kRead,
@@ -197,23 +236,26 @@ util::Result<CheckpointSession::ResumeState> CheckpointSession::Load() {
     return util::Status::InvalidArgument(
         "unsupported checkpoint manifest version " + std::to_string(version));
   }
-  ResumeState state;
-  cur.Pod(&state.phase);
-  cur.Pod(&state.data_version);
-  cur.Pod(&state.block_size);
-  cur.Pod(&state.levels_done);
-  cur.Pod(&state.expand_done);
-  cur.Pod(&state.next_scc_id);
-  cur.Pod(&state.semi_nodes);
-  cur.Pod(&state.current_num_nodes);
-  cur.Pod(&state.current_num_edges);
-  cur.Pod(&state.contraction_seconds);
-  cur.Pod(&state.semi_seconds);
+  Manifest manifest;
+  Progress& progress = manifest.progress;
+  std::uint64_t levels_done = 0;
+  std::uint64_t next_scc_id = 0;
+  cur.Pod(&progress.phase);
+  cur.Pod(&manifest.data_version);
+  cur.Pod(&manifest.block_size);
+  cur.Pod(&levels_done);
+  cur.Pod(&progress.expand_done);
+  cur.Pod(&next_scc_id);
+  cur.Pod(&progress.stats.semi_nodes);
+  cur.Pod(&progress.current.num_nodes);
+  cur.Pod(&progress.current.num_edges);
+  cur.Pod(&progress.stats.contraction_seconds);
+  cur.Pod(&progress.stats.semi_seconds);
   std::uint64_t num_iters = 0;
   cur.Pod(&num_iters);
   if (cur.ok && num_iters * sizeof(ContractionIterationStats) <= cur.left) {
-    state.iterations.resize(static_cast<std::size_t>(num_iters));
-    cur.Take(state.iterations.data(),
+    progress.stats.iterations.resize(static_cast<std::size_t>(num_iters));
+    cur.Take(progress.stats.iterations.data(),
              num_iters * sizeof(ContractionIterationStats));
   } else {
     cur.ok = false;
@@ -259,11 +301,28 @@ util::Result<CheckpointSession::ResumeState> CheckpointSession::Load() {
           std::to_string(expected_size));
     }
   }
-  return state;
+
+  // The paths follow from the directory scheme; only counts persist.
+  progress.next_scc_id = static_cast<graph::SccId>(next_scc_id);
+  for (std::uint64_t i = 0; i < levels_done; ++i) {
+    progress.levels.push_back({LevelPath(i, "ein"), LevelPath(i, "eout"),
+                               LevelPath(i, "cover"), LevelPath(i, "removed")});
+  }
+  if (levels_done > 0) {
+    progress.current.node_path = LevelPath(levels_done - 1, "cover");
+    progress.current.edge_path = LevelPath(levels_done - 1, "enext");
+  }
+  if (progress.phase >= kSemiDone) {
+    progress.scc_path = progress.expand_done == 0
+                            ? SemiSccPath()
+                            : ExpandSccPath(progress.expand_done - 1);
+  }
+  return manifest;
 }
 
-util::Status CheckpointSession::Save(const ResumeState& state,
-                                     const std::vector<std::string>& new_files) {
+util::Status CheckpointSession::Save(
+    const Progress& progress, const std::vector<std::string>& new_files) {
+  if (!enabled()) return util::Status::Ok();
   io::StorageDevice* device = context_->ResolveDevice(ManifestPath());
 
   // 1. Harden the data files completed since the last Save. The
@@ -282,25 +341,26 @@ util::Status CheckpointSession::Save(const ResumeState& state,
 
   // 2. Serialize, recording the exact size of every file a resume will
   // trust.
+  const ExtSccStats& stats = progress.stats;
   std::vector<unsigned char> blob;
   AppendBytes(&blob, kManifestMagic, sizeof(kManifestMagic));
   AppendPod(&blob, kManifestVersion);
-  AppendPod(&blob, state.phase);
+  AppendPod(&blob, progress.phase);
   AppendPod(&blob, data_version_);
-  AppendPod(&blob, state.block_size);
-  AppendPod(&blob, state.levels_done);
-  AppendPod(&blob, state.expand_done);
-  AppendPod(&blob, state.next_scc_id);
-  AppendPod(&blob, state.semi_nodes);
-  AppendPod(&blob, state.current_num_nodes);
-  AppendPod(&blob, state.current_num_edges);
-  AppendPod(&blob, state.contraction_seconds);
-  AppendPod(&blob, state.semi_seconds);
-  AppendPod(&blob, static_cast<std::uint64_t>(state.iterations.size()));
-  for (const ContractionIterationStats& iter : state.iterations) {
+  AppendPod(&blob, static_cast<std::uint64_t>(context_->block_size()));
+  AppendPod(&blob, static_cast<std::uint64_t>(progress.levels.size()));
+  AppendPod(&blob, progress.expand_done);
+  AppendPod(&blob, static_cast<std::uint64_t>(progress.next_scc_id));
+  AppendPod(&blob, stats.semi_nodes);
+  AppendPod(&blob, progress.current.num_nodes);
+  AppendPod(&blob, progress.current.num_edges);
+  AppendPod(&blob, stats.contraction_seconds);
+  AppendPod(&blob, stats.semi_seconds);
+  AppendPod(&blob, static_cast<std::uint64_t>(stats.iterations.size()));
+  for (const ContractionIterationStats& iter : stats.iterations) {
     AppendPod(&blob, iter);
   }
-  const std::vector<std::string> names = RequiredFiles(state);
+  const std::vector<std::string> names = RequiredFiles(progress);
   AppendPod(&blob, static_cast<std::uint64_t>(names.size()));
   for (const std::string& name : names) {
     const std::string path = dir_ + "/" + name;
@@ -334,6 +394,7 @@ util::Status CheckpointSession::Save(const ResumeState& state,
 }
 
 void CheckpointSession::Finish(std::size_t num_levels) {
+  if (!enabled()) return;
   io::StorageDevice* device = context_->ResolveDevice(ManifestPath());
   // Manifest first: once it is gone, a crash mid-cleanup leaves only
   // orphan data files, which the next run overwrites (or fsck reports),

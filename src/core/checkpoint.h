@@ -1,7 +1,10 @@
-// Checkpoint/resume for long Ext-SCC solves. A solve with a checkpoint
-// directory routes its phase-boundary outputs (level files, the
-// semi-external labels, intermediate expansion labels) into that
-// directory instead of session scratch, and after each completed phase
+// Where an Ext-SCC solve's phase outputs live, and checkpoint/resume
+// for long solves. CheckpointSession is the only code that knows
+// whether a solve is checkpointed. Without a checkpoint directory its
+// path helpers return fresh scratch paths, Discard removes consumed
+// outputs, and Save and Finish do nothing. With one, the phase-boundary
+// outputs (level files, semi-external labels, intermediate expansion
+// labels) land in that directory, and after each completed phase Save
 // publishes a small CRC'd MANIFEST naming the phase reached and the
 // exact files (with sizes) a resume needs. The manifest is published
 // with the same durable protocol as serve artifacts — write
@@ -11,9 +14,9 @@
 // the phases after the last completed one.
 //
 // The manifest carries a data_version (a hash of the input identity,
-// the solve options, and the block size). A resume whose recomputed
-// version differs refuses with kFailedPrecondition instead of silently
-// splicing phases of two different solves together.
+// the solve options, the memory budget and the block size). A resume
+// whose recomputed version differs refuses with kFailedPrecondition
+// instead of silently splicing phases of two different solves together.
 //
 // Checkpoint writes never touch the Aggarwal-Vitter model I/O columns:
 // the phase outputs cost exactly the block I/Os they always cost (same
@@ -34,58 +37,70 @@
 
 namespace extscc::core {
 
-// Identity hash binding a checkpoint to one (input, options, geometry)
-// triple. FNV-1a over the input node/edge counts, the §VII toggles,
-// the semi backend, and the block size — deliberately NOT the input
-// paths, which are per-session scratch names that differ between a
-// crashed solve and its resume; the manifest's exact-size file
-// validation carries the binding to the bytes.
+// Identity hash binding a checkpoint to one solve. FNV-1a over the
+// input node/edge counts, the §VII toggles, the semi backend, the
+// memory budget M (it decides how deep the contraction goes) and the
+// block size — deliberately NOT the input paths, which are per-session
+// scratch names that differ between a crashed solve and its resume; the
+// manifest's exact-size file validation carries the binding to the
+// bytes.
 std::uint64_t SolveDataVersion(const graph::DiskGraph& input,
                                const ExtSccOptions& options,
-                               std::size_t block_size);
+                               std::size_t block_size,
+                               std::uint64_t memory_bytes);
 
+// Everything the expansion phase needs to re-open level i.
+struct LevelFiles {
+  std::string ein;      // E_i by (dst, src)
+  std::string eout;     // E_i by (src, dst)
+  std::string cover;    // V_{i+1}
+  std::string removed;  // V_i - V_{i+1}
+};
+
+// One solve's phase outputs: where each lives (the checkpoint directory
+// or scratch) and, with a directory, the manifest a resume starts from.
 class CheckpointSession {
  public:
-  // Solve phases in completion order. kContracting with levels_done=L
-  // means L contraction levels are durable; kSemiDone additionally has
-  // the semi-external labels; kExpanding with expand_done=K has K
-  // expansion levels folded in.
+  // Solve phases in completion order. kContracting with L levels means
+  // L contraction levels are durable; kSemiDone additionally has the
+  // semi-external labels; kExpanding with expand_done=K has K expansion
+  // levels folded in.
   enum Phase : std::uint32_t {
     kContracting = 0,
     kSemiDone = 1,
     kExpanding = 2,
   };
 
-  // Everything RunExtScc needs to restart from a completed phase.
-  struct ResumeState {
+  // A solve's state between phases: RunExtScc mutates it in place, Save
+  // records it, Start hands back the one to begin from.
+  struct Progress {
     std::uint32_t phase = kContracting;
-    std::uint64_t data_version = 0;
-    std::uint64_t block_size = 0;
-    std::uint64_t levels_done = 0;
-    std::uint64_t expand_done = 0;
-    std::uint64_t next_scc_id = 0;
-    std::uint64_t semi_nodes = 0;
-    // The contracted graph G_L the next phase consumes (node/edge paths
-    // are derived from the directory scheme, only the counts persist).
-    std::uint64_t current_num_nodes = 0;
-    std::uint64_t current_num_edges = 0;
-    // Timer baselines so a resumed solve reports cumulative phase times.
-    double contraction_seconds = 0;
-    double semi_seconds = 0;
-    std::vector<ContractionIterationStats> iterations;
+    std::vector<LevelFiles> levels;  // completed contraction levels
+    graph::DiskGraph current;        // G_L, the next phase's input
+    std::string scc_path;            // labels so far (from kSemiDone)
+    graph::SccId next_scc_id = 0;
+    std::uint64_t expand_done = 0;  // expansion levels folded in
+    ExtSccStats stats;  // iterations, semi_nodes and seconds persist
   };
 
-  // `dir` empty disables checkpointing (enabled() false, all other
-  // calls must not be made).
+  // A manifest as Load reads it: the solve identity it was written
+  // under and the progress it records.
+  struct Manifest {
+    std::uint64_t data_version = 0;
+    std::uint64_t block_size = 0;
+    Progress progress;
+  };
+
+  // `dir` empty: checkpointing is off (see the file comment).
   CheckpointSession(io::IoContext* context, std::string dir,
                     std::uint64_t data_version);
 
-  bool enabled() const { return !dir_.empty(); }
-  const std::string& dir() const { return dir_; }
   std::string ManifestPath() const;
 
-  // The directory scheme. Level files: "l<i>.ein|.eout|.cover|.removed"
-  // plus "l<i>.enext" (the contracted edge file feeding level i+1).
+  // The directory scheme. With checkpointing off, each call returns a
+  // fresh scratch path tagged `kind` / "scc_semi" / "scc_level" instead.
+  // Level files: "l<i>.ein|.eout|.cover|.removed" plus "l<i>.enext"
+  // (the contracted edge file feeding level i+1).
   std::string LevelPath(std::size_t level, const char* kind) const;
   // Semi-external base-case labels: "scc_semi".
   std::string SemiSccPath() const;
@@ -95,17 +110,30 @@ class CheckpointSession {
   // publish from done.
   std::string ExpandSccPath(std::size_t k) const;
 
-  // Loads and validates the manifest. kNotFound: no manifest (fresh
-  // run). kCorruption: manifest damaged (magic/CRC). kFailedPrecondition:
-  // manifest intact but a referenced file is missing or resized. The
-  // caller still must compare data_version/block_size against its own.
-  util::Result<ResumeState> Load();
+  // Removes a consumed phase output if it is scratch; checkpoint files
+  // stay until Finish.
+  void Discard(const std::string& path) const;
 
-  // Durably publishes `state`. `new_files` are the files completed
+  // The progress a solve of `input` begins from: fresh (current =
+  // `input`) when checkpointing is off, `resume` is false or there is
+  // no manifest; the manifest's progress when its data version and
+  // block size match this solve; kFailedPrecondition when they do not;
+  // Load's error when the manifest or its files are damaged.
+  util::Result<Progress> Start(const graph::DiskGraph& input, bool resume);
+
+  // Loads and validates the manifest, rebuilding the level and label
+  // paths from the directory scheme (current's paths stay empty when no
+  // level is done: they are the solve's input's). kNotFound: no manifest
+  // (fresh run). kCorruption: manifest damaged (magic/CRC).
+  // kFailedPrecondition: manifest intact but a referenced file is
+  // missing or resized.
+  util::Result<Manifest> Load();
+
+  // Durably publishes `progress`. `new_files` are the files completed
   // since the previous Save; they are fsynced BEFORE the manifest
   // references them (a manifest must never point at data still in the
   // page cache). All costs land in checkpoint/sync counters.
-  util::Status Save(const ResumeState& state,
+  util::Status Save(const Progress& progress,
                     const std::vector<std::string>& new_files);
 
   // Solve finished: best-effort removal of the manifest (first — a
@@ -114,10 +142,12 @@ class CheckpointSession {
   void Finish(std::size_t num_levels);
 
  private:
-  // The relative file names `state` obligates a resume to find,
+  bool enabled() const { return !dir_.empty(); }
+
+  // The relative file names `progress` obligates a resume to find,
   // matching the needs of the phase: contraction needs every level so
   // far plus the live edge file, expansion drops already-folded levels.
-  std::vector<std::string> RequiredFiles(const ResumeState& state) const;
+  std::vector<std::string> RequiredFiles(const Progress& progress) const;
 
   io::IoContext* context_;
   std::string dir_;

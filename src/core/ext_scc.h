@@ -45,19 +45,16 @@ struct ExtSccOptions {
   // otherwise (scc::RunSemiScc), so kBrTree always ends in BR-tree.
   scc::SemiSccBackend semi_backend = scc::SemiSccBackend::kColoring;
 
-  // Safety valve only — Lemma 5.2 guarantees strict progress, so the
-  // driver fails loudly (FailedPrecondition) if it ever trips.
-  std::uint32_t max_iterations = 10000;
-
   // Crash-safe checkpointing (checkpoint.h). Non-empty: phase-boundary
-  // outputs land in this directory and a CRC'd manifest is durably
-  // published after every completed contraction level, the semi base
-  // case, and every non-final expansion level. With `resume`, a solve
-  // that finds a matching manifest re-does only the phases after the
-  // last completed one; a manifest for a DIFFERENT input/options/block
-  // size fails with kFailedPrecondition rather than splicing solves.
-  // Checkpoint costs appear only in the sync_calls/checkpoint_* stats
-  // counters, never in model block I/Os.
+  // outputs land in this directory instead of scratch, and a CRC'd
+  // manifest is durably published after every completed contraction
+  // level, the semi base case, and every non-final expansion level.
+  // With `resume`, a solve that finds a matching manifest re-does only
+  // the phases after the last completed one; a manifest for a DIFFERENT
+  // input/options/memory/block size fails with kFailedPrecondition
+  // rather than splicing solves. Either way the solve runs the same
+  // loop with the same model block I/Os; checkpoint costs appear only
+  // in the sync_calls/checkpoint_* stats counters.
   std::string checkpoint_dir;
   bool resume = false;
 
@@ -104,8 +101,11 @@ struct ExtSccStats {
 // node id to `scc_output`. Labels are dense in [0, stats.num_sccs).
 //
 // Returns ResourceExhausted when the context's I/O budget trips (the
-// paper's INF censoring) and FailedPrecondition if the iteration safety
-// valve trips.
+// paper's INF censoring), the latched error when a device fails, a
+// failed checkpoint write, and, with options.resume, the refusal of a
+// checkpoint it cannot use (CheckpointSession::Start: FailedPrecondition
+// for another solve's manifest or a missing or resized file, Corruption
+// for a damaged manifest).
 util::Result<ExtSccStats> RunExtScc(io::IoContext* context,
                                     const graph::DiskGraph& input,
                                     const std::string& scc_output,

@@ -27,6 +27,7 @@
 #include "io/crash_point.h"
 #include "io/durability.h"
 #include "io/io_context.h"
+#include "io/record_stream.h"
 #include "io/storage.h"
 #include "test_util.h"
 #include "util/status.h"
@@ -289,35 +290,33 @@ class CheckpointManifestTest : public ::testing::Test {
         context_.get(), dir_.string(), /*data_version=*/42);
     // One completed contraction level: the manifest obligates the four
     // level files plus the live contracted edge file.
-    state_.phase = core::CheckpointSession::kContracting;
-    state_.data_version = 42;
-    state_.block_size = 4096;
-    state_.levels_done = 1;
-    state_.current_num_nodes = 11;
-    state_.current_num_edges = 23;
-    state_.contraction_seconds = 1.5;
-    core::ContractionIterationStats it;
-    it.level = 0;
-    it.nodes = 64;
-    it.cover_nodes = 11;
-    state_.iterations.push_back(it);
     for (const char* kind : {"ein", "eout", "cover", "removed", "enext"}) {
       files_.push_back(ckpt_->LevelPath(0, kind));
       std::ofstream(files_.back(), std::ios::binary) << kind << "-data";
     }
+    progress_.phase = core::CheckpointSession::kContracting;
+    progress_.levels.push_back(
+        core::LevelFiles{files_[0], files_[1], files_[2], files_[3]});
+    progress_.current = graph::DiskGraph{files_[2], files_[4], 11, 23};
+    progress_.stats.contraction_seconds = 1.5;
+    core::ContractionIterationStats it;
+    it.level = 0;
+    it.nodes = 64;
+    it.cover_nodes = 11;
+    progress_.stats.iterations.push_back(it);
   }
 
   // First member: removed last, after the session and context.
   FreshDir dir_{"durability_ckpt"};
   std::unique_ptr<io::IoContext> context_;
   std::unique_ptr<core::CheckpointSession> ckpt_;
-  core::CheckpointSession::ResumeState state_;
+  core::CheckpointSession::Progress progress_;
   std::vector<std::string> files_;
 };
 
 TEST_F(CheckpointManifestTest, SaveLoadRoundTripWithCounters) {
   const auto before = context_->stats();
-  ASSERT_TRUE(ckpt_->Save(state_, files_).ok());
+  ASSERT_TRUE(ckpt_->Save(progress_, files_).ok());
   const auto after_save = context_->stats() - before;
   EXPECT_EQ(after_save.checkpoint_writes, 1u);
   // 5 data-file fsyncs + manifest fsync + the publish's dir fsync.
@@ -328,17 +327,24 @@ TEST_F(CheckpointManifestTest, SaveLoadRoundTripWithCounters) {
   auto loaded = ckpt_->Load();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((context_->stats() - before).checkpoint_reads, 1u);
-  const auto& st = loaded.value();
+  EXPECT_EQ(loaded.value().data_version, 42u);
+  EXPECT_EQ(loaded.value().block_size, 4096u);
+  // Paths come back from the directory scheme, counts from the manifest.
+  const auto& st = loaded.value().progress;
   EXPECT_EQ(st.phase, core::CheckpointSession::kContracting);
-  EXPECT_EQ(st.data_version, 42u);
-  EXPECT_EQ(st.block_size, 4096u);
-  EXPECT_EQ(st.levels_done, 1u);
-  EXPECT_EQ(st.current_num_nodes, 11u);
-  EXPECT_EQ(st.current_num_edges, 23u);
-  EXPECT_DOUBLE_EQ(st.contraction_seconds, 1.5);
-  ASSERT_EQ(st.iterations.size(), 1u);
-  EXPECT_EQ(st.iterations[0].nodes, 64u);
-  EXPECT_EQ(st.iterations[0].cover_nodes, 11u);
+  ASSERT_EQ(st.levels.size(), 1u);
+  EXPECT_EQ(st.levels[0].ein, files_[0]);
+  EXPECT_EQ(st.levels[0].eout, files_[1]);
+  EXPECT_EQ(st.levels[0].cover, files_[2]);
+  EXPECT_EQ(st.levels[0].removed, files_[3]);
+  EXPECT_EQ(st.current.node_path, files_[2]);
+  EXPECT_EQ(st.current.edge_path, files_[4]);
+  EXPECT_EQ(st.current.num_nodes, 11u);
+  EXPECT_EQ(st.current.num_edges, 23u);
+  EXPECT_DOUBLE_EQ(st.stats.contraction_seconds, 1.5);
+  ASSERT_EQ(st.stats.iterations.size(), 1u);
+  EXPECT_EQ(st.stats.iterations[0].nodes, 64u);
+  EXPECT_EQ(st.stats.iterations[0].cover_nodes, 11u);
 }
 
 TEST_F(CheckpointManifestTest, MissingManifestIsNotFound) {
@@ -348,7 +354,7 @@ TEST_F(CheckpointManifestTest, MissingManifestIsNotFound) {
 }
 
 TEST_F(CheckpointManifestTest, CorruptManifestIsCorruption) {
-  ASSERT_TRUE(ckpt_->Save(state_, files_).ok());
+  ASSERT_TRUE(ckpt_->Save(progress_, files_).ok());
   auto bytes = Slurp(ckpt_->ManifestPath());
   bytes[bytes.size() / 2] ^= 0x01;
   Spit(ckpt_->ManifestPath(), bytes);
@@ -358,7 +364,7 @@ TEST_F(CheckpointManifestTest, CorruptManifestIsCorruption) {
 }
 
 TEST_F(CheckpointManifestTest, ResizedDataFileIsFailedPrecondition) {
-  ASSERT_TRUE(ckpt_->Save(state_, files_).ok());
+  ASSERT_TRUE(ckpt_->Save(progress_, files_).ok());
   fs::resize_file(files_[0], fs::file_size(files_[0]) - 1);
   auto loaded = ckpt_->Load();
   ASSERT_FALSE(loaded.ok());
@@ -366,7 +372,7 @@ TEST_F(CheckpointManifestTest, ResizedDataFileIsFailedPrecondition) {
 }
 
 TEST_F(CheckpointManifestTest, MissingDataFileIsFailedPrecondition) {
-  ASSERT_TRUE(ckpt_->Save(state_, files_).ok());
+  ASSERT_TRUE(ckpt_->Save(progress_, files_).ok());
   fs::remove(files_[2]);
   auto loaded = ckpt_->Load();
   ASSERT_FALSE(loaded.ok());
@@ -374,14 +380,60 @@ TEST_F(CheckpointManifestTest, MissingDataFileIsFailedPrecondition) {
 }
 
 TEST_F(CheckpointManifestTest, FinishRemovesManifestAndPhaseFiles) {
-  ASSERT_TRUE(ckpt_->Save(state_, files_).ok());
+  ASSERT_TRUE(ckpt_->Save(progress_, files_).ok());
   ckpt_->Finish(/*num_levels=*/1);
   EXPECT_FALSE(fs::exists(ckpt_->ManifestPath()));
   for (const auto& f : files_) EXPECT_FALSE(fs::exists(f)) << f;
 }
 
-TEST(DurabilityTest, SolveDataVersionBindsOptionsAndGeometryNotPaths) {
+TEST_F(CheckpointManifestTest, StartResumesOnlyTheSameSolve) {
+  const graph::DiskGraph input{"in.nodes", "in.edges", 64, 100};
+  // No manifest yet: a fresh solve of the input.
+  auto fresh = ckpt_->Start(input, /*resume=*/true);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(fresh.value().levels.empty());
+  EXPECT_EQ(fresh.value().current.edge_path, input.edge_path);
+
+  ASSERT_TRUE(ckpt_->Save(progress_, files_).ok());
+  EXPECT_TRUE(ckpt_->Start(input, /*resume=*/false).value().levels.empty());
+  auto resumed = ckpt_->Start(input, /*resume=*/true);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ASSERT_EQ(resumed.value().levels.size(), 1u);
+  EXPECT_EQ(resumed.value().current.edge_path, files_[4]);
+
+  // Another solve's data version is refused and leaves the checkpoint
+  // usable by its own solve.
+  core::CheckpointSession other(context_.get(), dir_.string(), 43);
+  auto refused = other.Start(input, /*resume=*/true);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(ckpt_->Start(input, /*resume=*/true).ok());
+}
+
+TEST(DurabilityTest, CheckpointingOffUsesScratchAndRecordsNothing) {
   auto context = MakeContext(4096);
+  core::CheckpointSession off(context.get(), "", 0);
+  const std::string path = off.LevelPath(0, "ein");
+  EXPECT_NE(path, off.LevelPath(0, "ein")) << "a fresh path per call";
+  EXPECT_NE(context->temp_files().DeviceForPath(path), nullptr);
+  io::WriteAllRecords<graph::Edge>(context.get(), path, {{1, 2}});
+  off.Discard(path);
+  std::unique_ptr<io::StorageFile> gone;
+  EXPECT_FALSE(context->ResolveDevice(path)
+                   ->Open(path, io::OpenMode::kRead, &gone)
+                   .ok());
+
+  const auto before = context->stats();
+  core::CheckpointSession::Progress progress;
+  progress.levels.resize(1);
+  ASSERT_TRUE(off.Save(progress, {off.SemiSccPath()}).ok());
+  off.Finish(1);
+  const auto delta = context->stats() - before;
+  EXPECT_EQ(delta.sync_calls + delta.checkpoint_writes, 0u);
+  EXPECT_TRUE(off.Start({}, /*resume=*/true).value().levels.empty());
+}
+
+TEST(DurabilityTest, SolveDataVersionBindsOptionsAndGeometryNotPaths) {
   graph::DiskGraph a;
   a.num_nodes = 100;
   a.num_edges = 400;
@@ -393,16 +445,18 @@ TEST(DurabilityTest, SolveDataVersionBindsOptionsAndGeometryNotPaths) {
   b.node_path = "/scratch/run2/nodes";
   b.edge_path = "/scratch/run2/edges";
   const auto opt = core::ExtSccOptions::Optimized();
-  EXPECT_EQ(core::SolveDataVersion(a, opt, 4096),
-            core::SolveDataVersion(b, opt, 4096));
-  EXPECT_NE(core::SolveDataVersion(a, opt, 4096),
-            core::SolveDataVersion(a, opt, 8192));
-  EXPECT_NE(core::SolveDataVersion(a, opt, 4096),
-            core::SolveDataVersion(a, core::ExtSccOptions::Basic(), 4096));
+  constexpr std::uint64_t kMemory = 1 << 20;
+  const std::uint64_t version = core::SolveDataVersion(a, opt, 4096, kMemory);
+  EXPECT_EQ(version, core::SolveDataVersion(b, opt, 4096, kMemory));
+  EXPECT_NE(version, core::SolveDataVersion(a, opt, 8192, kMemory));
+  EXPECT_NE(version, core::SolveDataVersion(a, core::ExtSccOptions::Basic(),
+                                            4096, kMemory));
   graph::DiskGraph c = a;
   c.num_nodes = 101;
-  EXPECT_NE(core::SolveDataVersion(a, opt, 4096),
-            core::SolveDataVersion(c, opt, 4096));
+  EXPECT_NE(version, core::SolveDataVersion(c, opt, 4096, kMemory));
+  // M decides how deep the contraction goes, so a resume under another
+  // memory budget is another solve.
+  EXPECT_NE(version, core::SolveDataVersion(a, opt, 4096, 4 * kMemory));
 }
 
 }  // namespace

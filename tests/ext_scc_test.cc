@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <vector>
 
 #include "core/ext_scc.h"
@@ -246,6 +247,99 @@ TEST(ExtSccTest, IoBudgetCensoring) {
   auto result = RunExtScc(ctx.get(), g, out, ExtSccOptions::Basic());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kResourceExhausted);
+}
+
+// One solve of `edges` on a fresh TightContext(64): its status, stats,
+// labels and the context's counters over the solve. A nonzero
+// `io_budget` is counted from the loaded graph's I/Os.
+struct SolveRun {
+  util::Status status;
+  core::ExtSccStats stats;
+  std::vector<graph::SccEntry> labels;
+  io::IoStats io;
+};
+
+SolveRun Solve(const std::vector<Edge>& edges, const ExtSccOptions& options,
+               std::uint64_t io_budget = 0) {
+  auto ctx = TightContext(64);
+  const auto g = graph::MakeDiskGraph(ctx.get(), edges);
+  if (io_budget > 0) ctx->set_io_budget(ctx->stats().total_ios() + io_budget);
+  const std::string out = ctx->NewTempPath("scc_out");
+  const io::IoStats before = ctx->stats();
+  auto result = RunExtScc(ctx.get(), g, out, options);
+  SolveRun run;
+  run.io = ctx->stats() - before;
+  run.status = result.status();
+  if (result.ok()) {
+    run.stats = result.value();
+    run.labels = io::ReadAllRecords<graph::SccEntry>(ctx.get(), out);
+  }
+  return run;
+}
+
+// Checkpointing decides only where phase outputs live: the checkpointed
+// solve is the plain one byte for byte and I/O for I/O, with its
+// manifests in the durability counters alone.
+TEST(ExtSccTest, CheckpointedSolveEqualsPlain) {
+  const auto edges = gen::RandomDigraphEdges(150, 450, 41, true);
+  for (const bool optimized : {false, true}) {
+    const char* label = optimized ? "op" : "basic";
+    ExtSccOptions options =
+        optimized ? ExtSccOptions::Optimized() : ExtSccOptions::Basic();
+    const SolveRun plain = Solve(edges, options);
+    ASSERT_TRUE(plain.status.ok()) << label << ": " << plain.status.ToString();
+    const std::uint32_t levels = plain.stats.num_levels();
+    ASSERT_GE(levels, 2u) << label;
+    EXPECT_EQ(plain.io.sync_calls, 0u) << label;
+    EXPECT_EQ(plain.io.checkpoint_writes, 0u) << label;
+
+    const testing::ScopedTempPath dir("ckpt");
+    std::filesystem::create_directories(dir.path());
+    options.checkpoint_dir = dir.path();
+    const SolveRun checkpointed = Solve(edges, options);
+    ASSERT_TRUE(checkpointed.status.ok())
+        << label << ": " << checkpointed.status.ToString();
+    EXPECT_TRUE(checkpointed.labels == plain.labels) << label;
+    EXPECT_EQ(checkpointed.stats.total_ios, plain.stats.total_ios) << label;
+    ASSERT_EQ(checkpointed.stats.num_levels(), levels) << label;
+    for (std::uint32_t i = 0; i < levels; ++i) {
+      EXPECT_EQ(checkpointed.stats.iterations[i].ios,
+                plain.stats.iterations[i].ios)
+          << label << " level " << i + 1;
+    }
+    // One manifest per contraction level, one for the base case and one
+    // per expansion but the outermost.
+    EXPECT_EQ(checkpointed.io.checkpoint_writes, 2u * levels) << label;
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path())) << label;
+  }
+}
+
+// A solve cut short inside its second level resumes from the first
+// level's checkpoint: the same labels from one manifest read and fewer
+// I/Os than solving from scratch.
+TEST(ExtSccTest, ResumeAfterIoBudgetTrip) {
+  const auto edges = gen::RandomDigraphEdges(150, 450, 41, true);
+  ExtSccOptions options = ExtSccOptions::Optimized();
+  const SolveRun plain = Solve(edges, options);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  ASSERT_GE(plain.stats.num_levels(), 2u);
+
+  const testing::ScopedTempPath dir("ckpt");
+  std::filesystem::create_directories(dir.path());
+  options.checkpoint_dir = dir.path();
+  const SolveRun tripped =
+      Solve(edges, options, plain.stats.iterations[0].ios + 1);
+  EXPECT_EQ(tripped.status.code(), util::StatusCode::kResourceExhausted)
+      << tripped.status.ToString();
+  EXPECT_EQ(tripped.io.checkpoint_writes, 1u);
+
+  options.resume = true;
+  const SolveRun resumed = Solve(edges, options);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_TRUE(resumed.labels == plain.labels);
+  EXPECT_EQ(resumed.io.checkpoint_reads, 1u);
+  EXPECT_EQ(resumed.stats.num_levels(), plain.stats.num_levels());
+  EXPECT_LT(resumed.stats.total_ios, plain.stats.total_ios);
 }
 
 // Parameterized end-to-end sweep over memory budgets: correctness must be

@@ -431,21 +431,6 @@ TEST(FailureInjectionTest, TruncatedRecordFileAborts) {
                "whole number of records");
 }
 
-TEST(FailureInjectionTest, MaxIterationsSafetyValve) {
-  auto ctx = MakeTestContext(/*memory_bytes=*/
-                             scc::SemiExternalScc::StateBytes(16),
-                             /*block_size=*/64);
-  // A 200-cycle under a 16-node budget needs many levels; capping the
-  // iteration count must produce FailedPrecondition, not a wrong result.
-  const auto g = graph::MakeDiskGraph(ctx.get(), gen::CycleEdges(200));
-  ExtSccOptions options = ExtSccOptions::Basic();
-  options.max_iterations = 2;
-  const std::string out = ctx->NewTempPath("out");
-  auto result = core::RunExtScc(ctx.get(), g, out, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
-}
-
 TEST(FailureInjectionTest, IoBudgetDuringEachPhase) {
   // Sweep the budget upward: every prefix-censoring must fail cleanly,
   // and once the budget is high enough the run must succeed and verify.
