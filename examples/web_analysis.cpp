@@ -1,24 +1,30 @@
 // Full web-graph analysis pipeline — everything the paper's introduction
 // says SCC computation enables, end to end on one graph:
 //
-//   1. Ext-SCC-Op under contraction pressure        (the contribution)
+//   1. Ext-SCC-Op under contraction pressure, published as a serve
+//      artifact                                     (the contribution)
 //   2. bow-tie decomposition around the giant SCC   (Broder et al.)
 //   3. condensation + external topological sort     (motivation 1)
 //   4. external bisimulation on the condensation    (motivation 1, [16])
-//   5. GRAIL-style reachability index + sample queries (motivation 2, [25])
+//   5. sample reachability queries, one batch over the artifact's
+//      GRAIL-style interval labels                  (motivation 2, [25])
+//
+// Steps 2-4 read the artifact's node→SCC map as their label file.
 //
 //   $ ./web_analysis [num_nodes] [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "app/bisimulation.h"
 #include "app/bowtie.h"
-#include "app/reachability_index.h"
-#include "core/ext_scc.h"
 #include "gen/webgraph_generator.h"
 #include "io/record_stream.h"
 #include "scc/condensation.h"
 #include "scc/semi_external_scc.h"
+#include "serve/artifact.h"
+#include "serve/index_builder.h"
+#include "serve/query_engine.h"
 #include "util/random.h"
 
 namespace {
@@ -46,20 +52,41 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(machine.memory_bytes / 1024));
 
   // ---- 1. SCCs ----------------------------------------------------------
-  const std::string scc_path = context.NewTempPath("scc");
-  auto scc_result = core::RunExtScc(&context, g, scc_path,
-                                    core::ExtSccOptions::Optimized());
-  if (!scc_result.ok()) {
-    std::fprintf(stderr, "Ext-SCC failed: %s\n",
-                 scc_result.status().ToString().c_str());
+  const std::string artifact_path = context.NewTempPath("artifact");
+  auto built = serve::BuildArtifact(&context, g, artifact_path);
+  if (!built.ok()) {
+    std::fprintf(stderr, "artifact build failed: %s\n",
+                 built.status().ToString().c_str());
     return 1;
   }
+  const core::ExtSccStats& solve = built.value().solve_stats;
   std::printf("[1] Ext-SCC-Op: %llu SCCs in %u contraction levels "
               "(%llu I/Os)\n",
-              static_cast<unsigned long long>(scc_result.value().num_sccs),
-              scc_result.value().num_levels(),
-              static_cast<unsigned long long>(
-                  scc_result.value().total_ios));
+              static_cast<unsigned long long>(solve.num_sccs),
+              solve.num_levels(),
+              static_cast<unsigned long long>(solve.total_ios));
+  auto opened = serve::ArtifactReader::Open(&context, artifact_path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "artifact open failed: %s\n",
+                 opened.status().ToString().c_str());
+    return 1;
+  }
+  const serve::ArtifactReader& artifact = opened.value();
+  const std::string scc_path = context.NewTempPath("scc");
+  {
+    io::RecordWriter<graph::SccEntry> labels(&context, scc_path);
+    serve::SccMapScanner scan = artifact.OpenNodeSccScan();
+    graph::SccEntry entry;
+    while (scan.Next(&entry)) labels.Append(entry);
+    labels.Finish();
+    const util::Status copied =
+        scan.status().ok() ? labels.status() : scan.status();
+    if (!copied.ok()) {
+      std::fprintf(stderr, "label copy failed: %s\n",
+                   copied.ToString().c_str());
+      return 1;
+    }
+  }
 
   // ---- 2. bow-tie --------------------------------------------------------
   auto bowtie = app::BowtieDecompose(&context, g, scc_path);
@@ -104,30 +131,33 @@ int main(int argc, char** argv) {
                                      condensation.dag.num_nodes)),
               static_cast<unsigned long long>(bisim.value().num_heights));
 
-  // ---- 5. reachability index + sample queries ----------------------------
-  auto index = app::ReachabilityIndex::Build(&context, g, scc_path, {});
-  if (!index.ok()) {
-    std::fprintf(stderr, "reachability index failed: %s\n",
-                 index.status().ToString().c_str());
-    return 1;
-  }
+  // ---- 5. sample reachability queries, one batch -----------------------
   const auto nodes = io::ReadAllRecords<graph::NodeId>(&context, g.node_path);
   util::Rng rng(seed + 1);
-  std::uint64_t reachable = 0;
-  const std::uint64_t kQueries = 2000;
-  for (std::uint64_t q = 0; q < kQueries; ++q) {
-    const auto u = nodes[rng.Uniform(nodes.size())];
-    const auto v = nodes[rng.Uniform(nodes.size())];
-    if (index.value().Reachable(u, v)) ++reachable;
+  std::vector<serve::Query> queries(2000);
+  for (serve::Query& q : queries) {
+    q.type = serve::QueryType::kReachable;
+    q.u = nodes[rng.Uniform(nodes.size())];
+    q.v = nodes[rng.Uniform(nodes.size())];
   }
-  const auto& qs = index.value().stats();
+  std::vector<serve::QueryAnswer> answers(queries.size());
+  serve::QueryBatchStats qs;
+  const util::Status ran = serve::QueryEngine(&artifact).RunBatch(
+      &context, queries.data(), queries.size(), answers.data(), &qs);
+  if (!ran.ok()) {
+    std::fprintf(stderr, "reachability batch failed: %s\n",
+                 ran.ToString().c_str());
+    return 1;
+  }
+  std::uint64_t reachable = 0;
+  for (const serve::QueryAnswer& a : answers) reachable += a.result;
   std::printf("[5] reachability: %llu/%llu random pairs reachable "
               "(same-SCC %llu, interval-refuted %llu, DFS fallback %llu)\n",
               static_cast<unsigned long long>(reachable),
-              static_cast<unsigned long long>(kQueries),
-              static_cast<unsigned long long>(qs.same_scc_hits),
-              static_cast<unsigned long long>(qs.interval_refutations),
-              static_cast<unsigned long long>(qs.dfs_fallbacks));
+              static_cast<unsigned long long>(queries.size()),
+              static_cast<unsigned long long>(qs.labels.same_scc_hits),
+              static_cast<unsigned long long>(qs.labels.interval_refutations),
+              static_cast<unsigned long long>(qs.labels.dfs_fallbacks));
 
   std::puts("\npipeline complete — one external SCC computation fed four "
             "downstream analyses");

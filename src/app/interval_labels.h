@@ -6,9 +6,9 @@
 // do NOT nest refutes a query immediately; nested rounds fall back to
 // a pruned DFS.
 //
-// This is the resident query core shared by app::ReachabilityIndex
-// (one-shot pipeline) and the serve artifact (built once, reopened
-// many times): it owns the DAG plus the label arrays and nothing else.
+// This is the serve artifact's resident query core (built once by
+// serve::WriteDerivedSections, reassembled by every ArtifactReader::Open):
+// it owns the DAG plus the label arrays and nothing else.
 // Every query method is const and touches only per-call state, so one
 // IntervalLabels may serve concurrent reader threads; callers that
 // want the hit/refutation breakdown pass their own counters.

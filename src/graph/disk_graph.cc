@@ -1,6 +1,5 @@
 #include "graph/disk_graph.h"
 
-#include "graph/edge_file.h"
 #include "graph/node_file.h"
 #include "io/record_stream.h"
 
@@ -28,17 +27,6 @@ DiskGraph MakeDiskGraph(io::IoContext* context, const std::vector<Edge>& edges,
 
   g.num_nodes = CountNodes(context, g.node_path);
   g.num_edges = edges.size();
-  return g;
-}
-
-DiskGraph AssembleDiskGraph(io::IoContext* context,
-                            const std::string& edge_path) {
-  DiskGraph g;
-  g.edge_path = edge_path;
-  g.node_path = context->NewTempPath("nodes");
-  NodesFromEdges(context, edge_path, g.node_path);
-  g.num_nodes = CountNodes(context, g.node_path);
-  g.num_edges = CountEdges(context, edge_path);
   return g;
 }
 

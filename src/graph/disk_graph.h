@@ -29,11 +29,6 @@ struct DiskGraph {
 DiskGraph MakeDiskGraph(io::IoContext* context, const std::vector<Edge>& edges,
                         const std::vector<NodeId>& extra_nodes = {});
 
-// Builds the canonical node file for an existing edge file (plus optional
-// explicit isolated nodes file) and assembles a DiskGraph.
-DiskGraph AssembleDiskGraph(io::IoContext* context,
-                            const std::string& edge_path);
-
 }  // namespace extscc::graph
 
 #endif  // EXTSCC_GRAPH_DISK_GRAPH_H_

@@ -7,12 +7,9 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
-#include <filesystem>
 
 #include "graph/graph_builder.h"
 #include "io/record_stream.h"
-#include "io/storage.h"
-#include "io/temp_file_manager.h"
 
 namespace extscc::graph {
 
@@ -214,34 +211,6 @@ util::Status SaveTextEdgeList(io::IoContext* context, const DiskGraph& graph,
   while (reader.Next(&e)) writer.Append(e.src, e.dst);
   RETURN_IF_ERROR(reader.status());
   return writer.Close();
-}
-util::Result<DiskGraph> OpenBinaryEdgeFile(io::IoContext* context,
-                                           const std::string& edge_path) {
-  // Scratch paths are virtual names only their device can resolve
-  // (mem://); everything else is a real file the
-  // filesystem can stat.
-  std::uint64_t size = 0;
-  if (io::StorageDevice* device =
-          context->temp_files().DeviceForPath(edge_path)) {
-    std::unique_ptr<io::StorageFile> file;
-    const util::Status opened =
-        device->Open(edge_path, io::OpenMode::kRead, &file);
-    if (!opened.ok()) {
-      return util::Status::NotFound("cannot stat edge file: " + edge_path);
-    }
-    size = file->size_bytes();
-  } else {
-    std::error_code ec;
-    size = std::filesystem::file_size(edge_path, ec);
-    if (ec) {
-      return util::Status::NotFound("cannot stat edge file: " + edge_path);
-    }
-  }
-  if (size % sizeof(Edge) != 0) {
-    return util::Status::Corruption(edge_path +
-                                    " is not a whole number of edge records");
-  }
-  return AssembleDiskGraph(context, edge_path);
 }
 
 }  // namespace extscc::graph

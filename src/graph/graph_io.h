@@ -1,7 +1,6 @@
 // User-facing graph loading/saving: text pair files (edge lists "u v",
-// label files "node scc") and the library's binary edge format. These
-// are the only Status-returning entry points in the graph layer — user
-// files may be missing or malformed.
+// label files "node scc"). These are the only Status-returning entry
+// points in the graph layer — user files may be missing or malformed.
 //
 // Text pair grammar, shared by every edge and label file the tool reads:
 //  - A line ends at '\n'; the last line may lack one.
@@ -114,11 +113,6 @@ util::Result<DiskGraph> LoadTextEdgeList(io::IoContext* context,
 // Writes `graph`'s edges as a text edge list.
 util::Status SaveTextEdgeList(io::IoContext* context, const DiskGraph& graph,
                               const std::string& text_path);
-
-// Opens a binary Edge-record file that already exists outside the scratch
-// directory and assembles its DiskGraph.
-util::Result<DiskGraph> OpenBinaryEdgeFile(io::IoContext* context,
-                                           const std::string& edge_path);
 
 }  // namespace extscc::graph
 

@@ -36,19 +36,6 @@ std::uint64_t NodeFileDifference(io::IoContext* context, const std::string& a,
   return count;
 }
 
-void NodesFromEdges(io::IoContext* context, const std::string& edge_path,
-                    const std::string& node_output) {
-  // Endpoints stream straight into a sorting writer — the 2|E|-record
-  // staging file of the stage-per-file form never exists.
-  extsort::SortingWriter<NodeId, NodeIdLess> sorter(context, NodeIdLess{},
-                                                    /*dedup=*/true);
-  io::ForEachRecord<Edge>(context, edge_path, [&](const Edge& e) {
-    sorter.Append(e.src);
-    sorter.Append(e.dst);
-  });
-  sorter.FinishInto(node_output);
-}
-
 bool IsNodeFileCanonical(io::IoContext* context, const std::string& path) {
   io::RecordReader<NodeId> reader(context, path);
   NodeId prev = 0;

@@ -25,12 +25,6 @@ std::uint64_t NodeFileDifference(io::IoContext* context, const std::string& a,
                                  const std::string& b,
                                  const std::string& output);
 
-// Derives the node file of an edge file: all endpoints, sorted, unique.
-// (Isolated nodes obviously cannot be derived; the graph loaders track
-// them explicitly.)
-void NodesFromEdges(io::IoContext* context, const std::string& edge_path,
-                    const std::string& node_output);
-
 // True iff `path` is strictly increasing (a valid node file).
 bool IsNodeFileCanonical(io::IoContext* context, const std::string& path);
 

@@ -18,9 +18,6 @@ namespace {
 // "flt0"..) so per-device stats rows are self-describing.
 std::vector<std::unique_ptr<StorageDevice>> BuildScratchDevices(
     const IoContextOptions& options) {
-  // Posix shares the TempFileManager convenience ctor's construction
-  // path, so the options route and the legacy ctor produce identical
-  // device sets by definition.
   if (options.device_model.model == DeviceModel::kPosix) {
     return MakePosixScratchDevices(options.temp_parent_dir,
                                    options.scratch_dirs);

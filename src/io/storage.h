@@ -171,9 +171,7 @@ class MemDevice : public StorageDevice {
 
 // One PosixDevice ("disk<i>") per entry of `scratch_parents`, or a
 // single one under `parent_dir` ("" = $TMPDIR or /tmp) when the list is
-// empty. The one construction path shared by the TempFileManager
-// convenience ctor and IoContext's options path, so both produce
-// identical device sets (names, parents, order).
+// empty: IoContext's posix scratch set.
 std::vector<std::unique_ptr<StorageDevice>> MakePosixScratchDevices(
     const std::string& parent_dir,
     const std::vector<std::string>& scratch_parents);

@@ -98,11 +98,6 @@ TempFileManager::TempFileManager(
   }
 }
 
-TempFileManager::TempFileManager(
-    const std::string& parent_dir,
-    const std::vector<std::string>& scratch_parents)
-    : TempFileManager(MakePosixScratchDevices(parent_dir, scratch_parents)) {}
-
 TempFileManager::~TempFileManager() {
   for (const auto& root : roots_) {
     root.device->RemoveTree(root.root);

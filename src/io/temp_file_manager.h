@@ -37,14 +37,6 @@ class TempFileManager {
   // creates one fresh session root on each.
   explicit TempFileManager(
       std::vector<std::unique_ptr<StorageDevice>> devices);
-
-  // Posix convenience ctor (the historical interface): one PosixDevice
-  // per entry of `scratch_parents`, or a single one under `parent_dir`
-  // (default: $TMPDIR or /tmp) when the list is empty. CHECK-fails if
-  // any session directory cannot be created.
-  explicit TempFileManager(const std::string& parent_dir = "",
-                           const std::vector<std::string>& scratch_parents =
-                               {});
   ~TempFileManager();
 
   TempFileManager(const TempFileManager&) = delete;

@@ -165,11 +165,13 @@ util::Status ArtifactWriter::Finish() {
 
 SccMapScanner::SccMapScanner(io::IoContext* context, const std::string& path,
                              const ArtifactSectionEntry& section,
-                             const std::vector<std::uint32_t>* block_crcs)
+                             const std::vector<std::uint32_t>* block_crcs,
+                             std::uint64_t num_sccs)
     : file_(std::make_unique<io::BlockFile>(context, path,
                                             io::OpenMode::kRead)),
       section_(section),
       block_crcs_(block_crcs),
+      num_sccs_(num_sccs),
       block_(context->block_size()),
       next_block_(section.first_block),
       payload_left_(section.payload_bytes) {
@@ -197,6 +199,57 @@ bool SccMapScanner::RefillBlock() {
       std::min<std::uint64_t>(payload_left_, bs));
   payload_left_ -= block_payload_;
   block_pos_ = 0;
+  return CheckBlockRecords();
+}
+
+bool SccMapScanner::CheckBlockRecords() {
+  constexpr std::size_t kRec = sizeof(graph::SccEntry);
+  const unsigned char* p = block_.data();
+  const unsigned char* const end = p + block_payload_;
+  // Every record a sweep reads passes this loop, so its bounds live in
+  // locals the compiler keeps in registers: updating the members per
+  // record measurably slowed serve's query batches.
+  const std::uint64_t num_sccs = num_sccs_;
+  std::uint64_t min_node = min_next_node_;
+  graph::SccEntry entry{};
+  const auto admit = [&] {
+    if (entry.scc >= num_sccs || entry.node < min_node) return false;
+    min_node = std::uint64_t{entry.node} + 1;
+    return true;
+  };
+  // First the record whose head the previous block left in carry_ (only
+  // when the record size does not divide the block size), then every
+  // record that lies whole in this block, in section order.
+  bool ok = true;
+  if (carry_len_ > 0) {
+    const std::size_t take =
+        std::min<std::size_t>(kRec - carry_len_, end - p);
+    std::memcpy(carry_ + carry_len_, p, take);
+    carry_len_ += take;
+    p += take;
+    if (carry_len_ == kRec) {
+      carry_len_ = 0;
+      std::memcpy(&entry, carry_, kRec);
+      ok = admit();
+    }
+  }
+  for (; ok && static_cast<std::size_t>(end - p) >= kRec; p += kRec) {
+    std::memcpy(&entry, p, kRec);
+    ok = admit();
+  }
+  min_next_node_ = min_node;
+  if (!ok) {
+    block_pos_ = block_payload_;  // nothing of a rejected block is handed out
+    status_ = util::Status::Corruption(
+        "artifact node->SCC section: node " + std::to_string(entry.node) +
+        (entry.scc >= num_sccs
+             ? " names SCC " + std::to_string(entry.scc) + " of " +
+                   std::to_string(num_sccs)
+             : std::string(" is out of node order")));
+    return false;
+  }
+  std::memcpy(carry_ + carry_len_, p, static_cast<std::size_t>(end - p));
+  carry_len_ += static_cast<std::size_t>(end - p);
   return true;
 }
 
@@ -504,6 +557,14 @@ util::Result<ArtifactReader> ArtifactReader::Open(io::IoContext* context,
     return util::Status::Corruption(
         "artifact summary disagrees with its sections");
   }
+  // A map label indexes both the size table and the DAG, so the DAG's
+  // nodes must be exactly 0..S-1; its ids are sorted and unique, so the
+  // count and the last id decide it.
+  if (n != reader.scc_sizes_.size() || (n > 0 && dag.id_of(n - 1) != n - 1)) {
+    return util::Status::Corruption(
+        "artifact DAG nodes are not the SCC labels 0.." +
+        std::to_string(reader.scc_sizes_.size()) + "-1");
+  }
   std::vector<std::vector<std::uint32_t>> ranks(rounds), mins(rounds);
   for (std::uint32_t r = 0; r < rounds; ++r) {
     ranks[r].assign(rank_words.begin() + r * n,
@@ -556,7 +617,8 @@ std::uint64_t ArtifactReader::scc_size(graph::SccId scc) const {
 }
 
 SccMapScanner ArtifactReader::OpenNodeSccScan() const {
-  return SccMapScanner(context_, path_, node_scc_section_, &block_crcs_);
+  return SccMapScanner(context_, path_, node_scc_section_, &block_crcs_,
+                       scc_sizes_.size());
 }
 
 util::Result<std::uint64_t> PeekArtifactVersion(io::IoContext* context,

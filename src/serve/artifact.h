@@ -16,8 +16,10 @@
 // immutable artifact concurrently; the reader itself is const after
 // Open.
 //
-// Error contract: wrong magic, bad CRC, truncation, or inconsistent
-// geometry → kCorruption; an unsupported format version or mismatched
+// Error contract: wrong magic, bad CRC, truncation, inconsistent
+// geometry, or checksummed values that contradict each other (a DAG
+// that is not nodes 0..S-1, a map label >= S, map nodes out of order)
+// → kCorruption; an unsupported format version or mismatched
 // block size → kInvalidArgument; device-level failures keep their
 // errno-typed codes. Corruption is always detected before a record is
 // handed out — never a wrong answer.
@@ -107,9 +109,11 @@ class ArtifactWriter {
 
 // Streaming CRC-verified reader of the node→SCC section, in node order.
 // Obtained from ArtifactReader::OpenNodeSccScan; must not outlive its
-// reader. Sequential block reads; a checksum mismatch
-// or short read parks kCorruption and ends the stream (error-as-EOF,
-// check status()).
+// reader. Sequential block reads; a checksum mismatch, a short read, a
+// label >= num_sccs() or a node id not above the previous one parks
+// kCorruption and ends the stream (error-as-EOF, check status()), so
+// every record handed out names a real SCC, in strictly increasing
+// node order.
 class SccMapScanner {
  public:
   // Appends up to `max` entries into `out`; returns the count (0 at end
@@ -127,14 +131,24 @@ class SccMapScanner {
   friend class ArtifactReader;
   SccMapScanner(io::IoContext* context, const std::string& path,
                 const ArtifactSectionEntry& section,
-                const std::vector<std::uint32_t>* block_crcs);
+                const std::vector<std::uint32_t>* block_crcs,
+                std::uint64_t num_sccs);
 
   // Loads the next payload block into block_; false at end/error.
   bool RefillBlock();
+  // The value check, once per block after its CRC: each record that ends
+  // in the block must name an SCC < num_sccs_ and a node above the
+  // previous record's. False parks kCorruption.
+  bool CheckBlockRecords();
 
   std::unique_ptr<io::BlockFile> file_;
   ArtifactSectionEntry section_;
   const std::vector<std::uint32_t>* block_crcs_;  // owned by the reader
+  std::uint64_t num_sccs_;
+  std::uint64_t min_next_node_ = 0;  // previous record's node + 1
+  // Head of a record that continues in the next block.
+  unsigned char carry_[sizeof(graph::SccEntry)] = {};
+  std::size_t carry_len_ = 0;
   std::vector<unsigned char> block_;
   std::size_t block_pos_ = 0;
   std::size_t block_payload_ = 0;  // valid payload bytes in block_
@@ -152,7 +166,8 @@ class ArtifactReader {
                                            const std::string& path);
 
   // The one publish step for a finished candidate at `tmp_path`: a full
-  // Open plus a CRC sweep of the node→SCC map, then io::DurableRename
+  // Open plus a sweep of the node→SCC map (checksums and values, as
+  // SccMapScanner checks them), then io::DurableRename
   // over `path`. Only a candidate that proved readable can become the
   // live version. Returns the validated reader, re-pointed at `path`;
   // on any failure removes `tmp_path` and leaves `path` untouched.

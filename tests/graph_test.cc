@@ -93,16 +93,6 @@ TEST(NodeFileTest, DifferenceWithEmptySides) {
   EXPECT_EQ(graph::NodeFileDifference(ctx.get(), empty, a, out2), 0u);
 }
 
-TEST(NodeFileTest, NodesFromEdges) {
-  auto ctx = MakeTestContext();
-  const std::string edges = ctx->NewTempPath("e");
-  io::WriteAllRecords<Edge>(ctx.get(), edges, {{4, 2}, {2, 4}, {9, 9}});
-  const std::string nodes = ctx->NewTempPath("n");
-  graph::NodesFromEdges(ctx.get(), edges, nodes);
-  EXPECT_EQ(io::ReadAllRecords<NodeId>(ctx.get(), nodes),
-            (std::vector<NodeId>{2, 4, 9}));
-}
-
 // ---------------- scc_file -----------------------------------------------
 
 TEST(SccFileTest, SortAndMerge) {
@@ -223,26 +213,6 @@ TEST(GraphIoTest, MalformedLineIsCorruption) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
   EXPECT_NE(result.status().message().find("line 2"), std::string::npos);
-}
-
-TEST(GraphIoTest, BinaryEdgeFileValidation) {
-  auto ctx = MakeTestContext();
-  const std::string path = ctx->NewTempPath("edges.bin");
-  io::WriteAllRecords<Edge>(ctx.get(), path, {{1, 2}});
-  auto ok = graph::OpenBinaryEdgeFile(ctx.get(), path);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().num_edges, 1u);
-
-  // Truncated file: not a whole number of records.
-  const ScopedTempPath bad("bad.bin");
-  WriteTextFile(bad.path(), "xyz");
-  auto corrupt = graph::OpenBinaryEdgeFile(ctx.get(), bad.path());
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.status().code(), util::StatusCode::kCorruption);
-
-  auto missing = graph::OpenBinaryEdgeFile(ctx.get(), "/no/such/file.bin");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
 }
 
 // ---------------- text pair codec ---------------------------------------

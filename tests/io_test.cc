@@ -82,7 +82,7 @@ TEST(MemoryBudgetTest, SizingHelpers) {
 TEST(TempFileManagerTest, CreatesUniquePathsAndCleansUp) {
   std::string dir;
   {
-    io::TempFileManager manager;
+    io::TempFileManager manager(io::MakePosixScratchDevices("", {}));
     dir = manager.dir();
     EXPECT_TRUE(std::filesystem::exists(dir));
     const std::string a = manager.NewPath("x");
@@ -103,7 +103,8 @@ TEST(TempFileManagerTest, RoundRobinsFilesAcrossScratchDirs) {
   fs::create_directories(parent_b);
   std::vector<std::string> session_dirs;
   {
-    io::TempFileManager manager("", {parent_a, parent_b});
+    io::TempFileManager manager(
+        io::MakePosixScratchDevices("", {parent_a, parent_b}));
     ASSERT_EQ(manager.dirs().size(), 2u);
     session_dirs = manager.dirs();
     EXPECT_EQ(session_dirs[0].rfind(parent_a, 0), 0u);

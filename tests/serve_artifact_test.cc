@@ -1,8 +1,9 @@
 // Serve-artifact durability: the on-disk format round-trips the full
 // solve byte for byte, rejects foreign/corrupt/truncated files with
-// typed errors, and — the load-bearing claim — NO injected bit flip or
-// device fault ever surfaces as a wrong query answer. Detection
-// (kCorruption) or a correct answer are the only allowed outcomes.
+// typed errors, and — the load-bearing claim — NO injected bit flip,
+// device fault or value forged under valid checksums ever surfaces as a
+// wrong query answer or an abort. Detection (kCorruption) or a correct
+// answer are the only allowed outcomes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +12,10 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ext_scc.h"
@@ -36,6 +39,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using graph::Edge;
+using graph::NodeId;
 using graph::SccEntry;
 using serve::ArtifactReader;
 using serve::Query;
@@ -62,12 +66,14 @@ struct BuiltArtifact {
   }
 };
 
-BuiltArtifact BuildTestArtifact(std::uint32_t nodes, std::uint64_t num_edges,
-                                std::uint64_t seed) {
+BuiltArtifact BuildTestArtifact(std::vector<Edge> edges,
+                                const std::vector<NodeId>& extra_nodes = {},
+                                std::size_t block_size = 4096) {
   BuiltArtifact out;
-  out.context = MakeTestContext(4 << 20);
-  out.edges = gen::RandomDigraphEdges(nodes, num_edges, seed);
-  const auto g = graph::MakeDiskGraph(out.context.get(), out.edges);
+  out.context = MakeTestContext(4 << 20, block_size);
+  out.edges = std::move(edges);
+  const auto g =
+      graph::MakeDiskGraph(out.context.get(), out.edges, extra_nodes);
   // The artifact is a user-facing file: a real filesystem path on the
   // base device, NOT a scratch path (virtual under the mem test
   // matrix), so the corruption sweeps can patch its bytes with
@@ -95,6 +101,11 @@ BuiltArtifact BuildTestArtifact(std::uint32_t nodes, std::uint64_t num_edges,
     e.scc = canon[e.scc];
   }
   return out;
+}
+
+BuiltArtifact BuildTestArtifact(std::uint32_t nodes, std::uint64_t num_edges,
+                                std::uint64_t seed) {
+  return BuildTestArtifact(gen::RandomDigraphEdges(nodes, num_edges, seed));
 }
 
 // Every node queried once (stat + a reach against a fixed pivot): a
@@ -257,6 +268,156 @@ TEST(ServeArtifactTest, RejectsForeignAndDamagedHeaders) {
     ASSERT_FALSE(opened.ok());
     EXPECT_NE(opened.status().code(), util::StatusCode::kCorruption);
   }
+}
+
+// ---- Forged values under valid checksums ------------------------------
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(f), {});
+}
+
+// Rewrites the records of section `id` in the artifact at `path` through
+// `edit`, then recomputes the CRC-table entries of the blocks it spans,
+// the meta CRC and the footer CRC: every checksum in the result is
+// valid, and only the section's values are forged.
+template <typename T>
+void ForgeSection(const std::string& path, std::size_t bs,
+                  serve::SectionId id,
+                  const std::function<void(std::vector<T>*)>& edit) {
+  std::vector<char> bytes = FileBytes(path);
+  ASSERT_GE(bytes.size(), 2 * bs);
+  serve::ArtifactFooter footer;
+  char* footer_at = bytes.data() + bytes.size() - bs;
+  std::memcpy(&footer, footer_at, sizeof(footer));
+  char* meta = bytes.data() + footer.meta_first_block * bs;
+  char* crc_table =
+      meta + footer.num_sections * sizeof(serve::ArtifactSectionEntry);
+  serve::ArtifactSectionEntry entry{};
+  for (std::uint32_t i = 0; i < footer.num_sections; ++i) {
+    std::memcpy(&entry, meta + i * sizeof(entry), sizeof(entry));
+    if (entry.id == static_cast<std::uint32_t>(id)) break;
+  }
+  ASSERT_EQ(entry.id, static_cast<std::uint32_t>(id));
+  ASSERT_EQ(entry.record_size, sizeof(T));
+
+  char* payload = bytes.data() + entry.first_block * bs;
+  std::vector<T> records(entry.record_count);
+  std::memcpy(records.data(), payload, entry.payload_bytes);
+  edit(&records);
+  ASSERT_EQ(records.size(), entry.record_count);
+  std::memcpy(payload, records.data(), entry.payload_bytes);
+
+  const std::uint64_t blocks = (entry.payload_bytes + bs - 1) / bs;
+  for (std::uint64_t b = entry.first_block; b < entry.first_block + blocks;
+       ++b) {
+    const std::uint32_t crc = io::Crc32(bytes.data() + b * bs, bs);
+    std::memcpy(crc_table + (b - 1) * sizeof(crc), &crc, sizeof(crc));
+  }
+  footer.meta_crc = io::Crc32(meta, footer.meta_bytes);
+  footer.crc = io::Crc32(&footer, sizeof(footer) - sizeof(std::uint32_t));
+  std::memcpy(footer_at, &footer, sizeof(footer));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+// A CRC-valid map whose labels or node order lie: Open accepts it (it
+// never reads the map), but every reader of the map — a query batch and
+// Publish's sweep — reports kCorruption instead of aborting on an
+// out-of-range label or answering `unknown` for a labelled node, and a
+// refused publish leaves the live artifact as it was. Record B/8 is the
+// first one past block 1's 4096 bytes: at B = 4100 it straddles blocks
+// 1 and 2, so the scanner's carry across a block boundary is checked
+// too.
+TEST(ServeArtifactTest, ForgedMapRecordsAreCorruption) {
+  for (const std::size_t bs : {std::size_t{4096}, std::size_t{4100}}) {
+    SCOPED_TRACE("block size " + std::to_string(bs));
+    auto built =
+        BuildTestArtifact(gen::RandomDigraphEdges(600, 2400, 11), {}, bs);
+    auto* ctx = built.context.get();
+    const std::vector<Query> queries = FullCoverageQueries(built);
+    const std::vector<char> live_bytes = FileBytes(built.path);
+    std::uint64_t num_sccs = 0;
+    {
+      auto live = ArtifactReader::Open(ctx, built.path);
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+      num_sccs = live.value().num_sccs();
+    }
+    ASSERT_GT(num_sccs, 1u);
+    const std::size_t boundary = 4096 / sizeof(SccEntry);
+    ASSERT_GT(built.solver_labels.size(), boundary + 1);
+
+    const auto label_past_end = [&](std::size_t i) {
+      return [&, i](std::vector<SccEntry>* map) {
+        (*map)[i].scc = static_cast<graph::SccId>(num_sccs);
+      };
+    };
+    const auto swap_after = [](std::size_t i) {
+      return [i](std::vector<SccEntry>* map) {
+        std::swap((*map)[i], (*map)[i + 1]);
+      };
+    };
+    const std::pair<std::string,
+                    std::function<void(std::vector<SccEntry>*)>>
+        forgeries[] = {
+            {"label_past_end", label_past_end(0)},
+            {"boundary_label_past_end", label_past_end(boundary)},
+            {"swapped_records", swap_after(10)},
+            {"boundary_swapped_records", swap_after(boundary - 1)},
+        };
+    for (const auto& [name, edit] : forgeries) {
+      SCOPED_TRACE(name);
+      const std::string forged = built.PathFor(name + ".art");
+      fs::copy_file(built.path, forged);
+      ForgeSection<SccEntry>(forged, bs, serve::SectionId::kNodeSccMap,
+                             edit);
+
+      auto opened = ArtifactReader::Open(ctx, forged);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      {
+        // The scan stops at the forged block and stays stopped.
+        serve::SccMapScanner scan = opened.value().OpenNodeSccScan();
+        SccEntry entry;
+        while (scan.Next(&entry)) {
+        }
+        EXPECT_EQ(scan.status().code(), util::StatusCode::kCorruption);
+        EXPECT_FALSE(scan.Next(&entry));
+      }
+      std::vector<QueryAnswer> answers(queries.size());
+      const util::Status ran =
+          serve::QueryEngine(&opened.value())
+              .RunBatch(ctx, queries.data(), queries.size(), answers.data());
+      EXPECT_EQ(ran.code(), util::StatusCode::kCorruption) << ran.ToString();
+
+      auto published = ArtifactReader::Publish(ctx, forged, built.path);
+      ASSERT_FALSE(published.ok());
+      EXPECT_EQ(published.status().code(), util::StatusCode::kCorruption)
+          << published.status().ToString();
+      EXPECT_FALSE(fs::exists(forged)) << "a refused candidate is removed";
+      EXPECT_EQ(FileBytes(built.path), live_bytes);
+    }
+  }
+}
+
+// The map's labels index the DAG, so Open refuses a DAG whose nodes are
+// not exactly the labels 0..S-1 — here an isolated SCC renumbered past
+// the end, which every count and checksum still agrees with.
+TEST(ServeArtifactTest, ForgedDagNodeIdsAreCorruption) {
+  // A 4-cycle (SCC 0) and isolated node 90 (SCC 1): DAG {0, 1}, no edges.
+  auto built = BuildTestArtifact(gen::CycleEdges(4), /*extra_nodes=*/{90});
+  auto* ctx = built.context.get();
+  ASSERT_TRUE(ArtifactReader::Open(ctx, built.path).ok());
+  ForgeSection<NodeId>(built.path, ctx->block_size(),
+                       serve::SectionId::kDagNodes,
+                       [](std::vector<NodeId>* dag_nodes) {
+                         ASSERT_EQ(*dag_nodes, (std::vector<NodeId>{0, 1}));
+                         (*dag_nodes)[1] = 2;
+                       });
+  auto opened = ArtifactReader::Open(ctx, built.path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kCorruption)
+      << opened.status().ToString();
 }
 
 // ---- Bit-flip sweep --------------------------------------------------
