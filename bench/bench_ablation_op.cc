@@ -3,6 +3,7 @@
 // default workload, reporting time, I/Os, levels and the final
 // contracted-edge behaviour. Shows where the ~20% Fig. 8
 // gap comes from.
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,9 @@ int main(int argc, char** argv) {
                   std::to_string(result.value().num_sccs)});
   }
   std::printf("\n=== ablation_op ===\n%s", table.ToAligned().c_str());
-  table.WriteCsvFile("ablation_op.csv");
+  if (!table.WriteCsvFile("ablation_op.csv")) {
+    std::fprintf(stderr, "cannot write ablation_op.csv\n");
+    return 1;
+  }
   return 0;
 }

@@ -2,6 +2,8 @@
 // |V_{i+1}|, |E_add| for both Ext-SCC variants on the web graph — the
 // observable behind Theorems 5.3/5.4 (bounded new edges; in Op mode
 // |E_{i+1}| can even shrink below |E_i|, as §VII promises).
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "bench/harness.h"
@@ -50,7 +52,12 @@ void Profile(const char* name, const extscc::core::ExtSccOptions& options) {
               extscc::scc::SemiSccBackendName(result.value().semi.backend),
               static_cast<unsigned long long>(result.value().semi.rounds),
               static_cast<unsigned long long>(result.value().semi.edge_scans));
-  table.WriteCsvFile(std::string("contraction_profile_") + name + ".csv");
+  const std::string csv_path =
+      std::string("contraction_profile_") + name + ".csv";
+  if (!table.WriteCsvFile(csv_path)) {
+    std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+    std::exit(1);
+  }
 }
 
 }  // namespace

@@ -119,12 +119,14 @@ Point RunPoint(io::IoContext* ctx, const std::vector<graph::Edge>& base,
   return point;
 }
 
-void WriteJson(const Config& config, std::uint64_t edges,
+// Writes BENCH_dynamic.json into the cwd; false, after naming the file on
+// stderr, when it cannot be written in full.
+bool WriteJson(const Config& config, std::uint64_t edges,
                const std::vector<Point>& points) {
   std::FILE* f = std::fopen("BENCH_dynamic.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_dynamic.json\n");
-    return;
+    return false;
   }
   std::fprintf(f,
                "{\n  \"benchmark\": \"dynamic\",\n"
@@ -150,8 +152,13 @@ void WriteJson(const Config& config, std::uint64_t edges,
                  p.update_wall_s, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write BENCH_dynamic.json\n");
+    return false;
+  }
   std::printf("\n[json written to BENCH_dynamic.json]\n");
+  return true;
 }
 
 // --nodes: a whole-string decimal >= 2 (util::ParseDecimal); anything
@@ -265,7 +272,7 @@ int main(int argc, char** argv) {
                 p.rewrote ? "yes" : "no",
                 static_cast<unsigned long long>(p.resolve_ios), p.ratio);
   }
-  WriteJson(config, union_edges.size(), points);
+  if (!WriteJson(config, union_edges.size(), points)) return 1;
 
   // The bound the roadmap pins: a 1%-of-edges structural batch costs at
   // most a quarter of the full re-solve's block I/Os.

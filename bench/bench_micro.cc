@@ -145,15 +145,12 @@ struct SccByNodeNoKey {
 // budget in block-sized batches and abandoned before FinishInto (its
 // destructor removes the runs), so the loop is exactly the
 // fill → sort → spill stage every external sort starts with.
-// `sort_threads` 0/1 selects serial vs overlapped sort→spill.
 template <typename T, typename Less, typename Gen>
-void RunFormationBench(benchmark::State& state, Less less, Gen gen,
-                       std::size_t sort_threads) {
+void RunFormationBench(benchmark::State& state, Less less, Gen gen) {
   constexpr std::uint64_t kCount = 2'000'000;
   io::IoContextOptions options;
   options.block_size = 64 * 1024;
   options.memory_bytes = 4 << 20;
-  options.sort_threads = sort_threads;
   auto ctx = std::make_unique<io::IoContext>(options);
   const std::string in = ctx->NewTempPath("in");
   {
@@ -165,8 +162,6 @@ void RunFormationBench(benchmark::State& state, Less less, Gen gen,
   std::vector<T> chunk(batch);
   std::uint64_t spilled_runs = 0;
   for (auto _ : state) {
-    // Read only while no writer is live: a threaded spill worker counts
-    // its writes concurrently.
     const std::uint64_t files_before = ctx->stats().files_created;
     {
       extsort::SortingWriter<T, Less> writer(ctx.get(), less, false, kCount);
@@ -193,37 +188,31 @@ graph::SccEntry RandomSccEntry(util::Rng& rng) {
                          static_cast<graph::SccId>(rng.Uniform(1u << 16))};
 }
 
-// arg0: engine — 0 = stable_sort (keyless baseline), 1 = LSD radix,
-// 2 = radix + overlapped sort→spill pipeline (sort_threads=1).
+// arg0: engine — 0 = stable_sort (keyless baseline), 1 = LSD radix.
 void BM_RunFormation(benchmark::State& state) {
-  const int engine = static_cast<int>(state.range(0));
+  const bool radix = state.range(0) != 0;
   const bool scc = state.range(1) != 0;
-  const std::size_t threads = engine == 2 ? 1 : 0;
   if (scc) {
-    if (engine == 0) {
-      RunFormationBench<graph::SccEntry>(state, SccByNodeNoKey{},
-                                         RandomSccEntry, threads);
-    } else {
+    if (radix) {
       RunFormationBench<graph::SccEntry>(state, graph::SccEntryByNode{},
-                                         RandomSccEntry, threads);
+                                         RandomSccEntry);
+    } else {
+      RunFormationBench<graph::SccEntry>(state, SccByNodeNoKey{},
+                                         RandomSccEntry);
     }
   } else {
-    if (engine == 0) {
-      RunFormationBench<graph::Edge>(state, EdgeBySrcNoKey{}, RandomEdge,
-                                     threads);
+    if (radix) {
+      RunFormationBench<graph::Edge>(state, graph::EdgeBySrc{}, RandomEdge);
     } else {
-      RunFormationBench<graph::Edge>(state, graph::EdgeBySrc{}, RandomEdge,
-                                     threads);
+      RunFormationBench<graph::Edge>(state, EdgeBySrcNoKey{}, RandomEdge);
     }
   }
 }
 BENCHMARK(BM_RunFormation)
     ->Args({0, 0})
     ->Args({1, 0})
-    ->Args({2, 0})
     ->Args({0, 1})
     ->Args({1, 1})
-    ->Args({2, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Writes `runs` sorted runs of `run_len` Edge records each (the

@@ -166,7 +166,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bench::DefaultMemory() / 1024),
               ext_table.ToAligned().c_str());
 
-  csv.WriteCsvFile("semi_backends.csv");
+  if (!csv.WriteCsvFile("semi_backends.csv")) {
+    std::fprintf(stderr, "cannot write semi_backends.csv\n");
+    return 1;
+  }
   std::printf("\n[csv written to semi_backends.csv]\n");
   return 0;
 }

@@ -125,12 +125,14 @@ Point RunPoint(io::IoContext* ctx, const serve::QueryEngine& engine,
   return point;
 }
 
-void WriteJson(const Config& config, std::uint64_t num_sccs,
+// Writes BENCH_serve.json into the cwd; false, after naming the file on
+// stderr, when it cannot be written in full.
+bool WriteJson(const Config& config, std::uint64_t num_sccs,
                const std::vector<Point>& points) {
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_serve.json\n");
-    return;
+    return false;
   }
   std::fprintf(f,
                "{\n  \"benchmark\": \"serve\",\n"
@@ -153,8 +155,13 @@ void WriteJson(const Config& config, std::uint64_t num_sccs,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write BENCH_serve.json\n");
+    return false;
+  }
   std::printf("\n[json written to BENCH_serve.json]\n");
+  return true;
 }
 
 // A whole-string decimal in [min, max] (util::ParseDecimal); anything
@@ -273,6 +280,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  WriteJson(config, num_sccs, points);
+  if (!WriteJson(config, num_sccs, points)) return 1;
   return 0;
 }

@@ -87,14 +87,11 @@ struct PointResult {
 
 // ---- bench flags -----------------------------------------------------
 // Every machine the benches build takes the shared machine options
-// (io/io_context.h: --sort-threads, --scratch-dirs, --device-model), as
-// flags or as EXTSCC_BENCH_<SUFFIX> variables, which win over flags.
-// The defaults are the serial single-disk engine, so the tables are the
-// paper's Aggarwal-Vitter accounting. Block accounting is identical
-// across device models and scratch-device counts; --sort-threads=1
-// keeps outputs byte-identical but can shift I/O counts slightly
-// (halved run buffers), so the figure tables are the paper's only at
-// its default 0.
+// (io/io_context.h: --scratch-dirs, --device-model), as flags or as
+// EXTSCC_BENCH_<SUFFIX> variables, which win over flags. The defaults
+// are the single-disk engine, so the tables are the paper's
+// Aggarwal-Vitter accounting; block accounting is identical across
+// device models and scratch-device counts.
 inline io::IoContextOptions& MachineFlags() {
   static io::IoContextOptions options;
   return options;
@@ -260,9 +257,11 @@ inline void EmitFigure(const std::string& figure, const std::string& x_name,
   std::printf("\n=== %s — Number of I/Os ===\n%s", figure.c_str(),
               io_table.ToAligned().c_str());
   const std::string csv_path = figure + ".csv";
-  if (csv.WriteCsvFile(csv_path)) {
-    std::printf("\n[csv written to %s]\n", csv_path.c_str());
+  if (!csv.WriteCsvFile(csv_path)) {
+    std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+    std::exit(1);
   }
+  std::printf("\n[csv written to %s]\n", csv_path.c_str());
 }
 
 }  // namespace extscc::bench

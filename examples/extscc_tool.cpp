@@ -1,6 +1,6 @@
 // extscc_tool — command-line front end over the library's public API.
 //
-//   extscc_tool [--sort-threads=0|1] [--scratch-dirs=a,b,...]
+//   extscc_tool [--scratch-dirs=a,b,...]
 //               [--device-model=posix|mem|faulty[:...]]
 //               [--checksum-blocks] [--crash-at=[tag:]N] <command> ...
 //
@@ -34,15 +34,13 @@
 //
 // Global flags (before the command) apply to every machine the tool
 // builds. All but --checksum-blocks and --crash-at are the shared
-// machine options (io::ParseMachineFlag): --sort-threads=1 enables
-// overlapped run formation (labels are byte-identical; I/O counts can
-// shift because file sorts halve their run buffers to double-buffer),
-// --scratch-dirs builds one scratch device per listed directory (new
-// scratch files go round-robin across them), --device-model selects
-// what backs them (real files, RAM, or seeded fault injection), and
-// --checksum-blocks adds a CRC32 trailer to every scratch block. With
-// several devices, `solve` prints the per-device I/O breakdown and the
-// critical-path (busiest-device) count.
+// machine options (io::ParseMachineFlag): --scratch-dirs builds one
+// scratch device per listed directory (new scratch files go round-robin
+// across them), --device-model selects what backs them (real files,
+// RAM, or seeded fault injection), and --checksum-blocks adds a CRC32
+// trailer to every scratch block. With several devices, `solve` prints
+// the per-device I/O breakdown and the critical-path (busiest-device)
+// count.
 //
 // Every command rejects positional arguments beyond its usage line and
 // flags the line does not list: both exit 2 with the usage text.
@@ -109,8 +107,7 @@ using namespace extscc;
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: extscc_tool [--sort-threads=0|1] [--scratch-dirs=a,b,...] "
-      "[--device-model=MODEL] "
+      "usage: extscc_tool [--scratch-dirs=a,b,...] [--device-model=MODEL] "
       "[--checksum-blocks] [--crash-at=[tag:]N] <command> ...\n"
       "  extscc_tool generate <web|massive|large|small|rmat|cycle|dag> "
       "<num_nodes> <out.txt> [seed]\n"

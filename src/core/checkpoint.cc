@@ -144,7 +144,8 @@ std::vector<std::string> CheckpointSession::RequiredFiles(
       progress.phase == kExpanding ? levels_done - progress.expand_done
                                    : levels_done;
   for (std::uint64_t i = 0; i < levels_needed; ++i) {
-    const std::string prefix = "l" + std::to_string(i);
+    std::string prefix = "l";
+    prefix += std::to_string(i);
     names.push_back(prefix + ".ein");
     names.push_back(prefix + ".eout");
     names.push_back(prefix + ".cover");
@@ -152,7 +153,9 @@ std::vector<std::string> CheckpointSession::RequiredFiles(
   }
   if (progress.phase == kContracting && levels_done > 0) {
     // Contraction (or the base case) still consumes G_L's edges.
-    names.push_back("l" + std::to_string(levels_done - 1) + ".enext");
+    std::string name = "l";
+    name += std::to_string(levels_done - 1);
+    names.push_back(name + ".enext");
   }
   if (progress.phase == kSemiDone) {
     names.push_back("scc_semi");

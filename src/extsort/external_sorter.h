@@ -375,21 +375,17 @@ util::Status MergeRunsInto(io::IoContext* context,
 //    whose first record arrives while an upstream buffer is live sizes
 //    itself from the honest remainder.
 //  - A known-size input of n records (a file sort): min(n, all that is
-//    available), so an input that fits sorts resident; with sort_threads
-//    it is halved once the input will spill (and at least 4 records
-//    fit), leaving room for the spill worker's twin.
+//    available), so an input that fits sorts resident.
 // Either way the buffer is Reserve()d from the MemoryBudget (clamped to
 // what is actually left) until FinishInto releases it, just before the
 // final merge, whose fan-in then sees the freed budget.
 //
-// With IoContextOptions::sort_threads > 0 the writer double-buffers
-// from its first spill on: spills trade the full buffer to a
-// RunSpillPipeline worker (which sorts and spills it off-thread) for an
-// equal-capacity empty buffer, so Append() keeps streaming while the
-// previous run writes. The pipeline reserves that second buffer, clamped
-// — when the remaining budget cannot cover it the writer degrades to the
-// serial spill with identical run geometry. A writer that never spills
-// builds no pipeline: no worker thread, no second buffer.
+// Spills run inline, on the appending thread: the overflowing Append
+// sorts (+dedups) the buffer with the writer's radix scratch, writes it
+// as the next run through WriteRunWithFailover and refills the same
+// buffer. A spill that every device refused is parked; later spills
+// write nothing, and FinishInto reports it instead of merging the runs
+// formed so far.
 template <typename T, typename Less>
 class SortingWriter {
  public:
@@ -404,12 +400,7 @@ class SortingWriter {
     ReleaseBuffer();
     // A writer abandoned before FinishInto (error-path unwinding) must
     // not strand its spilled runs until IoContext teardown.
-    if (pipeline_ != nullptr) {
-      for (const auto& run : pipeline_->Finish()) {
-        context_->temp_files().Remove(run);
-      }
-      pipeline_.reset();
-    }
+    for (const auto& run : runs_) context_->temp_files().Remove(run);
   }
 
   SortingWriter(const SortingWriter&) = delete;
@@ -448,7 +439,9 @@ class SortingWriter {
     finished_ = true;
     SortRunInfo info;
     info.num_records = num_added_;
-    if (pipeline_ == nullptr) {
+    // Resident only if no spill was ever attempted: a writer whose
+    // first spill every device refused has no runs, yet lost records.
+    if (!spilled_) {
       const std::size_t n =
           internal::SortDedupPrefix(buffer_, buffer_.size(), less_, dedup_);
       info.num_runs = buffer_.empty() ? 0 : 1;
@@ -458,19 +451,17 @@ class SortingWriter {
     }
     if (!buffer_.empty()) Spill();
     ReleaseBuffer();
-    std::vector<std::string> runs = pipeline_->Finish();
-    const util::Status spilled = pipeline_->status();
-    pipeline_.reset();  // joins the worker, releases the second buffer
-    info.num_runs = runs.size();
-    if (!spilled.ok()) {
+    info.num_runs = runs_.size();
+    if (!spill_status_.ok()) {
       // An unrecovered spill lost records: the formed runs are an
       // incomplete view of what was appended, so merging them would
       // launder truncation into a sorted result.
-      for (const auto& run : runs) context_->temp_files().Remove(run);
-      info.status = spilled;
+      for (const auto& run : runs_) context_->temp_files().Remove(run);
+      runs_.clear();
+      info.status = spill_status_;
       return info;
     }
-    info.status = internal::MergeRunsInto<T>(context_, std::move(runs), sink,
+    info.status = internal::MergeRunsInto<T>(context_, std::move(runs_), sink,
                                              less_, dedup_, &info);
     return info;
   }
@@ -492,10 +483,7 @@ class SortingWriter {
     if (input_records_.has_value()) {
       // At least the record being appended, should the size undercount.
       const std::uint64_t n = std::max<std::uint64_t>(*input_records_, 1);
-      const bool halve =
-          context_->sort_threads() > 0 && n > available && available >= 4;
-      capacity_ = static_cast<std::size_t>(
-          std::min(n, halve ? available / 2 : available));
+      capacity_ = static_cast<std::size_t>(std::min(n, available));
     } else {
       // The two-block floor: block granularity is the model's minimum
       // useful unit (the M >= 2B regime grants every active stream a
@@ -515,25 +503,29 @@ class SortingWriter {
     buffer_.reserve(capacity_);
   }
 
+  // Sorts (+dedups) the buffer and writes it as the next run, or parks
+  // the first failure; after one, spills only empty the buffer.
   void Spill() {
-    // The spill stage starts here, at the first spill: serial inline at
-    // sort_threads=0; otherwise a worker plus a second `capacity_`
-    // buffer the pipeline reserves (clamped — a budget that cannot
-    // cover it degrades this writer to the serial spill, with the same
-    // run geometry either way).
-    if (pipeline_ == nullptr) {
-      pipeline_ = std::make_unique<internal::RunSpillPipeline<T, Less>>(
-          context_, less_, dedup_, capacity_);
+    spilled_ = true;
+    if (spill_status_.ok()) {
+      const std::size_t kept = internal::SortDedupPrefix(
+          buffer_, buffer_.size(), less_, dedup_, scratch_);
+      std::string path;
+      spill_status_ = internal::WriteRunWithFailover<T>(
+          context_, "sortrun",
+          [&](io::RecordWriter<T>& writer) {
+            writer.AppendBatch(buffer_.data(), kept);
+            return util::Status::Ok();
+          },
+          &path);
+      if (spill_status_.ok()) runs_.push_back(std::move(path));
     }
-    // Hoisted: as arguments, size() and the move-construction of the
-    // by-value parameter would be indeterminately sequenced.
-    const std::size_t n = buffer_.size();
-    buffer_ = pipeline_->SubmitAndAcquire(std::move(buffer_), n);
-    buffer_.clear();  // recycled contents are stale; capacity is kept
+    buffer_.clear();  // capacity is kept for the next run
   }
 
   void ReleaseBuffer() {
     std::vector<T>().swap(buffer_);  // return the run buffer eagerly
+    std::vector<T>().swap(scratch_);
     if (reserved_bytes_ > 0) {
       context_->memory().Release(reserved_bytes_);
       reserved_bytes_ = 0;
@@ -547,8 +539,10 @@ class SortingWriter {
   std::size_t capacity_ = 0;  // sized (and reserved) at the first Append
   std::uint64_t reserved_bytes_ = 0;
   std::vector<T> buffer_;
-  // Built at the first spill; null while every record is resident.
-  std::unique_ptr<internal::RunSpillPipeline<T, Less>> pipeline_;
+  std::vector<T> scratch_;  // radix ping-pong buffer, kept across spills
+  bool spilled_ = false;    // a spill was attempted: never resident again
+  std::vector<std::string> runs_;  // spilled runs, in spill order
+  util::Status spill_status_;      // first spill every device refused
   std::uint64_t num_added_ = 0;
   bool finished_ = false;
 };

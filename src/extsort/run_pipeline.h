@@ -1,46 +1,13 @@
-// Run-formation internals: buffer sort, the scratch-run failover loop,
-// and the overlapped sort→spill pipeline behind SortingWriter.
-//
-// Serial run formation alternates fill → sort → spill on one thread, so
-// the CPU sits idle during spill writes and the disk sits idle during
-// the sort. RunSpillPipeline overlaps them: with
-// IoContextOptions::sort_threads = 1 a single background worker sorts
-// and spills buffer N while the producer fills buffer N+1 of a
-// double-buffered pair. Runs come back in submission order, each run's
-// bytes are identical to the serial path's (the buffer sort is stable
-// either way), and every spilled block is still counted in IoStats
-// (under IoContext::stats_mutex()), so threaded execution changes
-// wall-clock overlap — never the sorted output.
-//
-// Pipeline states, per submitted buffer:
-//   FILLING   (producer)  — records accumulate in the active buffer;
-//   QUEUED    (hand-off)  — SubmitAndAcquire parked it in the pending
-//                           slot and returned the recycled twin;
-//   SORT+SPILL (worker)   — SortAndSpill off-thread;
-//   RECYCLED  (hand-off)  — the emptied buffer becomes the next
-//                           acquire's return value.
-// At most two buffers exist; SubmitAndAcquire blocks while the worker
-// still owns the previous one, so a slow disk backpressures the
-// producer instead of queueing unbounded memory.
-//
-// Budget: the second buffer is Reserve()d from the MemoryBudget for the
-// pipeline's lifetime, clamped by availability — when the budget cannot
-// cover a second buffer the pipeline silently degrades to the serial
-// fill → sort → spill loop (no worker thread), preserving the
-// serial path's exact geometry. sort_threads == 0 never constructs a
-// worker at all, so the default engine is bit-identical to the
-// single-threaded one. SortingWriter builds its pipeline at its first
-// spill, so a writer that never spills has no worker and no twin.
+// Run-formation internals: the buffer sort and the scratch-run failover
+// loop behind SortingWriter's spills and the merge passes. A spill runs
+// on the thread whose append overflowed the buffer;
+// docs/run_formation.md has the measurement behind that choice.
 #ifndef EXTSCC_EXTSORT_RUN_PIPELINE_H_
 #define EXTSCC_EXTSORT_RUN_PIPELINE_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "extsort/radix_sort.h"
@@ -139,169 +106,6 @@ util::Status WriteRunWithFailover(io::IoContext* context, const char* tag,
   }
   return first_failure;
 }
-
-// The sort→spill stage of run formation. Owner of the run list; the
-// producer repeatedly fills a buffer of `capacity` records and trades
-// it through SubmitAndAcquire for an empty one.
-template <typename T, typename Less>
-class RunSpillPipeline {
- public:
-  // Threaded iff the context asks for sort workers AND the budget can
-  // hold the second `capacity`-record buffer (reserved here for the
-  // pipeline's lifetime). Degrades to inline sort+spill otherwise.
-  RunSpillPipeline(io::IoContext* context, Less less, bool dedup,
-                   std::size_t capacity)
-      : context_(context), less_(less), dedup_(dedup) {
-    if (context_->sort_threads() == 0 || capacity == 0) return;
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(capacity) * sizeof(T);
-    // All-or-nothing: the pipeline's second buffer is either fully
-    // budgeted or the sort stays serial (atomic against other threads
-    // reserving in between).
-    const std::uint64_t granted = context_->memory().ReserveUpTo(bytes);
-    if (granted < bytes) {
-      context_->memory().Release(granted);
-      return;
-    }
-    reserved_bytes_ = bytes;
-    free_buffer_.reserve(capacity);
-    has_free_ = true;
-    threaded_ = true;
-    worker_ = std::thread([this] { WorkerLoop(); });
-  }
-
-  ~RunSpillPipeline() {
-    if (threaded_) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      worker_.join();
-    }
-    if (reserved_bytes_ > 0) context_->memory().Release(reserved_bytes_);
-    // Abandoned runs (error-path unwinding before Finish) are removed
-    // by the owning sorter/writer, which took the run list or dies with
-    // the TempFileManager; nothing to clean here.
-  }
-
-  RunSpillPipeline(const RunSpillPipeline&) = delete;
-  RunSpillPipeline& operator=(const RunSpillPipeline&) = delete;
-
-  // Sorts (+dedups) and spills buffer[0, n) as the next run — inline
-  // when serial, on the worker when threaded — and returns a recycled
-  // buffer of the same capacity for the producer to refill. The
-  // returned buffer's size and contents are unspecified (whatever the
-  // previous spill left): SortingWriter clear()s it rather than paying a
-  // value-initializing resize of up to a whole run buffer per spill.
-  std::vector<T> SubmitAndAcquire(std::vector<T> buffer, std::size_t n) {
-    if (!threaded_) {
-      SortAndSpill(buffer, n, serial_scratch_);
-      return buffer;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return !has_pending_; });
-    pending_ = std::move(buffer);
-    pending_n_ = n;
-    has_pending_ = true;
-    cv_.notify_all();
-    // Block until the worker hands back the previously spilled buffer:
-    // the two-buffer bound is what the reservation above paid for.
-    cv_.wait(lock, [this] { return has_free_; });
-    has_free_ = false;
-    return std::move(free_buffer_);
-  }
-
-  // Joins outstanding spills and returns the run paths in submission
-  // order (identical to the serial spill order).
-  std::vector<std::string> Finish() {
-    if (threaded_) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return !has_pending_ && !busy_; });
-    }
-    return std::move(runs_);
-  }
-
-  // First unrecovered spill failure (every-device-refused), parked here
-  // by whichever thread spilled — the worker's errors surface on the
-  // producer thread. Check after Finish().
-  util::Status status() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return status_;
-  }
-
- private:
-  // The sort-and-spill body of both the inline path and the worker:
-  // sorts (+dedups) buffer[0, n), spills it as the next run and files
-  // the run path, or parks the first failure. A failed pipeline still
-  // recycles buffers (the producer must not deadlock on a dead worker)
-  // but sorts and spills nothing further. Called without mu_ held.
-  void SortAndSpill(std::vector<T>& buffer, std::size_t n,
-                    std::vector<T>& scratch) {
-    if (!status().ok()) return;
-    const std::size_t kept = SortDedupPrefix(buffer, n, less_, dedup_, scratch);
-    std::string path;
-    const util::Status spilled = WriteRunWithFailover<T>(
-        context_, "sortrun",
-        [&](io::RecordWriter<T>& writer) {
-          writer.AppendBatch(buffer.data(), kept);
-          return util::Status::Ok();
-        },
-        &path);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (spilled.ok()) {
-      runs_.push_back(std::move(path));
-    } else if (status_.ok()) {
-      status_ = spilled;
-    }
-  }
-
-  void WorkerLoop() {
-    // Worker-local radix scratch, persistent across all runs of the
-    // sort (the producer-side serial path keeps its own).
-    std::vector<T> scratch;
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      cv_.wait(lock, [this] { return stop_ || has_pending_; });
-      if (!has_pending_) return;  // stop with nothing queued
-      std::vector<T> buffer = std::move(pending_);
-      const std::size_t n = pending_n_;
-      has_pending_ = false;
-      busy_ = true;
-      lock.unlock();
-      cv_.notify_all();
-      SortAndSpill(buffer, n, scratch);
-      lock.lock();
-      free_buffer_ = std::move(buffer);
-      has_free_ = true;
-      busy_ = false;
-      cv_.notify_all();
-      if (stop_ && !has_pending_) return;
-    }
-  }
-
-  io::IoContext* context_;
-  Less less_;
-  bool dedup_;
-  bool threaded_ = false;
-  std::uint64_t reserved_bytes_ = 0;
-
-  std::thread worker_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<T> pending_;     // filled buffer awaiting the worker
-  std::size_t pending_n_ = 0;  // valid prefix of pending_
-  bool has_pending_ = false;
-  bool busy_ = false;          // worker is sorting/spilling
-  std::vector<T> free_buffer_;  // recycled buffer for the producer
-  bool has_free_ = false;
-  bool stop_ = false;
-  std::vector<T> serial_scratch_;  // radix scratch for the inline path
-
-  std::vector<std::string> runs_;  // submission order
-  // First unrecovered spill failure; guarded by mu_ when threaded.
-  util::Status status_;
-};
 
 }  // namespace internal
 }  // namespace extscc::extsort

@@ -34,14 +34,16 @@ void Digraph::Build(const std::vector<Edge>& edges) {
   }
   fwd_targets_.resize(edges.size());
   rev_targets_.resize(edges.size());
-  std::vector<std::uint32_t> fwd_fill(n, 0), rev_fill(n, 0);
+  // Per-node write cursors, starting at each adjacency list's offset.
+  std::vector<std::uint32_t> fwd_next(fwd_offsets_.begin(),
+                                      fwd_offsets_.end() - 1);
+  std::vector<std::uint32_t> rev_next(rev_offsets_.begin(),
+                                      rev_offsets_.end() - 1);
   for (const Edge& e : edges) {
     const std::size_t s = index_of(e.src);
     const std::size_t d = index_of(e.dst);
-    fwd_targets_[fwd_offsets_[s] + fwd_fill[s]++] =
-        static_cast<std::uint32_t>(d);
-    rev_targets_[rev_offsets_[d] + rev_fill[d]++] =
-        static_cast<std::uint32_t>(s);
+    fwd_targets_[fwd_next[s]++] = static_cast<std::uint32_t>(d);
+    rev_targets_[rev_next[d]++] = static_cast<std::uint32_t>(s);
   }
 }
 

@@ -69,9 +69,9 @@ std::uint64_t LogicalSizeFromPhysical(std::uint64_t physical,
          (rem > kChecksumTrailerBytes ? rem - kChecksumTrailerBytes : 0);
 }
 
-// Per-thread staging buffer for checksummed transfers: a sort_threads
-// spill worker writes run files while the producer reads its input, so
-// the staging area is per thread.
+// Per-thread staging buffer for checksummed transfers: serve's query
+// threads (serve::RunQueries) each sort and sweep their own slice of a
+// batch at once, so the staging area is per thread.
 std::vector<char>& ChecksumStaging(std::size_t block_size) {
   static thread_local std::vector<char> staging;
   if (staging.size() < block_size + kChecksumTrailerBytes) {
@@ -196,9 +196,8 @@ util::Status BlockFile::PreadBlock(std::uint64_t block_index, void* buf,
 
 void BlockFile::CountRead(std::uint64_t block_index, std::size_t bytes) {
   // Sequential/random classification is per-file state (one thread per
-  // open file); only the shared IoStats needs the context lock — a
-  // sort_threads spill worker counts its run writes concurrently with
-  // the producer's input reads.
+  // open file); only the shared IoStats needs the context lock — serve's
+  // query threads count their reads concurrently.
   const bool sequential =
       static_cast<std::int64_t>(block_index) == last_read_block_ + 1;
   last_read_block_ = static_cast<std::int64_t>(block_index);

@@ -79,15 +79,6 @@ struct MachineOption {
 };
 
 constexpr MachineOption kMachineOptions[] = {
-    {"sort-threads",
-     [](const std::string& value, IoContextOptions* options) {
-       std::uint64_t threads = 0;
-       if (!util::ParseDecimal(value, 1, &threads)) {
-         return "bad --sort-threads \"" + value + "\" (want 0 or 1)";
-       }
-       options->sort_threads = static_cast<std::size_t>(threads);
-       return std::string();
-     }},
     {"scratch-dirs",
      [](const std::string& value, IoContextOptions* options) {
        options->scratch_dirs = util::SplitCommaList(value);

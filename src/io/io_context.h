@@ -33,18 +33,6 @@ struct IoContextOptions {
   // ResourceExhausted, which benches print as the paper's INF.
   std::uint64_t io_budget = 0;
 
-  // Overlapped run formation: when 1, every SortingWriter (the run
-  // engine behind SortFile/SortInto too) hands full buffers, from its
-  // first spill on, to one background worker that sorts and spills them
-  // while the producer fills the other buffer of a double-buffered
-  // pair; file sorts halve their buffer to make room for it. 0 (the
-  // default) keeps run formation serial, so the Aggarwal-Vitter
-  // accounting and the run geometry are bit-identical to the
-  // single-threaded engine. Stages degrade to the serial path per sort
-  // whenever the MemoryBudget cannot cover a second run buffer. The
-  // parser accepts only 0 and 1.
-  std::size_t sort_threads = 0;
-
   // Scratch directory parent ("" = $TMPDIR or /tmp).
   std::string temp_parent_dir;
 
@@ -80,13 +68,12 @@ struct IoContextOptions {
 };
 
 // ---- machine options ---------------------------------------------------
-// The three options every front end offers for the machines it builds —
+// The two options every front end offers for the machines it builds —
 // extscc_tool's global flags, the benches' flags and EXTSCC_BENCH_*
 // variables, the test suites' EXTSCC_TEST_* variables — parsed once,
 // here:
 //
 //   flag                     variable suffix   field
-//   --sort-threads=0|1       SORT_THREADS      sort_threads
 //   --scratch-dirs=a,b,...   SCRATCH_DIRS      scratch_dirs
 //   --device-model=MODEL     DEVICE_MODEL      device_model
 //
@@ -118,15 +105,13 @@ class IoContext {
   IoContext& operator=(const IoContext&) = delete;
 
   std::size_t block_size() const { return options_.block_size; }
-
-  std::size_t sort_threads() const { return options_.sort_threads; }
   bool checksum_blocks() const { return options_.checksum_blocks; }
 
-  // The stats object itself; with sort_threads > 0 a spill worker and
-  // the producing thread count I/Os concurrently, so all mutation (and
-  // any read racing a live sort) must hold stats_mutex(). BlockFile is
-  // the only mutator; callers snapshotting between phases (no sorter
-  // live) may read without the lock, as before.
+  // The stats object itself; serve's query threads (serve::RunQueries)
+  // count I/Os concurrently, so all mutation (and any read racing a
+  // live batch) must hold stats_mutex(). BlockFile is the only mutator;
+  // callers snapshotting between phases (no query batch live) may read
+  // without the lock.
   IoStats& stats() { return stats_; }
   const IoStats& stats() const { return stats_; }
   std::mutex& stats_mutex() { return stats_mu_; }
@@ -144,8 +129,8 @@ class IoContext {
 
   // Per-device statistics view: the default device first, then the
   // scratch devices in configuration order. Same locking convention as
-  // stats(): snapshot between phases, or hold stats_mutex() when a
-  // sorter is live.
+  // stats(): snapshot between phases, or hold stats_mutex() while a
+  // query batch is live.
   struct DeviceStatsRow {
     std::string name;
     IoStats stats;
@@ -177,10 +162,11 @@ class IoContext {
 
   // ---- I/O error latch ------------------------------------------------
   // First-wins record of an unrecovered I/O error anywhere in the
-  // context (a failed spill worker, a failed read or write). The long-running algorithms poll has_io_error() at phase
-  // boundaries — the same discipline as io_budget_exceeded() — so an
-  // error parked by a background thread surfaces as a typed Status on
-  // the driver API instead of a crash or a silent wrong answer.
+  // context (a failed spill, a failed read or write). The long-running
+  // algorithms poll has_io_error() at phase boundaries — the same
+  // discipline as io_budget_exceeded() — so an error parked deep in a
+  // stream surfaces as a typed Status on the driver API instead of a
+  // crash or a silent wrong answer.
 
   // Records `status` if the latch is empty (no-op for OK and for an
   // already-latched context).

@@ -6,11 +6,11 @@
 // component oversubscribes M.
 //
 // Thread safety: all accounting is guarded by an internal mutex, so
-// concurrent pipelines (sort workers, serve-side query readers) may
-// reserve against one budget. ReserveUpTo is the atomic
-// form of the "clamp to what is left, then reserve" pattern — callers
-// that size a buffer from available_bytes() must use it, or two threads
-// can both observe the same headroom and jointly oversubscribe.
+// serve's query threads (serve::RunQueries) may reserve against one
+// budget at once. ReserveUpTo is the atomic form of the "clamp to what
+// is left, then reserve" pattern — callers that size a buffer from
+// available_bytes() must use it, or two threads can both observe the
+// same headroom and jointly oversubscribe.
 #ifndef EXTSCC_IO_MEMORY_BUDGET_H_
 #define EXTSCC_IO_MEMORY_BUDGET_H_
 

@@ -69,8 +69,8 @@ class StorageFile {
 
 // A scratch/storage backend with its own I/O statistics. stats() follows
 // the same locking convention as IoContext::stats(): BlockFile mutates
-// it under IoContext::stats_mutex(); readers racing a live sorter must
-// hold that mutex, quiesced snapshots may skip it.
+// it under IoContext::stats_mutex(); readers racing a live query batch
+// must hold that mutex, quiesced snapshots may skip it.
 class StorageDevice {
  public:
   explicit StorageDevice(std::string name) : name_(std::move(name)) {}
@@ -145,8 +145,8 @@ class PosixDevice : public StorageDevice {
 
 // RAM-backed device. Paths are opaque keys ("mem://<name>/s<k>/..." for
 // scratch); file contents live in a hash map guarded by a device mutex,
-// with per-file locks so a spill worker and the producing thread can
-// touch different files concurrently.
+// with per-file locks so serve's query threads can touch different
+// files concurrently.
 class MemDevice : public StorageDevice {
  public:
   explicit MemDevice(std::string name);

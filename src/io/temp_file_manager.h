@@ -8,9 +8,8 @@
 // NewFile places whole files round-robin by sequence number across the
 // devices that are not quarantined, and reports the device it chose.
 //
-// NewPath/NewFile/Remove are thread-safe: with
-// IoContextOptions::sort_threads the run-formation spill worker names
-// run files concurrently with the producing thread.
+// NewPath/NewFile/Remove are thread-safe: serve's query threads
+// (serve::RunQueries) name and remove their sort runs concurrently.
 #ifndef EXTSCC_IO_TEMP_FILE_MANAGER_H_
 #define EXTSCC_IO_TEMP_FILE_MANAGER_H_
 

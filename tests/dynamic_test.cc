@@ -58,13 +58,11 @@ using serve::ArtifactReader;
 
 // Two RAM-backed scratch devices regardless of the env matrix (the
 // chaos job's faulty injection gets its own dedicated test below; the
-// oracle runs must be deterministic), but sort_threads still applies.
+// oracle runs must be deterministic).
 std::unique_ptr<io::IoContext> MakeDynContext() {
   io::IoContextOptions options;
   options.block_size = 4096;
   options.memory_bytes = 4 << 20;
-  testing::ApplyTestEnvOptions(&options);
-  options.device_model = io::DeviceModelSpec{};
   options.device_model.model = io::DeviceModel::kMem;
   options.scratch_dirs = {"", ""};
   return std::make_unique<io::IoContext>(options);

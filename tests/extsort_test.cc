@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "extsort/external_sorter.h"
@@ -308,7 +309,9 @@ TEST(ExternalSortTest, SingleRunWritesOutputDirectly) {
 TEST(ExternalSortTest, RandomizedPropertyVsStdSort) {
   // Randomized geometry sweep: every (budget, block, size, range) draw
   // must agree with std::sort and satisfy IsFileSorted; dedup draws must
-  // agree with sort+unique and be strictly sorted.
+  // agree with sort+unique and be strictly sorted. Each draw also goes
+  // through a streamed SortingWriter (no size hint) as Edge records
+  // under EdgeByDst.
   util::Rng rng(2026);
   for (int trial = 0; trial < 12; ++trial) {
     const std::size_t block = 512u << rng.Uniform(3);        // 512..2K
@@ -318,6 +321,11 @@ TEST(ExternalSortTest, RandomizedPropertyVsStdSort) {
     const bool dedup = rng.Uniform(2) == 1;
     auto ctx = MakeMemTestContext(memory, block);
     auto values = RandomValues(count, rng.Next(), range);
+    std::vector<graph::Edge> edges(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      edges[i] = {static_cast<graph::NodeId>(values[i] % 97),
+                  static_cast<graph::NodeId>(values[i] / 97)};
+    }
     const std::string in = ctx->NewTempPath("in");
     const std::string out = ctx->NewTempPath("out");
     io::WriteAllRecords(ctx.get(), in, values);
@@ -333,6 +341,18 @@ TEST(ExternalSortTest, RandomizedPropertyVsStdSort) {
     }
     EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), out), values)
         << "trial " << trial;
+
+    extsort::SortingWriter<graph::Edge, graph::EdgeByDst> writer(
+        ctx.get(), graph::EdgeByDst(), dedup);
+    writer.AppendBatch(edges.data(), edges.size());
+    const std::string edge_out = ctx->NewTempPath("edge_out");
+    ASSERT_TRUE(writer.FinishInto(edge_out).status.ok()) << "trial " << trial;
+    std::sort(edges.begin(), edges.end(), graph::EdgeByDst());
+    if (dedup) {
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    }
+    EXPECT_EQ(io::ReadAllRecords<graph::Edge>(ctx.get(), edge_out), edges)
+        << "trial " << trial << " (streamed EdgeByDst writer)";
   }
 }
 
@@ -346,6 +366,8 @@ struct SortSweepParam {
 class ExternalSortSweep : public ::testing::TestWithParam<SortSweepParam> {};
 
 TEST_P(ExternalSortSweep, SortedAndPermutationPreserved) {
+  // SortFile, and the same values appended one by one to a streamed
+  // SortingWriter (half-budget runs, floored at two blocks).
   const auto param = GetParam();
   auto ctx = MakeMemTestContext(param.memory, param.block);
   auto values = RandomValues(param.count, param.memory ^ param.count, 1000);
@@ -356,8 +378,15 @@ TEST_P(ExternalSortSweep, SortedAndPermutationPreserved) {
   auto result = io::ReadAllRecords<std::uint64_t>(ctx.get(), out);
   ASSERT_EQ(result.size(), values.size());
   EXPECT_TRUE(std::is_sorted(result.begin(), result.end()));
+
+  extsort::SortingWriter<std::uint64_t, U64Less> writer(ctx.get(), U64Less());
+  for (const std::uint64_t v : values) writer.Append(v);
+  const std::string streamed_out = ctx->NewTempPath("streamed_out");
+  ASSERT_TRUE(writer.FinishInto(streamed_out).status.ok());
   std::sort(values.begin(), values.end());
   EXPECT_EQ(result, values);
+  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), streamed_out),
+            values);
 }
 
 INSTANTIATE_TEST_SUITE_P(

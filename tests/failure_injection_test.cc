@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,7 @@ using testing::MakeTestContext;
 // even tiny graphs spill real runs.
 std::unique_ptr<io::IoContext> MakeFaultyContext(
     const io::FaultSpec& fault, std::size_t num_devices,
-    std::size_t sort_threads = 0, bool checksums = false) {
+    bool checksums = false) {
   io::IoContextOptions options;
   options.block_size = 128;
   options.memory_bytes = scc::SemiExternalScc::StateBytes(32);
@@ -48,7 +49,6 @@ std::unique_ptr<io::IoContext> MakeFaultyContext(
   options.device_model.model = io::DeviceModel::kFaulty;
   options.device_model.fault = fault;
   options.device_model.fault.inner = io::DeviceModel::kMem;
-  options.sort_threads = sort_threads;
   options.checksum_blocks = checksums;
   return std::make_unique<io::IoContext>(options);
 }
@@ -86,30 +86,24 @@ TEST(FaultInjectionTest, TransientFaultsRetryToByteIdenticalSolve) {
   EXPECT_EQ(clean->stats().read_retries + clean->stats().write_retries, 0u)
       << "fault-free runs must never take the retry path";
 
-  // Compose with overlapped run formation: retries live below the
-  // spill worker, so the threaded sort must solve through the same
-  // fault schedule.
-  for (const std::size_t sort_threads : {0, 1}) {
-    io::FaultSpec fault;
-    fault.seed = 41;
-    fault.read_fault_rate = 2e-3;
-    fault.write_fault_rate = 2e-3;
-    fault.short_rate = 1e-3;
-    auto faulty = MakeFaultyContext(fault, 1, sort_threads);
-    const auto labels = SolveOrDie(faulty.get(), edges, "transient faults");
-    EXPECT_EQ(labels.size(), reference.size());
-    for (std::size_t i = 0; i < labels.size() && i < reference.size(); ++i) {
-      ASSERT_EQ(labels[i].node, reference[i].node) << "at record " << i;
-      ASSERT_EQ(labels[i].scc, reference[i].scc) << "at record " << i;
-    }
-    // The schedule is seeded and the graph spills: some op must have
-    // faulted and been retried, or the test is vacuous.
-    EXPECT_GT(faulty->stats().read_retries + faulty->stats().write_retries,
-              0u);
-    EXPECT_FALSE(faulty->has_io_error())
-        << faulty->io_error().ToString()
-        << " — transient faults must be absorbed by retries, not latched";
+  io::FaultSpec fault;
+  fault.seed = 41;
+  fault.read_fault_rate = 2e-3;
+  fault.write_fault_rate = 2e-3;
+  fault.short_rate = 1e-3;
+  auto faulty = MakeFaultyContext(fault, 1);
+  const auto labels = SolveOrDie(faulty.get(), edges, "transient faults");
+  EXPECT_EQ(labels.size(), reference.size());
+  for (std::size_t i = 0; i < labels.size() && i < reference.size(); ++i) {
+    ASSERT_EQ(labels[i].node, reference[i].node) << "at record " << i;
+    ASSERT_EQ(labels[i].scc, reference[i].scc) << "at record " << i;
   }
+  // The schedule is seeded and the graph spills: some op must have
+  // faulted and been retried, or the test is vacuous.
+  EXPECT_GT(faulty->stats().read_retries + faulty->stats().write_retries, 0u);
+  EXPECT_FALSE(faulty->has_io_error())
+      << faulty->io_error().ToString()
+      << " — transient faults must be absorbed by retries, not latched";
 }
 
 // ---- Persistent single-device failure: quarantine + failover ---------
@@ -171,33 +165,6 @@ TEST(FaultInjectionTest, TwoDeviceTransientFaultsRetryToByteIdenticalSolve) {
   }
   EXPECT_GT(faulty->stats().read_retries + faulty->stats().write_retries, 0u);
   EXPECT_FALSE(faulty->has_io_error()) << faulty->io_error().ToString();
-}
-
-TEST(FaultInjectionTest, TwoDevicePersistentFailureWithSpillWorker) {
-  // Device 1 of 2 dies for spill writes while a sort_threads spill
-  // worker does the spilling. The failover must quarantine it from the
-  // worker, keep placing round-robin on the survivor, and finish with
-  // verified labels.
-  io::FaultSpec fault;
-  fault.seed = 7;
-  fault.fail_writes_after = 1;
-  fault.path_tag = "sortrun";
-  fault.device_index = 1;
-  auto ctx = MakeFaultyContext(fault, /*num_devices=*/2, /*sort_threads=*/1);
-  const auto edges = gen::RandomDigraphEdges(150, 450, 19);
-  const auto labels =
-      SolveOrDie(ctx.get(), edges, "dead device under a spill worker");
-  ASSERT_FALSE(labels.empty());
-
-  const auto devices = ctx->temp_files().devices();
-  ASSERT_EQ(devices.size(), 2u);
-  EXPECT_TRUE(ctx->temp_files().IsQuarantined(devices[1]))
-      << "the failing device must be quarantined";
-  EXPECT_FALSE(ctx->temp_files().IsQuarantined(devices[0]));
-  EXPECT_EQ(ctx->temp_files().num_available_devices(), 1u);
-  EXPECT_FALSE(ctx->has_io_error())
-      << ctx->io_error().ToString()
-      << " — a recovered failover must absorb its latched error";
 }
 
 // ---- Merge-pass failover: the "mergerun" outputs of a multi-pass sort
@@ -278,14 +245,64 @@ TEST(FaultInjectionTest, DeadMergeInputFailsWithoutFailover) {
   EXPECT_EQ(sort.ctx->temp_files().num_available_devices(), 2u);
 }
 
+TEST(FaultInjectionTest, RefusedSpillIsReportedNeverLaundered) {
+  // One RAM device that refuses spill writes after its first block: the
+  // first spill fails on every device there is, so the writer holds no
+  // runs, only the records appended after it. FinishInto must return
+  // the injected error, write no records, and leave no scratch run —
+  // whether the writer is streamed or told its size.
+  for (const bool sized : {false, true}) {
+    io::IoContextOptions options;
+    options.block_size = 1024;
+    options.memory_bytes = 8 << 10;
+    options.device_model.model = io::DeviceModel::kFaulty;
+    options.device_model.fault.fail_writes_after = 1;
+    options.device_model.fault.path_tag = "sortrun";
+    options.device_model.fault.inner = io::DeviceModel::kMem;
+    io::IoContext ctx(options);
+    constexpr std::uint64_t kRecords = 20'000;
+    util::Rng rng(43);
+    const std::string out = ctx.NewTempPath("out");
+    extsort::SortRunInfo info;
+    {
+      extsort::SortingWriter<std::uint64_t, U64Less> writer(
+          &ctx, U64Less(), /*dedup=*/false,
+          sized ? std::optional<std::uint64_t>(kRecords) : std::nullopt);
+      for (std::uint64_t i = 0; i < kRecords; ++i) writer.Append(rng.Next());
+      info = writer.FinishInto(out);
+    }
+    const char* label = sized ? "told its size" : "streamed";
+    EXPECT_FALSE(info.status.ok()) << label;
+    EXPECT_EQ(info.status.code(), util::StatusCode::kIoError) << label;
+    EXPECT_NE(info.status.message().find("injected persistent write"),
+              std::string::npos)
+        << label << ": " << info.status.ToString();
+    EXPECT_TRUE(io::ReadAllRecords<std::uint64_t>(&ctx, out).empty())
+        << label;
+    // Every scratch name is <dir>/<sequence>_<tag>; none of the spill
+    // attempts may survive.
+    io::TempFileManager& temp = ctx.temp_files();
+    const std::uint64_t ids =
+        std::stoull(temp.NewPath("probe").substr(temp.dir().size() + 1));
+    for (std::uint64_t id = 0; id < ids; ++id) {
+      const std::string run = temp.dir() + "/" + std::to_string(id) +
+                              "_sortrun";
+      std::unique_ptr<io::StorageFile> file;
+      EXPECT_FALSE(temp.devices()[0]
+                       ->Open(run, io::OpenMode::kRead, &file)
+                       .ok())
+          << label << ": " << run << " was left behind";
+    }
+  }
+}
+
 // ---- Silent corruption: checksums turn bit flips into kCorruption ----
 
 TEST(FaultInjectionTest, BitFlipsYieldCorruptionNeverWrongAnswers) {
   io::FaultSpec fault;
   fault.seed = 23;
   fault.corrupt_rate = 5e-3;  // dense enough that some read gets hit
-  auto ctx = MakeFaultyContext(fault, 1, /*sort_threads=*/0,
-                               /*checksums=*/true);
+  auto ctx = MakeFaultyContext(fault, 1, /*checksums=*/true);
   const auto edges = gen::RandomDigraphEdges(150, 450, 29);
   const auto g = graph::MakeDiskGraph(ctx.get(), edges);
   const std::string out = ctx->NewTempPath("labels");
@@ -306,8 +323,7 @@ TEST(FaultInjectionTest, ChecksummedCleanSolveVerifies) {
   // must not notice. (Fault-free faulty device = plain pass-through.)
   io::FaultSpec fault;
   fault.seed = 3;
-  auto ctx = MakeFaultyContext(fault, 1, /*sort_threads=*/0,
-                               /*checksums=*/true);
+  auto ctx = MakeFaultyContext(fault, 1, /*checksums=*/true);
   const auto edges = gen::RandomDigraphEdges(150, 450, 17);
   const auto labels = SolveOrDie(ctx.get(), edges, "checksums on");
   EXPECT_FALSE(labels.empty());

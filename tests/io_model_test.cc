@@ -55,8 +55,7 @@ TEST(IoModelTest, ScanCostsExactlyFileBlocks) {
 TEST(IoModelTest, SortIoScalesNearLinearlyAtFixedFanIn) {
   // With M and B fixed, doubling n at the same number of merge passes
   // should roughly double the I/O count. The sizes keep both sorts at one
-  // pass with serial and with overlapped run formation (sort_threads=1
-  // halves the run buffers, doubling the run count).
+  // merge pass.
   struct Sorted {
     std::uint64_t ios;
     std::uint64_t merge_passes;

@@ -267,39 +267,34 @@ TEST(StorageConfigTest, ParseDeviceModelSpec) {
 TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   io::IoContextOptions options;
   for (const char* flag :
-       {"--sort-threads=1", "--scratch-dirs=a,,b",
-        "--device-model=faulty:seed=5"}) {
+       {"--scratch-dirs=a,,b", "--device-model=faulty:seed=5"}) {
     EXPECT_EQ(io::ParseMachineFlag(flag, &options), "") << flag;
   }
-  EXPECT_EQ(options.sort_threads, 1u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(options.device_model.model, io::DeviceModel::kFaulty);
   EXPECT_EQ(options.device_model.fault.seed, 5u);
-  // Malformed values, out-of-range values, options without a value and
-  // unknown options (including the retired --io-threads and
+  // Malformed values, options without a value and unknown options
+  // (including the retired --sort-threads, --io-threads and
   // --placement, and the retired throttled model) are errors, never
   // silently ignored.
   for (const char* flag :
-       {"--sort-threads=two", "--sort-threads=-1", "--sort-threads=2",
+       {"--sort-threads=0", "--sort-threads=1", "--sort-threads",
         "--io-threads=2", "--io-threads=two", "--io-threads=-1",
         "--placement=rr", "--device-model=throttled",
-        "--device-model=throttled:10:8192", "--sort-threads",
-        "--scratch-dirs", "--device-model", "--checksum-blocks",
-        "--frobnicate", "--frobnicate=1", "positional"}) {
+        "--device-model=throttled:10:8192", "--scratch-dirs",
+        "--device-model", "--checksum-blocks", "--frobnicate",
+        "--frobnicate=1", "positional"}) {
     EXPECT_NE(io::ParseMachineFlag(flag, &options), "") << flag;
   }
   EXPECT_EQ(io::ParseMachineFlag("--device-model", &options),
             "missing value for --device-model (want --device-model=VALUE)");
-  EXPECT_EQ(io::ParseMachineFlag("--sort-threads=2", &options),
-            "bad --sort-threads \"2\" (want 0 or 1)");
-  EXPECT_EQ(io::ParseMachineFlag("--io-threads=2", &options),
-            "unknown flag --io-threads (machine options: --sort-threads, "
-            "--scratch-dirs, --device-model)");
-  EXPECT_EQ(io::ParseMachineFlag("--placement=rr", &options),
-            "unknown flag --placement (machine options: --sort-threads, "
-            "--scratch-dirs, --device-model)");
+  for (const char* retired : {"sort-threads", "io-threads", "placement"}) {
+    EXPECT_EQ(io::ParseMachineFlag(std::string("--") + retired + "=1",
+                                   &options),
+              std::string("unknown flag --") + retired +
+                  " (machine options: --scratch-dirs, --device-model)");
+  }
   // A rejected flag leaves the options as they were.
-  EXPECT_EQ(options.sort_threads, 1u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(options.device_model.model, io::DeviceModel::kFaulty);
   EXPECT_EQ(options.device_model.fault.seed, 5u);
@@ -307,16 +302,10 @@ TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   // The retired variables are no longer read.
   ::setenv("EXTSCC_PARSER_TEST_IO_THREADS", "two", 1);
   ::setenv("EXTSCC_PARSER_TEST_PLACEMENT", "spread", 1);
-  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "0", 1);
+  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "2", 1);
   ::setenv("EXTSCC_PARSER_TEST_SCRATCH_DIRS", "c", 1);
   EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options), "");
-  EXPECT_EQ(options.sort_threads, 0u);
   EXPECT_EQ(options.scratch_dirs, (std::vector<std::string>{"c"}));
-  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "2", 1);
-  EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options),
-            "EXTSCC_PARSER_TEST_SORT_THREADS: bad --sort-threads \"2\" "
-            "(want 0 or 1)");
-  ::setenv("EXTSCC_PARSER_TEST_SORT_THREADS", "0", 1);
   ::setenv("EXTSCC_PARSER_TEST_DEVICE_MODEL", "throttled", 1);
   EXPECT_EQ(io::ParseMachineEnv("EXTSCC_PARSER_TEST_", &options),
             "EXTSCC_PARSER_TEST_DEVICE_MODEL: unknown --device-model "
@@ -328,19 +317,19 @@ TEST(StorageConfigTest, MachineOptionsParseFromFlagsAndEnv) {
   ::unsetenv("EXTSCC_PARSER_TEST_DEVICE_MODEL");
 
   // The suites' own front end turns that error into a test failure.
-  const char* matrix = std::getenv("EXTSCC_TEST_SORT_THREADS");
+  const char* matrix = std::getenv("EXTSCC_TEST_DEVICE_MODEL");
   const std::string saved = matrix != nullptr ? matrix : "";
-  ::setenv("EXTSCC_TEST_SORT_THREADS", "2", 1);
+  ::setenv("EXTSCC_TEST_DEVICE_MODEL", "throttled", 1);
   EXPECT_NONFATAL_FAILURE(
       {
         io::IoContextOptions env_options;
         testing::ApplyTestEnvOptions(&env_options);
       },
-      "EXTSCC_TEST_SORT_THREADS: bad --sort-threads \"2\" (want 0 or 1)");
+      "EXTSCC_TEST_DEVICE_MODEL: unknown --device-model \"throttled\"");
   if (matrix != nullptr) {
-    ::setenv("EXTSCC_TEST_SORT_THREADS", saved.c_str(), 1);
+    ::setenv("EXTSCC_TEST_DEVICE_MODEL", saved.c_str(), 1);
   } else {
-    ::unsetenv("EXTSCC_TEST_SORT_THREADS");
+    ::unsetenv("EXTSCC_TEST_DEVICE_MODEL");
   }
 }
 

@@ -29,7 +29,7 @@ std::unique_ptr<io::IoContext> MakeContextWithModel(
   options.memory_bytes = memory_bytes;
   options.device_model.model = model;
   // The environment wins over the suite's requested backing, so the CI
-  // matrix (threaded, multidevice) drives every fixture-built suite.
+  // matrix (multidevice, chaos) drives every fixture-built suite.
   ApplyTestEnvOptions(&options);
   return std::make_unique<io::IoContext>(options);
 }

@@ -17,9 +17,6 @@ namespace extscc::testing {
 // Applies the test-matrix environment overrides to `options`: the
 // shared machine options (io::ParseMachineEnv) as EXTSCC_TEST_<SUFFIX>
 // variables; a malformed value fails the calling test.
-//  - EXTSCC_TEST_SORT_THREADS=0|1: overlapped run formation (the
-//    threaded and TSan CI jobs set 1; sorted outputs are byte-identical
-//    by design).
 //  - EXTSCC_TEST_SCRATCH_DIRS=a,b: one scratch device per entry, new
 //    scratch files round-robin across them.
 //  - EXTSCC_TEST_DEVICE_MODEL=posix|mem|faulty[:seed=S,rate=R,...]:
